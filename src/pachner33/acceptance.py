@@ -109,7 +109,7 @@ def random_elliptic_params(rng: np.random.Generator, vertices=SIMPLEX) -> Ellipt
             continue
 
 
-def _elliptic_scene_cocycle(rng: np.random.Generator) -> Cochain:
+def elliptic_scene_cocycle(rng: np.random.Generator) -> Cochain:
     while True:
         om = elliptic_cocycle(random_elliptic_params(rng, SCENE_VERTICES))
         if min(abs(v) for v in om.values.values()) >= 0.05:
@@ -208,8 +208,8 @@ def criterion_2(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
         for d in ops:
             worst = max(worst, d.apply(W).max_abs() / (d.norm() * W.max_abs()))
         ann = annihilator_of(W)
-        dims_ok = dims_ok and ann.dimension == 5
-        angles = principal_angles(operator_matrix(ops).T, ann.basis)
+        dims_ok = dims_ok and ann.shape[1] == 5
+        angles = principal_angles(operator_matrix(ops).T, ann)
         worst_angle = max(worst_angle, float(angles.max()))
     ok = worst <= tol and worst_angle <= tol_angle and dims_ok
     return CriterionResult(
@@ -501,7 +501,7 @@ def criterion_9(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
         if i < 50:
             om = generic_cocycle(rng, SCENE_VERTICES)
         else:
-            om = _elliptic_scene_cocycle(rng)
+            om = elliptic_scene_cocycle(rng)
         rep = verify_33(om, tol=max(tol, 1e-8))
         worst = max(
             worst,

@@ -12,7 +12,10 @@ residual exceeds it, 2 on a typed degeneracy or input error.
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -121,10 +124,17 @@ def _parse_cell(key: str) -> tuple[int, ...]:
 
 
 def _parse_pair(pair) -> complex:
-    if isinstance(pair, (int, float)):
-        return complex(pair)
-    re, im = pair
-    return complex(re, im)
+    """A JSON number or [re, im] pair, as a finite complex number."""
+    parts = pair if isinstance(pair, list) else [pair, 0.0]
+    if len(parts) != 2 or any(type(p) not in (int, float) for p in parts):
+        raise ValueError(f"component {pair!r} is not a number or an [re, im] pair")
+    try:
+        z = complex(*parts)
+    except OverflowError:  # an integer beyond the float range
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        raise ValueError(f"component {pair!r} is not finite")
+    return z
 
 
 def cochain_to_json(c: Cochain) -> dict:
@@ -187,9 +197,19 @@ def params_from_json(d: dict, modulus: complex | None = None) -> EllipticParams:
     return EllipticParams(modulus, coords)
 
 
-def _load_json(path: str) -> dict:
+def _read(path: str, parse):
+    """parse() applied to the JSON object in a file; malformed content is a
+    ValueError that names the problem."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError(f"top-level JSON value is {type(d).__name__}, not an object")
+    try:
+        return parse(d)
+    except KeyError as e:
+        raise ValueError(f"missing key {e}") from None
+    except (TypeError, AttributeError) as e:
+        raise ValueError(f"malformed input: {e}") from None
 
 
 def _gauges_to_json(gauges: dict) -> dict:
@@ -207,13 +227,13 @@ def _parse_modulus(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("--modulus expects re,im")
-    return complex(float(parts[0]), float(parts[1]))
+    return _parse_pair([float(p) for p in parts])
 
 
 def _elliptic_params_from_args(args, rng, vertices) -> EllipticParams:
     if args.coords:
         mod = _parse_modulus(args.modulus) if args.modulus else None
-        return params_from_json(_load_json(args.coords), mod)
+        return _read(args.coords, lambda d: params_from_json(d, mod))
     if args.modulus:
         raise ValueError("--modulus requires --coords")
     return acceptance.random_elliptic_params(rng, vertices)
@@ -221,7 +241,7 @@ def _elliptic_params_from_args(args, rng, vertices) -> EllipticParams:
 
 def _scene_cocycle(args, seed: int) -> tuple[Cochain, str]:
     if args.cocycle:
-        return cochain_from_json(_load_json(args.cocycle)), "file"
+        return _read(args.cocycle, cochain_from_json), "file"
     rng = np.random.default_rng(seed)
     if args.elliptic:
         params = _elliptic_params_from_args(args, rng, SCENE_VERTICES)
@@ -231,7 +251,7 @@ def _scene_cocycle(args, seed: int) -> tuple[Cochain, str]:
 
 def _input_weight_matrix(args, seed: int) -> tuple[WeightMatrix, str]:
     if args.cocycle:
-        return weight_matrix_from_json(_load_json(args.cocycle)), "file"
+        return _read(args.cocycle, weight_matrix_from_json), "file"
     rng = np.random.default_rng(seed)
     return acceptance.random_weight_matrix(rng), "random"
 
@@ -240,17 +260,39 @@ def _input_weight_matrix(args, seed: int) -> tuple[WeightMatrix, str]:
 # Commands.
 
 
-def _verify_one(args, seed: int, tol: float) -> tuple[dict, bool]:
-    report: dict = {"command": "verify-pachner", "seed": seed, "tolerance": tol}
+def _run(args, seed: int, body) -> tuple[dict, int]:
+    """A report started from the command line, filled in by body(args, report),
+    and the exit code body returns.  A typed degeneracy or input error
+    becomes the report's error and message fields and exit code 2."""
+    report: dict = {"command": args.command, "seed": seed}
+    if "tolerance" in vars(args):
+        report["tolerance"] = args.tolerance
     try:
-        omega, source = _scene_cocycle(args, seed)
-        report["source"] = source
-        rec = reconcile(omega, tol=tol)
-        rep = verify_33(rec, tol=tol)
+        return report, body(args, report)
     except (Pachner33Error, ValueError, OSError) as e:
         report["error"] = type(e).__name__
         report["message"] = str(e)
-        return report, False
+        return report, 2
+
+
+def _reporting(body):
+    """A command that emits the one report body(args, report) fills in."""
+
+    @functools.wraps(body)
+    def cmd(args) -> int:
+        report, rc = _run(args, args.seed, body)
+        _emit(report, args.out)
+        return rc
+
+    return cmd
+
+
+def _verify_one(args, report: dict) -> int:
+    tol = args.tolerance
+    omega, source = _scene_cocycle(args, report["seed"])
+    report["source"] = source
+    rec = reconcile(omega, tol=tol)
+    rep = verify_33(rec, tol=tol)
     report.update(
         {
             "const": rep.const,
@@ -276,122 +318,68 @@ def _verify_one(args, seed: int, tol: float) -> tuple[dict, bool]:
         worst <= tol and rep.annihilator_dimension == 9 and abs(rep.const) > 1e-10
     )
     report["within_tolerance"] = passed
-    return report, passed
+    return 0 if passed else 1
 
 
-def cmd_verify_pachner(args) -> int:
-    tol = args.tolerance
-    batch = max(1, args.batch)
-    if batch == 1:
-        report, passed = _verify_one(args, args.seed, tol)
-        _emit(report, args.out)
-        if "error" in report:
-            return 2
-        return 0 if passed else 1
-    runs = []
-    all_passed = True
-    any_error = False
-    for seed in range(args.seed, args.seed + batch):
-        report, passed = _verify_one(args, seed, tol)
-        runs.append(report)
-        all_passed = all_passed and passed
-        any_error = any_error or "error" in report
-    _emit(
-        {
-            "command": "verify-pachner",
-            "seed": args.seed,
-            "batch": batch,
-            "tolerance": tol,
-            "all_within_tolerance": all_passed,
-            "runs": runs,
-        },
-        args.out,
-    )
-    if any_error:
-        return 2
-    return 0 if all_passed else 1
+@_reporting
+def cmd_verify_pachner(args, report: dict) -> int:
+    runs = [_run(args, seed, _verify_one) for seed in range(args.seed, args.seed + args.batch)]
+    if args.batch == 1:
+        report.update(runs[0][0])
+        return runs[0][1]
+    report["batch"] = args.batch
+    report["all_within_tolerance"] = all(rc == 0 for _, rc in runs)
+    report["runs"] = [r for r, _ in runs]
+    return max(rc for _, rc in runs)  # 2 on any error, else 1 on any excess
 
 
-def cmd_weight_from_cocycle(args) -> int:
-    tol = args.tolerance
-    report: dict = {"command": "weight-from-cocycle", "seed": args.seed, "tolerance": tol}
-    try:
-        if args.cocycle:
-            omega = cochain_from_json(_load_json(args.cocycle))
-            report["source"] = "file"
-        else:
-            rng = np.random.default_rng(args.seed)
-            omega = acceptance.generic_cocycle(rng)
-            report["source"] = "random"
-        wm = reconstruct_F(omega)
-        back = extract_w_cocycle(normalize_family(wm))
-        top = max(omega.cells(), key=lambda s: abs(omega[s]))
-        scale = omega[top] / back[top]
-        resid = max(abs(omega[s] - scale * back[s]) for s in back.cells()) / omega.max_abs()
-    except (Pachner33Error, ValueError, OSError) as e:
-        report["error"] = type(e).__name__
-        report["message"] = str(e)
-        _emit(report, args.out)
-        return 2
+@_reporting
+def cmd_weight_from_cocycle(args, report: dict) -> int:
+    if args.cocycle:
+        omega = _read(args.cocycle, cochain_from_json)
+        report["source"] = "file"
+    else:
+        rng = np.random.default_rng(args.seed)
+        omega = acceptance.generic_cocycle(rng)
+        report["source"] = "random"
+    wm = reconstruct_F(omega)
+    back = extract_w_cocycle(normalize_family(wm))
+    top = max(omega.cells(), key=lambda s: abs(omega[s]))
+    scale = omega[top] / back[top]
+    resid = max(abs(omega[s] - scale * back[s]) for s in back.cells()) / omega.max_abs()
     report.update(weight_matrix_to_json(wm))
     report["roundtrip_residual"] = resid
-    report["within_tolerance"] = resid <= tol
-    _emit(report, args.out)
-    return 0 if resid <= tol else 1
+    report["within_tolerance"] = resid <= args.tolerance
+    return 0 if resid <= args.tolerance else 1
 
 
-def cmd_cocycle_from_weight(args) -> int:
-    tol = args.tolerance
-    report: dict = {"command": "cocycle-from-weight", "seed": args.seed, "tolerance": tol}
-    try:
-        wm, source = _input_weight_matrix(args, args.seed)
-        report["source"] = source
-        omega = extract_w_cocycle(normalize_family(wm))
-        closed = is_cocycle(omega, rel_tol=tol)
-    except (Pachner33Error, ValueError, OSError) as e:
-        report["error"] = type(e).__name__
-        report["message"] = str(e)
-        _emit(report, args.out)
-        return 2
+@_reporting
+def cmd_cocycle_from_weight(args, report: dict) -> int:
+    wm, report["source"] = _input_weight_matrix(args, args.seed)
+    omega = extract_w_cocycle(normalize_family(wm))
+    closed = is_cocycle(omega, rel_tol=args.tolerance)
     report.update(cochain_to_json(omega))
     report["is_cocycle"] = closed
-    _emit(report, args.out)
     return 0 if closed else 1
 
 
-def cmd_edge_operators(args) -> int:
-    report: dict = {"command": "edge-operators", "seed": args.seed}
-    try:
-        wm, source = _input_weight_matrix(args, args.seed)
-        report["source"] = source
-        fam = normalize_family(wm)
-    except (Pachner33Error, ValueError, OSError) as e:
-        report["error"] = type(e).__name__
-        report["message"] = str(e)
-        _emit(report, args.out)
-        return 2
-    report.update(family_to_json(fam))
-    _emit(report, args.out)
+@_reporting
+def cmd_edge_operators(args, report: dict) -> int:
+    wm, report["source"] = _input_weight_matrix(args, args.seed)
+    report.update(family_to_json(normalize_family(wm)))
     return 0
 
 
-def cmd_elliptic_f(args) -> int:
-    report: dict = {"command": "elliptic-f", "seed": args.seed}
-    try:
-        rng = np.random.default_rng(args.seed)
-        params = _elliptic_params_from_args(args, rng, acceptance.SIMPLEX)
-        simplex = params.vertices
-        if len(simplex) != 5:
-            raise ValueError("elliptic-f expects coordinates on five vertices")
-        wm = elliptic_F(params, simplex)
-    except (Pachner33Error, ValueError, OSError) as e:
-        report["error"] = type(e).__name__
-        report["message"] = str(e)
-        _emit(report, args.out)
-        return 2
+@_reporting
+def cmd_elliptic_f(args, report: dict) -> int:
+    rng = np.random.default_rng(args.seed)
+    params = _elliptic_params_from_args(args, rng, acceptance.SIMPLEX)
+    simplex = params.vertices
+    if len(simplex) != 5:
+        raise ValueError("elliptic-f expects coordinates on five vertices")
+    wm = elliptic_F(params, simplex)
     report["params"] = params_to_json(params)
     report.update(weight_matrix_to_json(wm))
-    _emit(report, args.out)
     return 0
 
 
@@ -408,11 +396,24 @@ def cmd_selftest(args) -> int:
 # Argument parsing.
 
 
+def _positive(kind):
+    """argparse type: a finite number of the given kind, greater than zero."""
+
+    def parse(text: str):
+        x = kind(text)
+        if not (math.isfinite(x) and x > 0):
+            raise argparse.ArgumentTypeError(f"expected a finite value > 0, got {text}")
+        return x
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser, *, tolerance=True, io=True, elliptic=False, batch=False):
     p.add_argument("--seed", type=int, default=1, help="PRNG seed (PCG64)")
     if tolerance:
         p.add_argument(
-            "--tolerance", type=float, default=DEFAULT_TOLERANCE, help="residual bound"
+            "--tolerance", type=_positive(float), default=DEFAULT_TOLERANCE, help="residual bound"
         )
     if io:
         p.add_argument("--cocycle", metavar="FILE", help="input JSON file")
@@ -422,7 +423,7 @@ def _add_common(p: argparse.ArgumentParser, *, tolerance=True, io=True, elliptic
         p.add_argument("--modulus", metavar="RE,IM", help="elliptic modulus")
         p.add_argument("--coords", metavar="FILE", help="vertex coordinates JSON")
     if batch:
-        p.add_argument("--batch", type=int, default=1, help="run seeds seed..seed+n-1")
+        p.add_argument("--batch", type=_positive(int), default=1, help="run seeds seed..seed+n-1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,7 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the built-in acceptance checks")
     p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED, help="PRNG seed (PCG64)")
-    p.add_argument("--tolerance", type=float, default=None, help="override every residual bound")
+    p.add_argument(
+        "--tolerance", type=_positive(float), default=None, help="override every residual bound"
+    )
     p.set_defaults(func=cmd_selftest)
 
     return parser

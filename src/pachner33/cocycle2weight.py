@@ -19,7 +19,7 @@ from .errors import (
     ConsistencyError,
     DegenerateCocycleError,
 )
-from .operators import LinearOperator
+from .operators import LinearOperator, svd_rank
 from .simplicial import Cochain, cochain_primitive, faces, vertex_coboundary_sign
 from .weights import CANONICAL_RATIO_PAIRS, WeightMatrix, solve_F_from_ratios
 
@@ -55,7 +55,6 @@ class SqrtChoice:
 class SuperisotropicOperator:
     f: LinearOperator
     alpha: dict
-    flips: frozenset = frozenset()
 
 
 def _check_roots(omega: Cochain, choice: SqrtChoice):
@@ -173,7 +172,7 @@ def build_f_t(
             raise BranchInconsistencyError(
                 f"component at {t2} is not of the expected kind; calibrate the branch first"
             )
-    return SuperisotropicOperator(f, alpha, flips=frozenset(pair))
+    return SuperisotropicOperator(f, alpha)
 
 
 def kappa(omega: Cochain, choice: SqrtChoice | None = None) -> complex:
@@ -209,7 +208,7 @@ def _rank_complement(omega: Cochain, nu: Cochain, t0) -> np.ndarray:
     rows.append([nu[b] for b in edges6])
     B = np.array(rows, dtype=complex).T
     u, s, _ = np.linalg.svd(B)
-    rank = int(np.sum(s > 1e-10 * s[0]))
+    rank = svd_rank(s)
     if rank != 4:
         raise DegenerateCocycleError(f"reference span at {t0} has rank {rank}, expected 4")
     return u[:, rank:]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DegenerateCocycleError, DegenerateWeightError
 from .grassmann import GeneratorSpace
-from .operators import LinearOperator, column_space, matrix_rank, nullspace
+from .operators import LinearOperator, column_space, nullspace, svd_rank
 from .simplicial import Cochain, coboundary, faces, star_tetrahedra, vertex_coboundary_sign
 from .weights import WeightMatrix
 
@@ -26,7 +26,6 @@ class EdgeOperatorFamily:
     simplex: tuple
     operators: dict
     normalized: bool
-    overall_scale: complex = 1.0
 
     def __post_init__(self):
         edges = faces(self.simplex, 1)
@@ -149,7 +148,7 @@ def extract_w_cocycle(fam: EdgeOperatorFamily) -> Cochain:
     Q = column_space(C)
     P = K - Q @ (Q.conj().T @ K)
     u, s, _ = np.linalg.svd(P)
-    if s[1] > 1e-8 * s[0]:
+    if svd_rank(s, 1e-8) > 1:
         raise ConsistencyError("coboundary quotient of the kernel is not a line")
     nu = Cochain(fam.simplex, 1, {b: u[bj, 0] for bj, b in enumerate(edges)})
     omega = coboundary(nu)
@@ -157,7 +156,3 @@ def extract_w_cocycle(fam: EdgeOperatorFamily) -> Cochain:
     if abs(omega[top]) < 1e-12:
         raise DegenerateCocycleError("extracted cocycle vanishes")
     return omega.scaled(1.0 / omega[top])
-
-
-def family_rank(fam: EdgeOperatorFamily) -> int:
-    return matrix_rank(fam.operator_columns())

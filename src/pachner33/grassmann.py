@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import SpaceMismatchError
+from .simplicial import permutation_sign
 
 MAX_GENERATORS = 12
 
@@ -105,7 +106,7 @@ class GrassmannElement:
     def monomial(space: GeneratorSpace, labels: Iterable, coeff: complex = 1.0) -> "GrassmannElement":
         """coeff * x_{l1} x_{l2} ... with the labels in the given order."""
         labs = [_check_label(l) for l in labels]
-        sign = _permutation_sign_of_list(labs)
+        sign = permutation_sign(labs)
         return GrassmannElement(space, {space.mask_of(labs): sign * complex(coeff)})
 
     @staticmethod
@@ -165,19 +166,6 @@ class GrassmannElement:
     def constant_term(self) -> complex:
         return self.coeffs.get(0, 0.0)
 
-    def normalized(self, rel_tol: float = 1e-14) -> "GrassmannElement":
-        """Drop coefficients below rel_tol times the largest magnitude.
-
-        Pruning is only ever applied through this explicit call; arithmetic
-        keeps every nonzero coefficient bit-for-bit.
-        """
-        top = self.max_abs()
-        if top == 0.0:
-            return self
-        return GrassmannElement(
-            self.space, {m: c for m, c in self.coeffs.items() if abs(c) > rel_tol * top}
-        )
-
     def embed(self, big: GeneratorSpace) -> "GrassmannElement":
         """Re-key into a larger space.  Lexicographic label order is shared by
         both spaces, so canonical monomials carry over without sign changes."""
@@ -200,17 +188,6 @@ class GrassmannElement:
                 raise SpaceMismatchError(f"monomial {labs!r} uses dropped generators")
             out[small.mask_of(labs)] = c
         return GrassmannElement(small, out)
-
-
-def _permutation_sign_of_list(labs: list) -> int:
-    sign = 1
-    for i in range(len(labs)):
-        for j in range(i + 1, len(labs)):
-            if labs[i] > labs[j]:
-                sign = -sign
-            elif labs[i] == labs[j]:
-                return 0
-    return sign
 
 
 def left_derivative(label, f: GrassmannElement) -> GrassmannElement:

@@ -85,56 +85,30 @@ def partial_product(d1: LinearOperator, d2: LinearOperator, label) -> complex:
     return complex(d1.beta[i] * d2.gamma[i] + d2.beta[i] * d1.gamma[i])
 
 
-def pairing_matrix(n: int) -> np.ndarray:
-    """Gram matrix of the pairing in the (beta, gamma) vector layout."""
-    J = np.zeros((2 * n, 2 * n), dtype=complex)
-    J[:n, n:] = np.eye(n)
-    J[n:, :n] = np.eye(n)
-    return J
-
-
-def isotropic_span_from_F(space: GeneratorSpace, F: np.ndarray) -> list[LinearOperator]:
-    """Operators d_k = d/dx_k + sum_l F[k, l] x_l, F indexed like the generators.
-
-    For skew F the pairing of any two of these vanishes, so their span is a
-    maximal isotropic subspace.
-    """
-    F = np.asarray(F, dtype=complex)
-    n = space.n
-    if F.shape != (n, n):
-        raise ValueError(f"F must be {n}x{n}, got {F.shape}")
-    eye = np.eye(n)
-    return [LinearOperator(space, eye[k], F[k]) for k in range(n)]
+def svd_rank(s: np.ndarray, rtol: float = RANK_RTOL) -> int:
+    """Number of singular values above rtol times the largest; 0 when all vanish."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > rtol * s[0]))
 
 
 def nullspace(A: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal basis of the right null space, as columns."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     _, s, vh = np.linalg.svd(A)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > rtol * s[0]))
-    return vh[rank:].conj().T
+    return vh[svd_rank(s, rtol) :].conj().T
 
 
 def column_space(A: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal basis of the column space, as columns."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     u, s, _ = np.linalg.svd(A)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > rtol * s[0]))
-    return u[:, :rank]
+    return u[:, : svd_rank(s, rtol)]
 
 
 def matrix_rank(A: np.ndarray, rtol: float = RANK_RTOL) -> int:
     A = np.atleast_2d(np.asarray(A, dtype=complex))
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+    return svd_rank(np.linalg.svd(A, compute_uv=False), rtol)
 
 
 def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -155,14 +129,6 @@ def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.where(coss**2 > 0.5, np.arcsin(sins), np.arccos(coss))
 
 
-def subspaces_equal(A: np.ndarray, B: np.ndarray, tol: float = 1e-8) -> bool:
-    ra, rb = matrix_rank(A), matrix_rank(B)
-    if ra != rb:
-        return False
-    angles = principal_angles(A, B)
-    return angles.size == 0 or float(angles.max()) <= tol
-
-
 def operator_matrix(ops) -> np.ndarray:
     """Stack operator coefficient vectors as rows."""
     ops = list(ops)
@@ -171,45 +137,9 @@ def operator_matrix(ops) -> np.ndarray:
     return np.array([d.vector for d in ops])
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorSubspace:
-    """Subspace of operator coefficient space; basis columns are orthonormal."""
-
-    space: GeneratorSpace
-    basis: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=complex)
-        if b.ndim != 2 or b.shape[0] != 2 * self.space.n:
-            raise ValueError("basis must have 2n rows")
-        object.__setattr__(self, "basis", b)
-
-    @staticmethod
-    def from_operators(ops, rtol: float = RANK_RTOL) -> "OperatorSubspace":
-        ops = list(ops)
-        A = operator_matrix(ops)
-        return OperatorSubspace(ops[0].space, column_space(A.T, rtol))
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.shape[1]
-
-    def operators(self) -> list[LinearOperator]:
-        return [LinearOperator.from_vector(self.space, self.basis[:, j]) for j in range(self.dimension)]
-
-    def contains(self, d: LinearOperator, tol: float = 1e-9) -> bool:
-        v = d.vector
-        r = v - self.basis @ (self.basis.conj().T @ v)
-        return float(np.linalg.norm(r)) <= tol * max(float(np.linalg.norm(v)), 1e-300)
-
-    def equals(self, other: "OperatorSubspace", tol: float = 1e-8) -> bool:
-        if self.space != other.space:
-            return False
-        return subspaces_equal(self.basis, other.basis, tol)
-
-
-def annihilator_of(f: GrassmannElement, rtol: float = RANK_RTOL) -> OperatorSubspace:
-    """All first-order operators killing f.
+def annihilator_of(f: GrassmannElement, rtol: float = RANK_RTOL) -> np.ndarray:
+    """All first-order operators killing f, as orthonormal basis columns in
+    the (beta, gamma) layout.
 
     The action of an operator on f is linear in (beta, gamma); the annihilator
     is the null space of the resulting (2^n x 2n) action matrix.
@@ -225,4 +155,4 @@ def annihilator_of(f: GrassmannElement, rtol: float = RANK_RTOL) -> OperatorSubs
     for j, g in enumerate(cols):
         for mask, v in g.coeffs.items():
             M[mask, j] = v
-    return OperatorSubspace(space, nullspace(M, rtol))
+    return nullspace(M, rtol)

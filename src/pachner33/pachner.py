@@ -285,23 +285,6 @@ def _composed_from(rec: ReconciledWeights, edge, pick) -> LinearOperator:
     return LinearOperator(space, beta, gamma)
 
 
-def compose_edge_operator(rec: ReconciledWeights, edge, tol: float = 1e-9) -> LinearOperator:
-    """One operator per scene edge, written on the nine boundary generators.
-
-    The two sides must supply the same components on every boundary
-    tetrahedron; the left-owner values are kept after that check.
-    """
-    left = _composed_from(rec, edge, 0)
-    right = _composed_from(rec, edge, 1)
-    scale = max(left.norm(), right.norm(), 1e-300)
-    dev = np.abs(left.vector - right.vector).max() / scale
-    if dev > tol:
-        raise ConsistencyError(
-            f"sides disagree on the composed operator for edge {tuple(edge)} ({dev:.2e})"
-        )
-    return left
-
-
 def side_weight(rec: ReconciledWeights, side: str) -> GrassmannElement:
     """Product of the side's three gauge-adjusted weights, integrated over
     its inner tetrahedra and written on the boundary generators.
@@ -354,14 +337,12 @@ def verify_33(data, tol: float = 1e-8) -> Verification33:
         max_residual = max(max_residual, abs(lhs - const * rhs) / scale)
 
     scene_edges = faces(VERTICES, 1)
+    ops = [_composed_from(rec, a, 0) for a in scene_edges]
+    rights = [_composed_from(rec, a, 1) for a in scene_edges]
     agreement = 0.0
-    ops = []
-    for a in scene_edges:
-        left = _composed_from(rec, a, 0)
-        right = _composed_from(rec, a, 1)
+    for left, right in zip(ops, rights):
         sc = max(left.norm(), right.norm(), 1e-300)
         agreement = max(agreement, np.abs(left.vector - right.vector).max() / sc)
-        ops.append(left)
     anni = 0.0
     iso = 0.0
     for i, d in enumerate(ops):
@@ -371,7 +352,7 @@ def verify_33(data, tol: float = 1e-8) -> Verification33:
         for e in ops[i:]:
             iso = max(iso, abs(scalar_product(d, e)) / (sc * max(e.norm(), 1e-300)))
     lhs_mat = operator_matrix(ops)
-    rhs_mat = operator_matrix([_composed_from(rec, a, 1) for a in scene_edges])
+    rhs_mat = operator_matrix(rights)
     dim = matrix_rank(lhs_mat.T)
     angles = principal_angles(lhs_mat.T, rhs_mat.T)
     return Verification33(

@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateWeightError
-from .grassmann import GeneratorSpace, GrassmannElement, exp_even, left_derivative
+from .grassmann import GeneratorSpace, GrassmannElement, exp_even
 from .operators import LinearOperator
 from .simplicial import Cochain, faces, permutation_sign
 
@@ -102,12 +102,8 @@ class WeightMatrix:
 
 
 def quadratic_form(wm: WeightMatrix, space: GeneratorSpace | None = None) -> GrassmannElement:
-    """The quadratic Grassmann form of the weight.
-
-    Built as a sum over 2-faces with permutation signs, then cross-checked
-    against the matrix form -(1/2) x.F.x; a mismatch means the sign
-    conventions were broken somewhere upstream.
-    """
+    """The quadratic Grassmann form of the weight, -(1/2) x.F.x, built as a
+    sum over 2-faces with permutation signs."""
     if space is None:
         space = tetra_space(wm.simplex)
     verts = wm.simplex
@@ -119,17 +115,6 @@ def quadratic_form(wm: WeightMatrix, space: GeneratorSpace | None = None) -> Gra
         t_without_m = tuple(sorted(s + (l,)))
         t_without_l = tuple(sorted(s + (m,)))
         q = q + GrassmannElement.monomial(space, [t_without_m, t_without_l], eps * phi[s])
-    tets = wm.tetrahedra
-    q_matrix = GrassmannElement.zero(space)
-    for k in range(5):
-        for l in range(5):
-            if k != l:
-                q_matrix = q_matrix + GrassmannElement.monomial(
-                    space, [tets[k], tets[l]], -0.5 * wm.entries[k, l]
-                )
-    scale = max(q.max_abs(), 1.0)
-    if (q - q_matrix).max_abs() > 1e-12 * scale:
-        raise ConsistencyError("quadratic form disagrees with its matrix expansion")
     return q
 
 
@@ -151,15 +136,6 @@ def weight_operators(wm: WeightMatrix, space: GeneratorSpace | None = None) -> l
             gamma[space.index[tets[l]]] += wm.entries[k, l]
         ops.append(LinearOperator(space, beta, gamma))
     return ops
-
-
-def odd_weight(wm: WeightMatrix, t) -> GrassmannElement:
-    """Image of the Gaussian weight under d/dx_t - x_t, an odd partner."""
-    t = tuple(sorted(t))
-    if t not in wm.tetrahedra:
-        raise ValueError(f"{t} is not a 3-face of {wm.simplex}")
-    W = gaussian_weight(wm)
-    return left_derivative(t, W) - GrassmannElement.generator(W.space, t) * W
 
 
 @dataclass(frozen=True)
@@ -193,20 +169,6 @@ def apply_gauge_to_F(wm: WeightMatrix, g: GaugeTransform) -> WeightMatrix:
         raise ValueError("interchanges act on operators, not on the matrix congruence")
     A = np.diag([g.scales[t] for t in wm.tetrahedra])
     return WeightMatrix(wm.simplex, A @ wm.entries @ A)
-
-
-def apply_gauge_to_element(f: GrassmannElement, g: GaugeTransform) -> GrassmannElement:
-    """Substitute x_t -> scale_t * x_t monomial-wise."""
-    if g.interchanges:
-        raise ValueError("interchanges act on operators, not on elements")
-    space = f.space
-    out = {}
-    for mask, c in f.coeffs.items():
-        factor = 1.0 + 0.0j
-        for t in space.labels_of(mask):
-            factor *= g.scales.get(t, 1.0)
-        out[mask] = factor * c
-    return GrassmannElement(space, out)
 
 
 def double_ratio(wm: WeightMatrix, rows, cols) -> complex:

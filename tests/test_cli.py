@@ -139,3 +139,50 @@ def test_selftest_tight_tolerance_fails(capsys):
     lines = [l for l in out.splitlines() if re.match(r"^(PASS|FAIL) criterion \d+:", l)]
     assert len(lines) == 10
     assert any(l.startswith("FAIL") for l in lines)
+
+
+FILE_COMMANDS = ("verify-pachner", "weight-from-cocycle", "cocycle-from-weight", "edge-operators")
+
+
+def _input_doc(command, first):
+    """A well-formed input file for the command whose first component is `first`."""
+    n = 6 if command == "verify-pachner" else 5
+    cells = [",".join(map(str, c)) for c in itertools.combinations(range(1, n + 1), 3)]
+    values = {k: ([first, 0.0] if i == 0 else [1.0, 0.5 * i]) for i, k in enumerate(cells)}
+    if command in ("verify-pachner", "weight-from-cocycle"):
+        return {"degree": 2, "values": values}
+    return {"simplex": [1, 2, 3, 4, 5], "phi": values}
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+@pytest.mark.parametrize(
+    "doc, problem",
+    [
+        ([1, 2], "not an object"),
+        ({}, "missing key"),
+        (float("nan"), "not finite"),
+        (float("inf"), "not finite"),
+        ("one", "not a number"),
+    ],
+)
+def test_malformed_input_file_is_an_input_error(capsys, tmp_path, command, doc, problem):
+    if not isinstance(doc, (list, dict)):
+        doc = _input_doc(command, doc)  # a bad first component in a good file
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    rc, out = run(capsys, command, "--cocycle", str(path))
+    rep = json.loads(out)
+    assert rc == 2
+    assert rep["error"] == "ValueError" and problem in rep["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[c, f"--tolerance={v}"] for c in ("verify-pachner", "selftest") for v in ("-1", "0", "nan", "inf")]
+    + [["verify-pachner", "--batch", "0"]],
+)
+def test_out_of_range_argument_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+    assert capsys.readouterr().out == ""

@@ -8,13 +8,12 @@ import pytest
 from pachner33.edgeops import (
     EdgeOperatorFamily,
     extract_w_cocycle,
-    family_rank,
     normalize_family,
     raw_edge_operator,
     vertex_coboundary_operator,
 )
 from pachner33.errors import DegenerateWeightError
-from pachner33.operators import nullspace, partial_product
+from pachner33.operators import matrix_rank, nullspace, partial_product
 from pachner33.simplicial import Cochain, coboundary, faces, is_cocycle, star_tetrahedra
 from pachner33.weights import GaugeTransform, WeightMatrix, apply_gauge_to_F, gaussian_weight
 
@@ -119,7 +118,7 @@ def test_normalized_vertex_coboundaries_vanish(rng):
 
 def test_family_spans_five_dimensions(rng):
     fam = normalize_family(random_wm(rng))
-    assert family_rank(fam) == 5
+    assert matrix_rank(fam.operator_columns()) == 5
 
 
 def test_opposite_edges_partial_product(rng):

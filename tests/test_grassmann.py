@@ -220,12 +220,6 @@ def test_restrict_inverts_embed(rng):
         stray.restrict_to(small)
 
 
-def test_normalized_prunes_only_tiny():
-    e = GrassmannElement(SPACE, {0: 1.0, 1: 1e-20, 2: 1e-3})
-    p = e.normalized()
-    assert 1 not in p.coeffs and 2 in p.coeffs
-
-
 def test_max_generators_cap():
     with pytest.raises(ValueError):
         GeneratorSpace(tuple((i,) for i in range(13)))

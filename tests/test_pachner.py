@@ -3,11 +3,10 @@ integrated identity between the two sides."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+from pachner33.acceptance import elliptic_scene_cocycle, generic_cocycle
 from pachner33.cocycle2weight import SqrtChoice
-from pachner33.elliptic import EllipticParams, elliptic_cocycle
 from pachner33.errors import Pachner33Error
 from pachner33.pachner import (
     BOUNDARY_TETRAHEDRA,
@@ -17,8 +16,8 @@ from pachner33.pachner import (
     RHS_SIMPLICES,
     SIMPLICES,
     VERTICES,
+    _composed_from,
     boundary_space,
-    compose_edge_operator,
     owners,
     reconcile,
     shared_tetrahedra,
@@ -27,28 +26,6 @@ from pachner33.pachner import (
 )
 from pachner33.operators import scalar_product
 from pachner33.simplicial import Cochain, faces, random_cocycle
-
-
-def scene_cocycle(rng) -> Cochain:
-    while True:
-        om = random_cocycle(VERTICES, rng)
-        if min(abs(v) for v in om.values.values()) >= 0.05:
-            return om
-
-
-def elliptic_scene_cocycle(rng) -> Cochain:
-    while True:
-        mod = (0.2 + 0.6 * rng.random()) * np.exp(2j * np.pi * rng.random())
-        coords = {
-            v: complex(rng.uniform(0.3, 1.6), rng.uniform(0.1, 0.9)) + 0.35 * v
-            for v in VERTICES
-        }
-        try:
-            om = elliptic_cocycle(EllipticParams(mod, coords))
-        except Pachner33Error:
-            continue
-        if min(abs(v) for v in om.values.values()) >= 0.05:
-            return om
 
 
 def test_every_tetrahedron_shared_exactly_once():
@@ -80,7 +57,7 @@ def test_scene_partition():
 
 
 def test_reconcile_basics(rng):
-    om = scene_cocycle(rng)
+    om = generic_cocycle(rng, VERTICES)
     rec = reconcile(om)
     assert rec.rho[SIMPLICES[0]] == 1.0
     assert len(rec.loop_residuals) == 10
@@ -101,7 +78,7 @@ def test_reconcile_rejects_wrong_vertex_set(rng):
 
 
 def test_reconcile_rejects_non_cocycle(rng):
-    om = scene_cocycle(rng)
+    om = generic_cocycle(rng, VERTICES)
     vals = dict(om.values)
     vals[(1, 2, 3)] = vals[(1, 2, 3)] + 0.5
     with pytest.raises((ValueError, Pachner33Error)):
@@ -109,7 +86,7 @@ def test_reconcile_rejects_non_cocycle(rng):
 
 
 def test_side_weights_are_odd(rng):
-    rec = reconcile(scene_cocycle(rng))
+    rec = reconcile(generic_cocycle(rng, VERTICES))
     for side in ("lhs", "rhs"):
         s = side_weight(rec, side)
         assert s.space == boundary_space()
@@ -118,11 +95,14 @@ def test_side_weights_are_odd(rng):
 
 
 def test_composed_operators(rng):
-    rec = reconcile(scene_cocycle(rng))
-    ops = {a: compose_edge_operator(rec, a) for a in faces(VERTICES, 1)}
+    rec = reconcile(generic_cocycle(rng, VERTICES))
+    ops = {a: _composed_from(rec, a, 0) for a in faces(VERTICES, 1)}
     sl = side_weight(rec, "lhs")
     sr = side_weight(rec, "rhs")
     for a, d in ops.items():
+        # both sides supply the same components on every boundary tetrahedron
+        other = _composed_from(rec, a, 1)
+        assert abs(d.vector - other.vector).max() <= 1e-9 * max(d.norm(), other.norm())
         # support sits on the boundary tetrahedra containing the edge
         for i, t in enumerate(d.space.labels):
             if not set(a) <= set(t):
@@ -139,7 +119,7 @@ def test_composed_operators(rng):
 
 
 def test_verify_random_scene(rng):
-    rep = verify_33(scene_cocycle(rng))
+    rep = verify_33(generic_cocycle(rng, VERTICES))
     assert abs(rep.const) > 1e-10
     assert rep.max_residual < 1e-12
     assert rep.agreement < 1e-12
@@ -159,7 +139,7 @@ def test_verify_elliptic_scene(rng):
 
 
 def test_verify_scaling_covariance(rng):
-    om = scene_cocycle(rng)
+    om = generic_cocycle(rng, VERTICES)
     rep1 = verify_33(om)
     rep2 = verify_33(om.scaled(3.7 - 1.2j))
     assert rep2.max_residual < 1e-12
@@ -168,7 +148,7 @@ def test_verify_scaling_covariance(rng):
 
 
 def test_flipped_branch_forces_interchanges(rng):
-    om = scene_cocycle(rng)
+    om = generic_cocycle(rng, VERTICES)
     u = SIMPLICES[0]
     om_u = om.restrict(u)
     choice = SqrtChoice.principal(om_u).flipped([faces(u, 2)[0]])
