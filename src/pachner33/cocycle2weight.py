@@ -205,7 +205,8 @@ def _rank_complement(omega: Cochain, nu: Cochain, t0) -> np.ndarray:
     primitive's row, restricted to the six edges of t0."""
     edges6 = faces(t0, 1)
     rows = [[float(vertex_coboundary_sign(i, b)) for b in edges6] for i in t0]
-    rows.append([nu[b] for b in edges6])
+    nu_row = np.array([nu[b] for b in edges6])
+    rows.append(nu_row / np.abs(nu_row).max())  # as large as the +-1 rows: same span
     B = np.array(rows, dtype=complex).T
     u, s, _ = np.linalg.svd(B)
     rank = svd_rank(s)

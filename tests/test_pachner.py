@@ -141,10 +141,12 @@ def test_verify_elliptic_scene(rng):
 def test_verify_scaling_covariance(rng):
     om = generic_cocycle(rng, VERTICES)
     rep1 = verify_33(om)
-    rep2 = verify_33(om.scaled(3.7 - 1.2j))
-    assert rep2.max_residual < 1e-12
-    assert abs(rep2.const) > 1e-10
-    assert rep1.annihilator_dimension == rep2.annihilator_dimension == 9
+    assert rep1.annihilator_dimension == 9
+    for scale in (3.7 - 1.2j, 1e-12, 1e12):
+        rep2 = verify_33(om.scaled(scale))
+        assert rep2.max_residual < 1e-12
+        assert abs(rep2.const) > 1e-10
+        assert rep2.annihilator_dimension == 9
 
 
 def test_flipped_branch_forces_interchanges(rng):
