@@ -9,6 +9,7 @@ representative is solved from five of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,6 +268,11 @@ def reconstruct_F(omega: Cochain, choice: SqrtChoice | None = None) -> WeightMat
         raise ValueError("expected a degree-2 cochain on five vertices")
     if choice is None:
         choice = SqrtChoice.principal(omega)
+    # F depends on ratios only.  Scaling omega by 4^-k and the roots by 2^-k
+    # brings max|omega| near 1 exactly, so products of four roots stay in range.
+    k = math.frexp(omega.max_abs())[1] // 2
+    omega = omega.scaled(2.0**-k).scaled(2.0**-k)
+    choice = SqrtChoice({f: r * 2.0**-k for f, r in choice.roots.items()})
     kappa(omega, choice)  # probe the common degeneracies early, by name
     nu = cochain_primitive(omega)
     ratios = [

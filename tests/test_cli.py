@@ -4,9 +4,12 @@ import itertools
 import json
 import re
 
+import numpy as np
 import pytest
 
 from pachner33 import cli
+from pachner33.acceptance import generic_cocycle
+from pachner33.pachner import VERTICES as SCENE_VERTICES
 
 
 def run(capsys, *argv):
@@ -72,6 +75,18 @@ def test_all_ones_cocycle_names_the_degeneracy(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["error"] == "DegenerateCocycleError"
     assert "lambda_minus" in rep["message"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_scene_file_near_the_top_of_the_float_range(capsys, tmp_path):
+    om = generic_cocycle(np.random.default_rng(1), SCENE_VERTICES).scaled(1e200)
+    path = tmp_path / "big.json"
+    path.write_text(cli.dumps(cli.cochain_to_json(om)))
+    rc = cli.main(["verify-pachner", "--cocycle", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert err == ""
+    assert json.loads(out)["within_tolerance"] is True
 
 
 def test_conversion_roundtrip(capsys, tmp_path):

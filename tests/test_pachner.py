@@ -142,7 +142,8 @@ def test_verify_scaling_covariance(rng):
     om = generic_cocycle(rng, VERTICES)
     rep1 = verify_33(om)
     assert rep1.annihilator_dimension == 9
-    for scale in (3.7 - 1.2j, 1e-12, 1e12):
+    scales = [3.7 - 1.2j] + [10.0**e for e in (12, 80, 100, 150, 200, 300)]
+    for scale in scales + [1 / s for s in scales]:
         rep2 = verify_33(om.scaled(scale))
         assert rep2.max_residual < 1e-12
         assert abs(rep2.const) > 1e-10
