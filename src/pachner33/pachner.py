@@ -206,10 +206,11 @@ def reconcile(omega: Cochain, tol: float = 1e-8, choices: dict | None = None) ->
         matrices[u] = reconstruct_F(om_u, choice)
         families[u] = normalize_family(matrices[u])
 
-    parities = {}
+    maps = {}
     for t in shared_tetrahedra():
         u1, u2 = owners(t)
-        parities[t] = 1 if _classify_transition(_transition(families[u1], families[u2], t), t) else 0
+        maps[t] = _transition(families[u1], families[u2], t)
+    parities = {t: int(_classify_transition(M, t)) for t, M in maps.items()}
     interchanges = _solve_interchange_sets(parities)
     for u, subset in interchanges.items():
         if subset:
@@ -217,9 +218,14 @@ def reconcile(omega: Cochain, tol: float = 1e-8, choices: dict | None = None) ->
             families[u] = normalize_family(matrices[u])
 
     transitions = {}
-    for t in shared_tetrahedra():
+    for t, M in maps.items():
         u1, u2 = owners(t)
-        M = _transition(families[u1], families[u2], t)
+        # an interchange swaps the owner's (beta, gamma) at t: the columns of
+        # the map for the first owner, its rows for the second
+        if t in interchanges[u1]:
+            M = M[:, ::-1]
+        if t in interchanges[u2]:
+            M = M[::-1, :]
         if _classify_transition(M, t):
             raise ConsistencyError(f"interchange did not diagonalize the map on {t}")
         transitions[t] = (u1, u2, M[0, 0], M[1, 1])
