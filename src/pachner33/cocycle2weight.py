@@ -201,7 +201,7 @@ def kappa(omega: Cochain, choice: SqrtChoice | None = None) -> complex:
     return lam_plus / lam_minus
 
 
-def _rank_complement(omega: Cochain, nu: Cochain, t0) -> np.ndarray:
+def _rank_complement(nu: Cochain, t0) -> np.ndarray:
     """Orthonormal complement of the span of the coboundary rows and the
     primitive's row, restricted to the six edges of t0."""
     edges6 = faces(t0, 1)
@@ -216,22 +216,10 @@ def _rank_complement(omega: Cochain, nu: Cochain, t0) -> np.ndarray:
     return u[:, rank:]
 
 
-def pair_ratio(
-    omega: Cochain,
-    choice: SqrtChoice,
-    k1,
-    k2,
-    l,
-    nu: Cochain | None = None,
-) -> complex:
+def pair_ratio(alpha: dict, Q: np.ndarray, k1, k2, t0) -> complex:
     """Ratio rho with (flip k1) - rho * (flip k2) lying in the reference span
-    at the tetrahedron opposite l."""
-    if nu is None:
-        nu = cochain_primitive(omega)
-    alpha = alpha_coefficients(omega, choice)
-    t0 = tuple(v for v in omega.vertices if v != l)
+    at t0, whose orthonormal complement is Q."""
     edges6 = faces(t0, 1)
-    Q = _rank_complement(omega, nu, t0)
     u = np.array([(-alpha[b] if k1 in b else alpha[b]) for b in edges6])
     v = np.array([(-alpha[b] if k2 in b else alpha[b]) for b in edges6])
     w1, w2 = Q.conj().T @ u, Q.conj().T @ v
@@ -242,20 +230,6 @@ def pair_ratio(
     if resid > 1e-8 * max(np.linalg.norm(w1), np.linalg.norm(w2)):
         raise BranchInconsistencyError(f"rank condition fails at {t0}")
     return complex(rho)
-
-
-def cocycle_double_ratio(
-    omega: Cochain, choice: SqrtChoice, rows, cols, nu: Cochain | None = None
-) -> complex:
-    """Double ratio at matrix positions (rows, cols), via two pair ratios."""
-    if nu is None:
-        nu = cochain_primitive(omega)
-    verts = omega.vertices
-    k1, k2 = (verts[r - 1] for r in rows)
-    l1, l2 = (verts[c - 1] for c in cols)
-    return pair_ratio(omega, choice, k1, k2, l1, nu) / pair_ratio(
-        omega, choice, k1, k2, l2, nu
-    )
 
 
 def reconstruct_F(omega: Cochain, choice: SqrtChoice | None = None) -> WeightMatrix:
@@ -275,8 +249,19 @@ def reconstruct_F(omega: Cochain, choice: SqrtChoice | None = None) -> WeightMat
     choice = SqrtChoice({f: r * 2.0**-k for f, r in choice.roots.items()})
     kappa(omega, choice)  # probe the common degeneracies early, by name
     nu = cochain_primitive(omega)
-    ratios = [
-        cocycle_double_ratio(omega, choice, rows, cols, nu)
-        for rows, cols in CANONICAL_RATIO_PAIRS
-    ]
-    return solve_F_from_ratios(omega.vertices, ratios)
+    alpha = alpha_coefficients(omega, choice)
+    verts = omega.vertices
+    complements = {}  # per tetrahedron, built on first use
+    ratios = []
+    for rows, cols in CANONICAL_RATIO_PAIRS:
+        # the double ratio at matrix positions (rows, cols) is a quotient of
+        # two pair ratios, at the tetrahedra opposite the two column vertices
+        k1, k2 = (verts[r - 1] for r in rows)
+        pair = []
+        for c in cols:
+            t0 = tuple(v for v in verts if v != verts[c - 1])
+            if t0 not in complements:
+                complements[t0] = _rank_complement(nu, t0)
+            pair.append(pair_ratio(alpha, complements[t0], k1, k2, t0))
+        ratios.append(pair[0] / pair[1])
+    return solve_F_from_ratios(verts, ratios)

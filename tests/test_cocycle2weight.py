@@ -8,9 +8,9 @@ import pytest
 from pachner33.cocycle2weight import (
     SqrtChoice,
     alpha_coefficients,
+    _rank_complement,
     build_f_t,
     calibrate_sqrt_choice,
-    cocycle_double_ratio,
     component_types,
     kappa,
     pair_ratio,
@@ -24,7 +24,7 @@ from pachner33.errors import (
     DegenerateCocycleError,
 )
 from pachner33.operators import partial_product
-from pachner33.simplicial import Cochain, faces, random_cocycle
+from pachner33.simplicial import Cochain, cochain_primitive, faces, random_cocycle
 from pachner33.weights import WeightMatrix, canonical_ratios, double_ratio
 
 SIMPLEX = (1, 2, 3, 4, 5)
@@ -151,6 +151,13 @@ def test_root_pair_choices_agree(rng):
         assert abs(patterns[0][j] - expect) <= 1e-13 * abs(base[j])
 
 
+def ratio_opposite(omega, choice, k1, k2, l):
+    """pair_ratio at the tetrahedron opposite vertex l, from scratch."""
+    t0 = tuple(v for v in omega.vertices if v != l)
+    Q = _rank_complement(cochain_primitive(omega), t0)
+    return pair_ratio(alpha_coefficients(omega, choice), Q, k1, k2, t0)
+
+
 def test_kappa_matches_component_ratio(rng):
     _, fam, omega = forward(rng)
     cal = calibrate_sqrt_choice(fam, omega)
@@ -160,7 +167,7 @@ def test_kappa_matches_component_ratio(rng):
     direct = f1345.component(t)[1] / f2345.component(t)[1]
     k = kappa(omega, cal)
     assert abs(k - direct) <= 1e-9 * abs(direct)
-    assert abs(pair_ratio(omega, cal, 2, 1, 5) - direct) <= 1e-9 * abs(direct)
+    assert abs(ratio_opposite(omega, cal, 2, 1, 5) - direct) <= 1e-9 * abs(direct)
 
 
 def test_kappa_branch_stability(rng):
@@ -182,7 +189,7 @@ def test_component_ratio_recovers_double_ratio(rng):
     cal = calibrate_sqrt_choice(fam, omega)
     # the spelled-out case: rows (1,2), columns (4,5), as matrix positions
     expected = double_ratio(wm, (1, 2), (4, 5))
-    got = cocycle_double_ratio(omega, cal, (1, 2), (4, 5))
+    got = ratio_opposite(omega, cal, 1, 2, 4) / ratio_opposite(omega, cal, 1, 2, 5)
     assert abs(got - expected) <= 1e-8 * abs(expected)
     f1345 = build_f_t(fam, omega, cal, (1, 3, 4, 5)).f
     f2345 = build_f_t(fam, omega, cal, (2, 3, 4, 5)).f
