@@ -251,7 +251,7 @@ def reconstruct_F(omega: Cochain, choice: SqrtChoice | None = None) -> WeightMat
     nu = cochain_primitive(omega)
     alpha = alpha_coefficients(omega, choice)
     verts = omega.vertices
-    complements = {}  # per tetrahedron, built on first use
+    complements = {}  # built on first use: a failing tetrahedron raises in pair order
     ratios = []
     for rows, cols in CANONICAL_RATIO_PAIRS:
         # the double ratio at matrix positions (rows, cols) is a quotient of

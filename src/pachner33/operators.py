@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpaceMismatchError
-from .grassmann import GeneratorSpace, GrassmannElement, left_derivative
+from .grassmann import GeneratorSpace, GrassmannElement
 
 RANK_RTOL = 1e-10
 
@@ -47,13 +47,7 @@ class LinearOperator:
     def apply(self, f: GrassmannElement) -> GrassmannElement:
         if f.space != self.space:
             raise SpaceMismatchError("operator and element live on different spaces")
-        out = GrassmannElement.zero(self.space)
-        for i, lab in enumerate(self.space.labels):
-            if self.beta[i] != 0:
-                out = out + self.beta[i] * left_derivative(lab, f)
-            if self.gamma[i] != 0:
-                out = out + self.gamma[i] * (GrassmannElement.generator(self.space, lab) * f)
-        return out
+        return GrassmannElement(self.space, dict(enumerate(action_matrix(f) @ self.vector)))
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         if other.space != self.space:
@@ -70,15 +64,9 @@ class LinearOperator:
         return float(np.linalg.norm(self.vector))
 
 
-def scalar_product(d1: LinearOperator, d2: LinearOperator) -> complex:
-    """Anticommutator pairing: sum of beta1*gamma2 + beta2*gamma1."""
-    if d1.space != d2.space:
-        raise SpaceMismatchError("operators live on different spaces")
-    return complex(np.dot(d1.beta, d2.gamma) + np.dot(d2.beta, d1.gamma))
-
-
 def partial_product(d1: LinearOperator, d2: LinearOperator, label) -> complex:
-    """Single-generator term of the pairing, before summing over generators."""
+    """Term beta1*gamma2 + beta2*gamma1 at one generator; summed over all of
+    them it is the anticommutator pairing."""
     if d1.space != d2.space:
         raise SpaceMismatchError("operators live on different spaces")
     i = d1.space.index[tuple(label)]
@@ -137,22 +125,28 @@ def operator_matrix(ops) -> np.ndarray:
     return np.array([d.vector for d in ops])
 
 
+def action_matrix(f: GrassmannElement) -> np.ndarray:
+    """The (2^n x 2n) matrix taking an operator's (beta, gamma) vector to the
+    operator applied to f: column i holds d_i f and column n+i holds x_i f.
+
+    On a monomial without x_i, x_i moves in past the generators below it; on
+    one with x_i, d_i moves x_i out past the same generators.  Either way the
+    sign is the parity of the generators below i.
+    """
+    n = f.space.n
+    M = np.zeros((1 << n, 2 * n), dtype=complex)
+    for mask, c in f.coeffs.items():
+        for i in range(n):
+            bit = 1 << i
+            v = -c if (mask & (bit - 1)).bit_count() & 1 else c
+            if mask & bit:
+                M[mask ^ bit, i] = v
+            else:
+                M[mask | bit, n + i] = v
+    return M
+
+
 def annihilator_of(f: GrassmannElement, rtol: float = RANK_RTOL) -> np.ndarray:
     """All first-order operators killing f, as orthonormal basis columns in
-    the (beta, gamma) layout.
-
-    The action of an operator on f is linear in (beta, gamma); the annihilator
-    is the null space of the resulting (2^n x 2n) action matrix.
-    """
-    space = f.space
-    n = space.n
-    cols = []
-    for lab in space.labels:
-        cols.append(left_derivative(lab, f))
-    for lab in space.labels:
-        cols.append(GrassmannElement.generator(space, lab) * f)
-    M = np.zeros((1 << n, 2 * n), dtype=complex)
-    for j, g in enumerate(cols):
-        for mask, v in g.coeffs.items():
-            M[mask, j] = v
-    return nullspace(M, rtol)
+    the (beta, gamma) layout: the null space of the action matrix."""
+    return nullspace(action_matrix(f), rtol)

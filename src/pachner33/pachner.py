@@ -25,10 +25,10 @@ from .errors import (
 from .grassmann import GeneratorSpace, GrassmannElement, berezin_integral
 from .operators import (
     LinearOperator,
+    action_matrix,
     matrix_rank,
     operator_matrix,
     principal_angles,
-    scalar_product,
 )
 from .simplicial import Cochain, faces
 from .weights import GaugeTransform, WeightMatrix, apply_gauge_to_F, gaussian_weight, interchange_F
@@ -342,23 +342,21 @@ def verify_33(data, tol: float = 1e-8) -> Verification33:
         rhs = SR.coeffs.get(m, 0.0)
         max_residual = max(max_residual, abs(lhs - const * rhs) / scale)
 
+    # rows are the 15 composed operators' (beta, gamma) vectors, read off
+    # the left and the right owner of each boundary tetrahedron
     scene_edges = faces(VERTICES, 1)
-    ops = [_composed_from(rec, a, 0) for a in scene_edges]
-    rights = [_composed_from(rec, a, 1) for a in scene_edges]
-    agreement = 0.0
-    for left, right in zip(ops, rights):
-        sc = max(left.norm(), right.norm(), 1e-300)
-        agreement = max(agreement, np.abs(left.vector - right.vector).max() / sc)
-    anni = 0.0
-    iso = 0.0
-    for i, d in enumerate(ops):
-        sc = max(d.norm(), 1e-300)
-        anni = max(anni, d.apply(SL).max_abs() / (sc * SL.max_abs()))
-        anni = max(anni, d.apply(SR).max_abs() / (sc * SR.max_abs()))
-        for e in ops[i:]:
-            iso = max(iso, abs(scalar_product(d, e)) / (sc * max(e.norm(), 1e-300)))
-    lhs_mat = operator_matrix(ops)
-    rhs_mat = operator_matrix(rights)
+    lhs_mat = operator_matrix(_composed_from(rec, a, 0) for a in scene_edges)
+    rhs_mat = operator_matrix(_composed_from(rec, a, 1) for a in scene_edges)
+    norms = np.maximum(np.linalg.norm(lhs_mat, axis=1), 1e-300)
+    both = np.maximum(norms, np.linalg.norm(rhs_mat, axis=1))
+    agreement = (np.abs(lhs_mat - rhs_mat).max(axis=1) / both).max()
+    anni = max(
+        (np.abs(action_matrix(S) @ lhs_mat.T).max(axis=0) / norms).max() / S.max_abs()
+        for S in (SL, SR)
+    )
+    # pairing <d, e> = beta_d . gamma_e + beta_e . gamma_d, for all pairs at once
+    cross = lhs_mat[:, : space.n] @ lhs_mat[:, space.n :].T
+    iso = (np.abs(cross + cross.T) / np.outer(norms, norms)).max()
     dim = matrix_rank(lhs_mat.T)
     angles = principal_angles(lhs_mat.T, rhs_mat.T)
     return Verification33(

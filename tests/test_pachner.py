@@ -24,7 +24,6 @@ from pachner33.pachner import (
     side_weight,
     verify_33,
 )
-from pachner33.operators import scalar_product
 from pachner33.simplicial import Cochain, faces, random_cocycle
 
 
@@ -99,23 +98,32 @@ def test_composed_operators(rng):
     ops = {a: _composed_from(rec, a, 0) for a in faces(VERTICES, 1)}
     sl = side_weight(rec, "lhs")
     sr = side_weight(rec, "rhs")
+    agreement = anni = 0.0
     for a, d in ops.items():
         # both sides supply the same components on every boundary tetrahedron
         other = _composed_from(rec, a, 1)
-        assert abs(d.vector - other.vector).max() <= 1e-9 * max(d.norm(), other.norm())
+        gap = abs(d.vector - other.vector).max() / max(d.norm(), other.norm())
+        assert gap <= 1e-9
+        agreement = max(agreement, gap)
         # support sits on the boundary tetrahedra containing the edge
         for i, t in enumerate(d.space.labels):
             if not set(a) <= set(t):
                 assert d.beta[i] == 0 and d.gamma[i] == 0
-        assert d.apply(sl).max_abs() < 1e-11 * d.norm() * sl.max_abs()
-        assert d.apply(sr).max_abs() < 1e-11 * d.norm() * sr.max_abs()
+        for s in (sl, sr):
+            anni = max(anni, d.apply(s).max_abs() / (d.norm() * s.max_abs()))
+    assert anni < 1e-11
     pairs = list(ops.values())
-    worst = max(
-        abs(scalar_product(d, e)) / (d.norm() * e.norm())
+    iso = max(
+        abs(d.beta @ e.gamma + e.beta @ d.gamma) / (d.norm() * e.norm())
         for i, d in enumerate(pairs)
         for e in pairs[i:]
     )
-    assert worst < 1e-12
+    assert iso < 1e-12
+    # verify_33 reports the same three figures, computed on whole matrices
+    rep = verify_33(rec)
+    assert rep.agreement == pytest.approx(agreement, rel=1e-12)
+    assert rep.annihilation_residual == pytest.approx(anni, abs=1e-16)
+    assert rep.isotropy_residual == pytest.approx(iso, abs=1e-16)
 
 
 def test_verify_random_scene(rng):
