@@ -26,7 +26,6 @@ from .weights import (
     WeightMatrix,
     double_ratio,
     gaussian_weight,
-    interchange_F,
     solve_F_from_ratios,
     weight_operators,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "WeightMatrix",
     "double_ratio",
     "gaussian_weight",
-    "interchange_F",
     "solve_F_from_ratios",
     "weight_operators",
     "EdgeOperatorFamily",

@@ -3,9 +3,10 @@ for the three around the opposite one.
 
 Every 4-simplex pair shares exactly one tetrahedron (15 in all: 3 inner per
 side and 9 boundary), so reconciling the six independently reconstructed
-weights is a matter of 2x2 transition fits on shared components, a GF(2)
-interchange assignment, and one scale per simplex propagated along a
-spanning tree with ten loop checks.
+weights is a matter of 2x2 transition fits on shared components and one
+scale per simplex propagated along a spanning tree with ten loop checks.
+Every simplex is rebuilt on principal roots, so a 2-face has the same root
+in each simplex that contains it and every fit must come out diagonal.
 """
 
 from __future__ import annotations
@@ -15,13 +16,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .cocycle2weight import SqrtChoice, reconstruct_F
+from .cocycle2weight import reconstruct_F
 from .edgeops import EdgeOperatorFamily, normalize_family
-from .errors import (
-    BranchInconsistencyError,
-    ConsistencyError,
-    DegenerateWeightError,
-)
+from .errors import ConsistencyError, DegenerateWeightError
 from .grassmann import GeneratorSpace, GrassmannElement, berezin_integral
 from .operators import (
     LinearOperator,
@@ -31,7 +28,7 @@ from .operators import (
     principal_angles,
 )
 from .simplicial import Cochain, faces
-from .weights import GaugeTransform, WeightMatrix, apply_gauge_to_F, gaussian_weight, interchange_F
+from .weights import GaugeTransform, WeightMatrix, apply_gauge_to_F, gaussian_weight
 
 VERTICES = (1, 2, 3, 4, 5, 6)
 LHS_SIMPLICES = ((1, 2, 3, 4, 5), (1, 2, 3, 4, 6), (1, 2, 3, 5, 6))
@@ -98,68 +95,15 @@ def _transition(fam1: EdgeOperatorFamily, fam2: EdgeOperatorFamily, tetra):
     return M
 
 
-def _classify_transition(M: np.ndarray, tetra) -> bool:
-    """True when the map swaps derivative and multiplication roles."""
+def _check_diagonal(M: np.ndarray, tetra):
+    """Raise unless the map keeps derivative and multiplication roles: on
+    principal roots every transition between two owners is diagonal."""
     on = max(abs(M[0, 0]), abs(M[1, 1]))
     off = max(abs(M[0, 1]), abs(M[1, 0]))
-    big = max(on, off, 1e-300)
-    if off <= 1e-8 * big and on > 0:
-        return False
-    if on <= 1e-8 * big and off > 0:
-        return True
-    raise ConsistencyError(
-        f"transition on {tetra} is neither diagonal nor antidiagonal"
-    )
-
-
-def _solve_interchange_sets(parities: dict) -> dict:
-    """GF(2) assignment of per-simplex interchange sets.
-
-    Each shared tetrahedron fixes the relative parity of its two owners;
-    each simplex needs an even count so its swap stays nonsingular.
-    """
-    incidences = [(u, t) for u in SIMPLICES for t in faces(u, 3)]
-    col = {ut: i for i, ut in enumerate(incidences)}
-    rows = []
-    rhs = []
-    for t, parity in sorted(parities.items()):
-        u1, u2 = owners(t)
-        rows.append([col[(u1, t)], col[(u2, t)]])
-        rhs.append(parity)
-    for u in SIMPLICES:
-        rows.append([col[(u, t)] for t in faces(u, 3)])
-        rhs.append(0)
-    A = np.zeros((len(rows), len(incidences) + 1), dtype=np.uint8)
-    for i, (cs, b) in enumerate(zip(rows, rhs)):
-        A[i, cs] = 1
-        A[i, -1] = b
-    # plain GF(2) elimination
-    pivot_cols = []
-    r = 0
-    for c in range(len(incidences)):
-        hit = np.nonzero(A[r:, c])[0]
-        if hit.size == 0:
-            continue
-        A[[r, r + hit[0]]] = A[[r + hit[0], r]]
-        for i in range(A.shape[0]):
-            if i != r and A[i, c]:
-                A[i] ^= A[r]
-        pivot_cols.append(c)
-        r += 1
-        if r == A.shape[0]:
-            break
-    if np.any(A[r:, -1]):
-        raise BranchInconsistencyError(
-            "interchange parities admit no even-per-simplex assignment"
+    if not (off <= 1e-8 * max(on, off) and on > 0):
+        raise ConsistencyError(
+            f"transition on {tetra} is neither diagonal nor antidiagonal"
         )
-    x = np.zeros(len(incidences), dtype=np.uint8)
-    for i, c in enumerate(pivot_cols):
-        x[c] = A[i, -1]
-    out = {u: frozenset() for u in SIMPLICES}
-    for (u, t), i in col.items():
-        if x[i]:
-            out[u] = out[u] | {t}
-    return {u: frozenset(ts) for u, ts in out.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +113,6 @@ class ReconciledWeights:
     omega: Cochain
     matrices: dict
     families: dict
-    interchanges: dict
     gauges: dict
     rho: dict
     loop_residuals: tuple
@@ -189,7 +132,7 @@ class ReconciledWeights:
         return r * b / lam, r * g * lam
 
 
-def reconcile(omega: Cochain, tol: float = 1e-8, choices: dict | None = None) -> ReconciledWeights:
+def reconcile(omega: Cochain, tol: float = 1e-8) -> ReconciledWeights:
     """Glue the six per-simplex reconstructions into one consistent scene.
 
     Raises ConsistencyError when a loop check fails, which is the typed
@@ -201,34 +144,17 @@ def reconcile(omega: Cochain, tol: float = 1e-8, choices: dict | None = None) ->
     matrices = {}
     families = {}
     for u in SIMPLICES:
-        om_u = omega.restrict(u)
-        choice = None if choices is None else choices.get(u)
-        matrices[u] = reconstruct_F(om_u, choice)
+        matrices[u] = reconstruct_F(omega.restrict(u))
         families[u] = normalize_family(matrices[u])
 
     maps = {}
     for t in shared_tetrahedra():
         u1, u2 = owners(t)
         maps[t] = _transition(families[u1], families[u2], t)
-    parities = {t: int(_classify_transition(M, t)) for t, M in maps.items()}
-    interchanges = _solve_interchange_sets(parities)
-    for u, subset in interchanges.items():
-        if subset:
-            matrices[u] = interchange_F(matrices[u], subset)
-            families[u] = normalize_family(matrices[u])
-
     transitions = {}
     for t, M in maps.items():
-        u1, u2 = owners(t)
-        # an interchange swaps the owner's (beta, gamma) at t: the columns of
-        # the map for the first owner, its rows for the second
-        if t in interchanges[u1]:
-            M = M[:, ::-1]
-        if t in interchanges[u2]:
-            M = M[::-1, :]
-        if _classify_transition(M, t):
-            raise ConsistencyError(f"interchange did not diagonalize the map on {t}")
-        transitions[t] = (u1, u2, M[0, 0], M[1, 1])
+        _check_diagonal(M, t)
+        transitions[t] = (*owners(t), M[0, 0], M[1, 1])
 
     root = SIMPLICES[0]
     rho_sq = {root: 1.0 + 0.0j}
@@ -267,7 +193,6 @@ def reconcile(omega: Cochain, tol: float = 1e-8, choices: dict | None = None) ->
         omega=omega,
         matrices=matrices,
         families=families,
-        interchanges=interchanges,
         gauges=gauges,
         rho=rho,
         loop_residuals=tuple(loops),

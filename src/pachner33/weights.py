@@ -8,7 +8,7 @@ simplex 12345 the order is 2345, 1345, 1245, 1235, 1234.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -140,11 +140,10 @@ def weight_operators(wm: WeightMatrix, space: GeneratorSpace | None = None) -> l
 
 @dataclass(frozen=True)
 class GaugeTransform:
-    """Per-tetrahedron rescale x_t -> scale_t * x_t, optional d/x interchange."""
+    """Per-tetrahedron rescale x_t -> scale_t * x_t."""
 
     simplex: tuple[int, ...]
     scales: Mapping[tuple[int, ...], complex]
-    interchanges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
         verts = tuple(sorted(int(v) for v in self.simplex))
@@ -155,18 +154,12 @@ class GaugeTransform:
             if lam == 0:
                 raise ValueError(f"gauge scale for {t} must be nonzero")
             sc[t] = lam
-        inter = frozenset(tuple(sorted(t)) for t in self.interchanges)
-        if not inter <= set(tets):
-            raise ValueError("interchange flags must address 3-faces of the simplex")
         object.__setattr__(self, "simplex", verts)
         object.__setattr__(self, "scales", sc)
-        object.__setattr__(self, "interchanges", inter)
 
 
 def apply_gauge_to_F(wm: WeightMatrix, g: GaugeTransform) -> WeightMatrix:
-    """Congruence F -> AFA with A = diag(scales); interchanges not allowed here."""
-    if g.interchanges:
-        raise ValueError("interchanges act on operators, not on the matrix congruence")
+    """Congruence F -> AFA with A = diag(scales)."""
     A = np.diag([g.scales[t] for t in wm.tetrahedra])
     return WeightMatrix(wm.simplex, A @ wm.entries @ A)
 
@@ -221,30 +214,3 @@ def solve_F_from_ratios(simplex, ratios) -> WeightMatrix:
     if worst > 1e-9:
         raise ConsistencyError("triangular ratio solve failed to reproduce its inputs")
     return wm
-
-
-def interchange_F(wm: WeightMatrix, tetra_subset) -> WeightMatrix:
-    """Sibling matrix after swapping d/dx_t with x_t on the given 3-faces.
-
-    The annihilating span [I | F] with the two coefficient blocks swapped in
-    the chosen columns is a graph over the derivative block again only when
-    the modified block is invertible; this requires an even number of swaps
-    and generic entries.
-    """
-    tets = wm.tetrahedra
-    subset = {tuple(sorted(t)) for t in tetra_subset}
-    if not subset <= set(tets):
-        raise ValueError("interchange subset must consist of 3-faces of the simplex")
-    cols = [k for k, t in enumerate(tets) if t in subset]
-    A = np.eye(5, dtype=complex)
-    B = wm.entries.copy()
-    for k in cols:
-        A[:, k] = wm.entries[:, k]
-        B[:, k] = np.eye(5)[:, k]
-    if abs(np.linalg.det(A)) < 1e-12:
-        raise DegenerateWeightError(
-            "interchange does not stay in the Gaussian family for this subset"
-        )
-    E = np.linalg.solve(A, B)
-    E = 0.5 * (E - E.T)  # exact skewness is guaranteed; drop rounding noise
-    return WeightMatrix(wm.simplex, E)

@@ -3,11 +3,11 @@ integrated identity between the two sides."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from pachner33.acceptance import elliptic_scene_cocycle, generic_cocycle
-from pachner33.cocycle2weight import SqrtChoice
-from pachner33.errors import Pachner33Error
+from pachner33.errors import ConsistencyError, Pachner33Error
 from pachner33.pachner import (
     BOUNDARY_TETRAHEDRA,
     INNER_LHS,
@@ -16,6 +16,7 @@ from pachner33.pachner import (
     RHS_SIMPLICES,
     SIMPLICES,
     VERTICES,
+    _check_diagonal,
     _composed_from,
     boundary_space,
     owners,
@@ -62,12 +63,22 @@ def test_reconcile_basics(rng):
     assert len(rec.loop_residuals) == 10
     assert max(rec.loop_residuals) < 1e-12
     for u in SIMPLICES:
-        assert rec.interchanges[u] == frozenset()  # principal branches need no swap
         assert set(rec.gauges[u]) == set(faces(u, 3))
     # lex-smaller owner anchors each shared tetrahedron at gauge one
     for t in shared_tetrahedra():
         u1, _ = owners(t)
         assert rec.gauges[u1][t] == 1.0
+
+
+def test_check_diagonal():
+    _check_diagonal(np.array([[2.0, 2e-9], [-2e-9, 1.5 - 0.5j]]), (1, 2, 3, 4))
+    # swapped derivative and multiplication roles are no longer repaired
+    with pytest.raises(ConsistencyError):
+        _check_diagonal(np.array([[0.0, 1.0], [2.0, 0.0]]), (1, 2, 3, 4))
+    with pytest.raises(ConsistencyError):
+        _check_diagonal(np.array([[1.0, 1.6e-7], [0.0, 1.0]]), (2, 3, 4, 5))
+    with pytest.raises(ConsistencyError):
+        _check_diagonal(np.zeros((2, 2)), (2, 3, 4, 5))
 
 
 def test_reconcile_rejects_wrong_vertex_set(rng):
@@ -157,19 +168,3 @@ def test_verify_scaling_covariance(rng):
         assert abs(rep2.const) > 1e-10
         assert rep2.annihilator_dimension == 9
 
-
-def test_flipped_branch_forces_interchanges(rng):
-    om = generic_cocycle(rng, VERTICES)
-    u = SIMPLICES[0]
-    om_u = om.restrict(u)
-    choice = SqrtChoice.principal(om_u).flipped([faces(u, 2)[0]])
-    rec = reconcile(om, choices={u: choice})
-    flipped = {v for v, s in rec.interchanges.items() if s}
-    assert flipped
-    for v in flipped:
-        assert len(rec.interchanges[v]) % 2 == 0
-    rep = verify_33(rec)
-    assert rep.max_residual < 1e-12
-    assert rep.agreement < 1e-12  # the swapped transitions glue the owners' operators
-    assert rep.annihilator_angle < 1e-10
-    assert abs(rep.const) > 1e-10

@@ -23,7 +23,6 @@ from pachner33.weights import (
     canonical_ratios,
     double_ratio,
     gaussian_weight,
-    interchange_F,
     opposite_tetrahedra,
     quadratic_form,
     solve_F_from_ratios,
@@ -255,6 +254,33 @@ def test_canonical_ratio_jacobian_full_rank(rng):
         J[:, j] = (ratios_of(Ep) - base) / h
     s = np.linalg.svd(J, compute_uv=False)
     assert s[4] / s[0] > 1e-4
+
+
+def interchange_F(wm: WeightMatrix, tetra_subset) -> WeightMatrix:
+    """The paper's sibling ("analogue") matrix after swapping d/dx_t with x_t
+    on the given 3-faces.
+
+    The annihilating span [I | F] with the two coefficient blocks swapped in
+    the chosen columns is a graph over the derivative block again only when
+    the modified block is invertible; this requires an even number of swaps
+    and generic entries.
+    """
+    tets = wm.tetrahedra
+    subset = {tuple(sorted(t)) for t in tetra_subset}
+    assert subset <= set(tets)
+    cols = [k for k, t in enumerate(tets) if t in subset]
+    A = np.eye(5, dtype=complex)
+    B = wm.entries.copy()
+    for k in cols:
+        A[:, k] = wm.entries[:, k]
+        B[:, k] = np.eye(5)[:, k]
+    if abs(np.linalg.det(A)) < 1e-12:
+        raise DegenerateWeightError(
+            "interchange does not stay in the Gaussian family for this subset"
+        )
+    E = np.linalg.solve(A, B)
+    E = 0.5 * (E - E.T)  # exact skewness is guaranteed; drop rounding noise
+    return WeightMatrix(wm.simplex, E)
 
 
 def test_interchange_pair(rng):
