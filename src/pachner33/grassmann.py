@@ -171,23 +171,25 @@ class GrassmannElement:
         both spaces, so canonical monomials carry over without sign changes."""
         if not big.contains_space(self.space):
             raise SpaceMismatchError("target space does not contain all generators")
-        out = {}
-        for m, c in self.coeffs.items():
-            out[big.mask_of(self.space.labels_of(m))] = c
-        return GrassmannElement(big, out)
+        return self._rekey(big)
 
     def restrict_to(self, small: GeneratorSpace) -> "GrassmannElement":
         """Re-key into a smaller space.  Every monomial must already live on
         the surviving generators; anything else raises."""
         if not self.space.contains_space(small):
             raise SpaceMismatchError("target space is not a subspace")
+        return self._rekey(small)
+
+    def _rekey(self, target: GeneratorSpace) -> "GrassmannElement":
+        """Map each generator's bit once; both spaces checked their labels."""
+        bits = [1 << target.index[lab] if lab in target.index else 0 for lab in self.space.labels]
         out = {}
         for m, c in self.coeffs.items():
-            labs = self.space.labels_of(m)
-            if any(lab not in small.index for lab in labs):
-                raise SpaceMismatchError(f"monomial {labs!r} uses dropped generators")
-            out[small.mask_of(labs)] = c
-        return GrassmannElement(small, out)
+            used = [bits[i] for i in range(self.space.n) if m >> i & 1]
+            if 0 in used:
+                raise SpaceMismatchError(f"monomial {self.space.labels_of(m)!r} uses dropped generators")
+            out[sum(used)] = c
+        return GrassmannElement(target, out)
 
 
 def left_derivative(label, f: GrassmannElement) -> GrassmannElement:

@@ -214,10 +214,15 @@ def test_embed_preserves_products(rng):
 def test_restrict_inverts_embed(rng):
     small = GeneratorSpace(((1,), (3,), (5,)))
     a = GrassmannElement(small, {0b011: 1.5, 0b100: 2.0 - 1.0j, 0b111: 0.25j})
-    assert a.embed(SPACE).restrict_to(small).coeffs == a.coeffs
-    stray = GrassmannElement.generator(SPACE, (2,))
-    with pytest.raises(SpaceMismatchError):
+    back = a.embed(SPACE).restrict_to(small)
+    assert back.coeffs == a.coeffs and list(back.coeffs) == list(a.coeffs)
+    stray = GrassmannElement.generator(SPACE, (2,)) * GrassmannElement.generator(SPACE, (3,))
+    with pytest.raises(SpaceMismatchError, match=r"monomial \(\(2,\), \(3,\)\) uses dropped"):
         stray.restrict_to(small)
+    with pytest.raises(SpaceMismatchError, match="not a subspace"):
+        a.restrict_to(GeneratorSpace(((1,), (7,))))
+    with pytest.raises(SpaceMismatchError, match="does not contain"):
+        a.embed(GeneratorSpace(((1,), (3,))))
 
 
 def test_max_generators_cap():
