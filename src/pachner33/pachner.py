@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .cocycle2weight import reconstruct_F
-from .edgeops import EdgeOperatorFamily, normalize_family
+from .edgeops import normalize_family
 from .errors import ConsistencyError, DegenerateWeightError
 from .grassmann import GeneratorSpace, GrassmannElement, berezin_integral
 from .operators import (
@@ -28,7 +28,7 @@ from .operators import (
     principal_angles,
 )
 from .simplicial import Cochain, faces
-from .weights import GaugeTransform, WeightMatrix, apply_gauge_to_F, gaussian_weight
+from .weights import GaugeTransform, apply_gauge_to_F, gaussian_weight
 
 VERTICES = (1, 2, 3, 4, 5, 6)
 LHS_SIMPLICES = ((1, 2, 3, 4, 5), (1, 2, 3, 4, 6), (1, 2, 3, 5, 6))
@@ -79,12 +79,14 @@ def side_space(side: str) -> GeneratorSpace:
     return GeneratorSpace(_side_inner(side) + BOUNDARY_TETRAHEDRA)
 
 
-def _transition(fam1: EdgeOperatorFamily, fam2: EdgeOperatorFamily, tetra):
-    """Least-squares 2x2 map sending the first family's components on the
-    shared tetrahedron to the second's, over its six edges."""
+def _transition(families: dict, tetra):
+    """Least-squares 2x2 map sending the first owner's components on the
+    shared tetrahedron to the second owner's, over its six edges."""
     edges = faces(tetra, 1)
-    C1 = np.array([fam1.operators[a].component(tetra) for a in edges]).T
-    C2 = np.array([fam2.operators[a].component(tetra) for a in edges]).T
+    C1, C2 = (
+        np.array([families[u].operators[a].component(tetra) for a in edges]).T
+        for u in owners(tetra)
+    )
     M = np.linalg.lstsq(C1.T, C2.T, rcond=None)[0].T
     scale = max(np.abs(C2).max(), 1e-300)
     resid = np.abs(M @ C1 - C2).max() / scale
@@ -97,7 +99,8 @@ def _transition(fam1: EdgeOperatorFamily, fam2: EdgeOperatorFamily, tetra):
 
 def _check_diagonal(M: np.ndarray, tetra):
     """Raise unless the map keeps derivative and multiplication roles: on
-    principal roots every transition between two owners is diagonal."""
+    principal roots every transition between two owners is diagonal, scaling
+    beta by M[0, 0] and gamma by M[1, 1]."""
     on = max(abs(M[0, 0]), abs(M[1, 1]))
     off = max(abs(M[0, 1]), abs(M[1, 0]))
     if not (off <= 1e-8 * max(on, off) and on > 0):
@@ -117,12 +120,9 @@ class ReconciledWeights:
     rho: dict
     loop_residuals: tuple
 
-    def gauged_matrix(self, simplex) -> WeightMatrix:
-        g = GaugeTransform(simplex, self.gauges[simplex])
-        return apply_gauge_to_F(self.matrices[simplex], g)
-
     def weight(self, simplex, space: GeneratorSpace | None = None) -> GrassmannElement:
-        return gaussian_weight(self.gauged_matrix(simplex), space)
+        g = GaugeTransform(simplex, self.gauges[simplex])
+        return gaussian_weight(apply_gauge_to_F(self.matrices[simplex], g), space)
 
     def adjusted_component(self, simplex, edge, tetra) -> tuple[complex, complex]:
         """(beta, gamma) of the scaled, gauge-adjusted edge operator."""
@@ -147,14 +147,10 @@ def reconcile(omega: Cochain, tol: float = 1e-8) -> ReconciledWeights:
         matrices[u] = reconstruct_F(omega.restrict(u))
         families[u] = normalize_family(matrices[u])
 
-    maps = {}
-    for t in shared_tetrahedra():
-        u1, u2 = owners(t)
-        maps[t] = _transition(families[u1], families[u2], t)
-    transitions = {}
+    # fit all 15 maps before checking any
+    maps = {t: _transition(families, t) for t in shared_tetrahedra()}
     for t, M in maps.items():
         _check_diagonal(M, t)
-        transitions[t] = (*owners(t), M[0, 0], M[1, 1])
 
     root = SIMPLICES[0]
     rho_sq = {root: 1.0 + 0.0j}
@@ -162,8 +158,7 @@ def reconcile(omega: Cochain, tol: float = 1e-8) -> ReconciledWeights:
     for u in sorted(SIMPLICES[1:]):
         t = tuple(sorted(set(root) & set(u)))
         tree.append(t)
-        _, _, mb, mg = transitions[t]
-        prod = mb * mg
+        prod = maps[t][0, 0] * maps[t][1, 1]
         if abs(prod) < 1e-12:
             raise DegenerateWeightError(f"singular transition on {t}")
         sign = -1.0 if is_inner(t) else 1.0
@@ -171,12 +166,12 @@ def reconcile(omega: Cochain, tol: float = 1e-8) -> ReconciledWeights:
     rho = {u: np.sqrt(r) for u, r in rho_sq.items()}
 
     loops = []
-    for t in shared_tetrahedra():
+    for t, M in maps.items():
         if t in tree:
             continue
-        u1, u2, mb, mg = transitions[t]
+        u1, u2 = owners(t)
         sign = -1.0 if is_inner(t) else 1.0
-        a = rho_sq[u2] * mb * mg
+        a = rho_sq[u2] * M[0, 0] * M[1, 1]
         b = sign * rho_sq[u1]
         loops.append(abs(a - b) / max(abs(a), abs(b)))
     if max(loops) > tol:
@@ -186,9 +181,10 @@ def reconcile(omega: Cochain, tol: float = 1e-8) -> ReconciledWeights:
         )
 
     gauges = {u: {} for u in SIMPLICES}
-    for t, (u1, u2, mb, mg) in transitions.items():
+    for t, M in maps.items():
+        u1, u2 = owners(t)
         gauges[u1][t] = 1.0 + 0.0j
-        gauges[u2][t] = mb * rho[u2] / rho[u1]
+        gauges[u2][t] = M[0, 0] * rho[u2] / rho[u1]
     return ReconciledWeights(
         omega=omega,
         matrices=matrices,
@@ -207,10 +203,7 @@ def _composed_from(rec: ReconciledWeights, edge, pick) -> LinearOperator:
     beta = np.zeros(space.n, dtype=complex)
     gamma = np.zeros(space.n, dtype=complex)
     for i, t in enumerate(space.labels):
-        own = owners(t)
-        lhs_u = next(v for v in own if v in LHS_SIMPLICES)
-        rhs_u = next(v for v in own if v in RHS_SIMPLICES)
-        u = (lhs_u, rhs_u)[pick]
+        u = owners(t)[pick]  # a boundary tetrahedron's owners are (left, right)
         if set(edge) <= set(u):
             beta[i], gamma[i] = rec.adjusted_component(u, edge, t)
     return LinearOperator(space, beta, gamma)
