@@ -20,6 +20,8 @@ The second form lists every run whose exit code changed, and every field
 whose value changed, with the number of runs it changed in and its largest
 absolute and relative change.  JSON reports are compared leaf by leaf;
 selftest's text is compared number by number on lines whose words agree.
+A run whose output changed in no value (spacing, an empty list) is listed
+as such.
 It exits 0 when the recordings are identical and 1 otherwise.
 """
 
@@ -106,7 +108,7 @@ def compare(a: dict, b: dict) -> list[str]:
         if [p for _, p, _ in la] != [p for _, p, _ in lb]:
             lines.append(f"report layout changed: {argv}")
             continue
-        touched = set()
+        touched, listed = set(), len(lines)
         for (f, p, x), (_, _, y) in zip(la, lb):
             if x == y:
                 continue
@@ -120,6 +122,8 @@ def compare(a: dict, b: dict) -> list[str]:
                 entry[0] += 1
                 touched.add(f)
             entry[1], entry[2] = max(entry[1], d), max(entry[2], rel)
+        if not touched and len(lines) == listed:
+            lines.append(f"output changed but no value did: {argv}")
     for f, (count, d, rel) in sorted(fields.items()):
         lines.append(f"{f}: changed in {count} runs, largest change {d:.3g} absolute, {rel:.3g} relative")
     return lines
