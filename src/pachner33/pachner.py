@@ -147,7 +147,7 @@ def reconcile(omega: Cochain, tol: float = 1e-8) -> ReconciledWeights:
         matrices[u] = reconstruct_F(omega.restrict(u))
         families[u] = normalize_family(matrices[u])
 
-    # fit all 15 maps before checking any
+    # fit all 15 maps first: a fit's residual error outranks a diagonal check
     maps = {t: _transition(families, t) for t in shared_tetrahedra()}
     for t, M in maps.items():
         _check_diagonal(M, t)
