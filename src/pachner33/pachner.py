@@ -98,14 +98,14 @@ def _transition(families: dict, tetra):
 
 
 def _check_diagonal(M: np.ndarray, tetra):
-    """Raise unless the map keeps derivative and multiplication roles: on
-    principal roots every transition between two owners is diagonal, scaling
-    beta by M[0, 0] and gamma by M[1, 1]."""
+    """Raise unless the map is diagonal, scaling beta by M[0, 0] and gamma by
+    M[1, 1]; on principal roots every transition between owners is."""
     on = max(abs(M[0, 0]), abs(M[1, 1]))
     off = max(abs(M[0, 1]), abs(M[1, 0]))
     if not (off <= 1e-8 * max(on, off) and on > 0):
+        ratio = off / on if on > 0 else float("inf")
         raise ConsistencyError(
-            f"transition on {tetra} is neither diagonal nor antidiagonal"
+            f"transition on {tetra} is not diagonal: off/on ratio {ratio:.2e} above 1e-08"
         )
 
 

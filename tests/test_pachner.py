@@ -75,9 +75,12 @@ def test_check_diagonal():
     # swapped derivative and multiplication roles are no longer repaired
     with pytest.raises(ConsistencyError):
         _check_diagonal(np.array([[0.0, 1.0], [2.0, 0.0]]), (1, 2, 3, 4))
-    with pytest.raises(ConsistencyError):
-        _check_diagonal(np.array([[1.0, 1.6e-7], [0.0, 1.0]]), (2, 3, 4, 5))
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError) as err:
+        _check_diagonal(np.array([[1.0, 1.6e-7], [0.0, 0.5]]), (2, 3, 4, 5))
+    assert str(err.value) == (
+        "transition on (2, 3, 4, 5) is not diagonal: off/on ratio 1.60e-07 above 1e-08"
+    )
+    with pytest.raises(ConsistencyError, match="off/on ratio inf"):
         _check_diagonal(np.zeros((2, 2)), (2, 3, 4, 5))
 
 
