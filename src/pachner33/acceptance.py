@@ -14,19 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle2weight import (
-    SqrtChoice,
     build_f_t,
     calibrate_sqrt_choice,
     kappa,
     reconstruct_F,
     superisotropic_f,
 )
-from .edgeops import (
-    extract_w_cocycle,
-    normalize_family,
-    raw_edge_operator,
-    vertex_coboundary_operator,
-)
+from .edgeops import SIGNS, extract_w_cocycle, normalize_family, raw_edge_operator
 from .elliptic import (
     EllipticParams,
     _half_ratio,
@@ -44,8 +38,14 @@ from .grassmann import (
     left_derivative,
     right_derivative,
 )
-from .operators import annihilator_of, operator_matrix, partial_product, principal_angles
-from .simplicial import Cochain, coboundary, faces, is_cocycle, random_cocycle
+from .operators import (
+    LinearOperator,
+    annihilator_of,
+    operator_matrix,
+    partial_product,
+    principal_angles,
+)
+from .simplicial import Cochain, coboundary, faces, is_cocycle, random_cocycle, roundtrip_residual
 from .weights import (
     GaugeTransform,
     WeightMatrix,
@@ -262,10 +262,10 @@ def criterion_3(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
     for _ in range(100):
         phi = random_phi(rng)
         wm = WeightMatrix.from_phi(SIMPLEX, phi)
-        ops = {b: raw_edge_operator(wm, b) for b in faces(SIMPLEX, 1)}
+        d12 = LinearOperator.from_vector(wm.space(), raw_edge_operator(wm)[0])
         mine, ref = [], []
         for t, (eb, eg) in _edge12_reference(phi).items():
-            beta, gamma = ops[(1, 2)].component(t)
+            beta, gamma = d12.component(t)
             mine += [beta, gamma]
             ref += [eb, eg]
         mine, ref = np.array(mine), np.array(ref)
@@ -273,10 +273,10 @@ def criterion_3(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
         scale = ref[j] / mine[j]
         worst_ref = max(worst_ref, np.abs(ref - scale * mine).max() / np.abs(ref).max())
         fam = normalize_family(wm)  # raises unless the kernel is 1-dimensional
-        top = fam.max_abs()
-        for v in SIMPLEX:
-            resid = vertex_coboundary_operator(fam, v)
-            worst_cob = max(worst_cob, np.abs(resid.vector).max() / top)
+        top = np.abs(fam.matrix).max()
+        for signs in SIGNS:  # each vertex's coboundary: its signed rows, in edge order
+            resid = sum(float(s) * row for s, row in zip(signs, fam.matrix) if s != 0)
+            worst_cob = max(worst_cob, np.abs(resid).max() / top)
     ok = worst_ref <= tol and worst_cob <= tol
     return CriterionResult(
         3,
@@ -301,15 +301,10 @@ def criterion_4(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
         lam = {t: _disc(rng, 0.2) for t in wm.tetrahedra}
         gauged = apply_gauge_to_F(wm, GaugeTransform(SIMPLEX, lam))
         omega2 = extract_w_cocycle(normalize_family(gauged))
-        top = max(omega.cells(), key=lambda s: abs(omega[s]))
-        scale = omega[top] / omega2[top]
-        worst = max(
-            worst,
-            max(abs(omega[s] - scale * omega2[s]) for s in omega.cells()) / omega.max_abs(),
-        )
+        worst = max(worst, roundtrip_residual(omega, omega2))
 
         t = (1, 2, 3, 4)
-        comp = lambda e: np.array(fam.operators[e].component(t))
+        comp = lambda e: np.array(fam.operator(e).component(t))
         denom = omega[(1, 3, 4)] - omega[(2, 3, 4)]
         pred13 = -(omega[(1, 2, 4)] * comp((1, 2)) + omega[(2, 3, 4)] * comp((3, 4))) / denom
         pred24 = -(omega[(1, 2, 3)] * comp((1, 2)) + omega[(1, 3, 4)] * comp((3, 4))) / denom
@@ -317,7 +312,7 @@ def criterion_4(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
         worst = max(worst, np.abs(comp((1, 3)) - pred13).max() / scale)
         worst = max(worst, np.abs(comp((2, 4)) - pred24).max() / scale)
 
-        d12, d34 = fam.operators[(1, 2)], fam.operators[(3, 4)]
+        d12, d34 = fam.operator((1, 2)), fam.operator((3, 4))
         t1 = omega[(1, 2, 3)] * omega[(1, 2, 4)] * partial_product(d12, d12, t)
         t2 = omega[(1, 3, 4)] * omega[(2, 3, 4)] * partial_product(d34, d34, t)
         worst = max(worst, abs(t1 + t2) / max(abs(t1), abs(t2), 1e-30))
@@ -349,7 +344,7 @@ def criterion_5(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
         t = (1, 2, 3, 4)
         comps = []
         for a, b in (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))):
-            op = iso.alpha[a] * fam.operators[a] + iso.alpha[b] * fam.operators[b]
+            op = iso.alpha[a] * fam.operator(a) + iso.alpha[b] * fam.operator(b)
             comps.append(np.array(op.component(t)))
         for i in range(3):
             j = (i + 1) % 3
@@ -358,7 +353,7 @@ def criterion_5(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
             worst_pair = max(worst_pair, abs(cross) / scale)
 
         cal = calibrate_sqrt_choice(fam, omega)
-        for t in fam.space.labels:
+        for t in wm.space().labels:
             ft = build_f_t(fam, omega, cal, t).f
             top = np.abs(ft.vector).max()
             for t2 in ft.space.labels:
@@ -419,12 +414,7 @@ def criterion_7(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
 
         omega = generic_cocycle(rng)
         back = extract_w_cocycle(normalize_family(reconstruct_F(omega)))
-        top = max(omega.cells(), key=lambda s: abs(omega[s]))
-        scale = omega[top] / back[top]
-        worst_rev = max(
-            worst_rev,
-            max(abs(omega[s] - scale * back[s]) for s in back.cells()) / omega.max_abs(),
-        )
+        worst_rev = max(worst_rev, roundtrip_residual(omega, back))
     ok = worst_fwd <= tol and worst_rev <= tol
     return CriterionResult(
         7,
@@ -475,7 +465,7 @@ def criterion_8(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
         w = extract_w_cocycle(fam)
         ratios = [w[s] / om[s] for s in om.cells()]
         worst_prop = max(worst_prop, max(abs(r / ratios[0] - 1.0) for r in ratios))
-        cal = calibrate_sqrt_choice(fam, om, SqrtChoice.principal(om))
+        cal = calibrate_sqrt_choice(fam, om)
         x = p.coords
         fr = lambda a, b: _half_ratio(x[a] - x[b], p.modulus)
         pred = -fr(1, 3) * fr(1, 4) / (fr(2, 3) * fr(2, 4))

@@ -27,7 +27,7 @@ from .elliptic import EllipticParams, elliptic_F, elliptic_cocycle
 from .errors import Pachner33Error
 from .pachner import VERTICES as SCENE_VERTICES
 from .pachner import reconcile, verify_33
-from .simplicial import Cochain, is_cocycle
+from .simplicial import Cochain, is_cocycle, roundtrip_residual
 from .weights import WeightMatrix
 
 DEFAULT_TOLERANCE = 1e-8
@@ -172,13 +172,13 @@ def weight_matrix_from_json(d: dict) -> WeightMatrix:
 def family_to_json(fam: EdgeOperatorFamily) -> dict:
     edges = {}
     for e in fam.edges:
-        d = fam.operators[e]
+        d = fam.operator(e)
         terms = {}
         for t in d.space.labels:
             beta, gamma = d.component(t)
             terms[_cell_key(t)] = {"beta": complex(beta), "gamma": complex(gamma)}
         edges[_cell_key(e)] = {"terms": terms}
-    return {"edges": edges, "normalized": fam.normalized}
+    return {"edges": edges, "normalized": True}
 
 
 def params_to_json(p: EllipticParams) -> dict:
@@ -343,10 +343,7 @@ def cmd_weight_from_cocycle(args, report: dict) -> int:
         omega = acceptance.generic_cocycle(rng)
         report["source"] = "random"
     wm = reconstruct_F(omega)
-    back = extract_w_cocycle(normalize_family(wm))
-    top = max(omega.cells(), key=lambda s: abs(omega[s]))
-    scale = omega[top] / back[top]
-    resid = max(abs(omega[s] - scale * back[s]) for s in back.cells()) / omega.max_abs()
+    resid = roundtrip_residual(omega, extract_w_cocycle(normalize_family(wm)))
     report.update(weight_matrix_to_json(wm))
     report["roundtrip_residual"] = resid
     report["within_tolerance"] = resid <= args.tolerance

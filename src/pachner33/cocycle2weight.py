@@ -22,7 +22,7 @@ from .errors import (
 )
 from .operators import LinearOperator, svd_rank
 from .simplicial import Cochain, cochain_primitive, faces, vertex_coboundary_sign
-from .weights import CANONICAL_RATIO_PAIRS, WeightMatrix, solve_F_from_ratios
+from .weights import CANONICAL_RATIO_PAIRS, WeightMatrix, solve_F_from_ratios, tetra_space
 
 COMPONENT_TOL = 1e-8
 
@@ -84,8 +84,8 @@ def alpha_coefficients(omega: Cochain, choice: SqrtChoice) -> dict:
 
 
 def _combine(fam: EdgeOperatorFamily, alpha: dict) -> LinearOperator:
-    vec = sum(alpha[b] * fam.operators[b].vector for b in fam.edges)
-    return LinearOperator.from_vector(fam.space, vec)
+    vec = sum(alpha[b] * row for b, row in zip(fam.edges, fam.matrix))
+    return LinearOperator.from_vector(tetra_space(fam.simplex), vec)
 
 
 def _check_matches_family(fam: EdgeOperatorFamily, omega: Cochain):
@@ -135,12 +135,9 @@ def _vertex_flip_faces(verts, m) -> list:
     return [tuple(sorted((m,) + tuple(others[:2]))), tuple(sorted((m,) + tuple(others[2:])))]
 
 
-def calibrate_sqrt_choice(
-    fam: EdgeOperatorFamily, omega: Cochain, choice: SqrtChoice | None = None
-) -> SqrtChoice:
-    """Adjust branch signs until every component of f differentiates."""
-    if choice is None:
-        choice = SqrtChoice.principal(omega)
+def calibrate_sqrt_choice(fam: EdgeOperatorFamily, omega: Cochain) -> SqrtChoice:
+    """Adjust principal branch signs until every component of f differentiates."""
+    choice = SqrtChoice.principal(omega)
     f = superisotropic_f(fam, omega, choice).f
     gen_type = component_types(f)
     flip_vertices = [v for v in fam.simplex if tuple(x for x in fam.simplex if x != v) in gen_type]
@@ -166,7 +163,7 @@ def build_f_t(
     alpha = alpha_coefficients(omega, flipped)
     f = _combine(fam, alpha)
     top = np.abs(f.vector).max()
-    for t2 in fam.space.labels:
+    for t2 in f.space.labels:
         beta, gamma = f.component(t2)
         stray = gamma if t2 == t else beta
         if abs(stray) > COMPONENT_TOL * top:

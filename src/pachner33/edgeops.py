@@ -11,90 +11,75 @@ coboundary is the weight's 2-cocycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateCocycleError, DegenerateWeightError
-from .grassmann import GeneratorSpace
 from .operators import LinearOperator, column_space, nullspace, svd_rank
-from .simplicial import Cochain, coboundary, faces, star_tetrahedra, vertex_coboundary_sign
-from .weights import WeightMatrix
+from .simplicial import Cochain, coboundary, faces, vertex_coboundary_sign
+from .weights import WeightMatrix, tetra_space
+
+# vertex positions of the ten edges in edge-lex order; position k also names
+# the tetrahedron omitting vertex k, so these are each edge's non-star rows
+EDGE_POS = np.array(list(combinations(range(5), 2)))
+STAR_POS = np.array([[k for k in range(5) if k not in e] for e in EDGE_POS])
+# SIGNS[v, j]: coefficient of edge j in the coboundary of vertex v's indicator
+SIGNS = np.array([[vertex_coboundary_sign(v, e) for e in EDGE_POS] for v in range(5)])
 
 
 @dataclass(frozen=True, eq=False)
 class EdgeOperatorFamily:
-    simplex: tuple
-    operators: dict
-    normalized: bool
+    """The ten edge operators of one simplex: row j of `matrix` is the
+    (beta, gamma) vector of the j-th edge in edge-lex order, its columns in
+    generator order."""
 
-    def __post_init__(self):
-        edges = faces(self.simplex, 1)
-        if sorted(self.operators) != sorted(edges):
-            raise ValueError("family must carry exactly the 10 edges")
+    simplex: tuple
+    matrix: np.ndarray
 
     @property
     def edges(self) -> list:
         return faces(self.simplex, 1)
 
-    @property
-    def space(self) -> GeneratorSpace:
-        return next(iter(self.operators.values())).space
+    def components(self, tetra) -> np.ndarray:
+        """(beta, gamma) of the ten operators at one tetrahedron, a row per edge."""
+        i = faces(self.simplex, 3).index(tuple(tetra))  # generator order is lex order
+        return self.matrix[:, [i, 5 + i]]
 
-    def max_abs(self) -> float:
-        return max(np.abs(d.vector).max() for d in self.operators.values())
-
-    def operator_columns(self) -> np.ndarray:
-        """Coefficient vectors of the ten operators, one per column, edge-lex order."""
-        return np.column_stack([self.operators[b].vector for b in self.edges])
+    def operator(self, edge) -> LinearOperator:
+        row = self.matrix[self.edges.index(tuple(sorted(edge)))]
+        return LinearOperator.from_vector(tetra_space(self.simplex), row)
 
 
-def raw_edge_operator(wm: WeightMatrix, edge) -> LinearOperator:
-    """The weight-annihilating operator supported on the edge's star.
+def raw_edge_operator(wm: WeightMatrix) -> np.ndarray:
+    """The weight-annihilating operators supported on each edge's star, one
+    (beta, gamma) row per edge in edge-lex order.
 
     Within the five-dimensional span of (derivative + F·generator) rows, the
     combinations whose derivative and generator coefficients both vanish at
     the two tetrahedra missing the edge form a line; a basis vector of that
     line is returned, scaled so its largest coefficient equals 1.
     """
-    edge = tuple(sorted(edge))
-    star = set(star_tetrahedra(edge, wm.simplex))
-    tets = wm.tetrahedra
-    star_idx = [k for k, t in enumerate(tets) if t in star]
-    non_idx = [k for k, t in enumerate(tets) if t not in star]
+    E = wm.entries
     # rows: generator coefficient at each non-star tetrahedron, unknowns being
     # the combination coefficients on the three star rows
-    M = wm.entries[np.ix_(star_idx, non_idx)].T
-    K = nullspace(M)
-    if K.shape[1] != 1:
-        raise DegenerateWeightError(
-            f"edge {edge}: star intersection has dimension {K.shape[1]}, expected 1"
-        )
-    c = np.zeros(5, dtype=complex)
-    c[star_idx] = K[:, 0]
-    g_row = wm.entries.T @ c
-    # matrix rows run in omitted-vertex order; operator slots in generator order
-    space = wm.space()
-    beta = np.zeros(5, dtype=complex)
-    gamma = np.zeros(5, dtype=complex)
-    for k in star_idx:
-        beta[space.index[tets[k]]] = c[k]
-        gamma[space.index[tets[k]]] = g_row[k]
-    vec = np.concatenate([beta, gamma])
-    top = np.argmax(np.abs(vec))
-    vec = vec / vec[top]
-    return LinearOperator.from_vector(space, vec)
-
-
-def vertex_coboundary_operator(fam: EdgeOperatorFamily, vertex) -> LinearOperator:
-    """Sum of the family's operators weighted by the vertex indicator coboundary."""
-    acc = None
-    for b in fam.edges:
-        s = vertex_coboundary_sign(vertex, b)
-        if s == 0:
-            continue
-        term = float(s) * fam.operators[b]
-        acc = term if acc is None else acc + term
-    return acc
+    _, s, vh = np.linalg.svd(E[STAR_POS[:, None, :], EDGE_POS[:, :, None]])
+    for edge, se in zip(faces(wm.simplex, 1), s):
+        dim = 3 - svd_rank(se)
+        if dim != 1:
+            raise DegenerateWeightError(
+                f"edge {edge}: star intersection has dimension {dim}, expected 1"
+            )
+    rows = np.arange(10)[:, None]
+    C = np.zeros((10, 5), dtype=complex)
+    C[rows, STAR_POS] = vh[:, 2].conj()
+    G = (E.T @ C[:, :, None])[:, :, 0]  # one matrix-vector product per edge, as unbatched
+    # matrix rows run in omitted-vertex order, operator slots in generator
+    # order: the tetrahedron omitting vertex k is generator 4 - k
+    raw = np.zeros((10, 10), dtype=complex)
+    raw[rows, 4 - STAR_POS] = C[rows, STAR_POS]
+    raw[rows, 9 - STAR_POS] = G[rows, STAR_POS]
+    return raw / raw[rows, np.argmax(np.abs(raw), axis=1)[:, None]]
 
 
 def normalize_family(wm: WeightMatrix) -> EdgeOperatorFamily:
@@ -104,14 +89,11 @@ def normalize_family(wm: WeightMatrix) -> EdgeOperatorFamily:
     equations per vertex; a one-dimensional kernel is required.  The kernel
     vector is divided by its largest entry, so the dominant edge scale is 1.
     """
-    edges = faces(wm.simplex, 1)
-    raw = {b: raw_edge_operator(wm, b) for b in edges}
-    A = np.zeros((5 * 10, 10), dtype=complex)
-    for vi, v in enumerate(wm.simplex):
-        for bj, b in enumerate(edges):
-            s = vertex_coboundary_sign(v, b)
-            if s != 0:
-                A[vi * 10 : (vi + 1) * 10, bj] = s * raw[b].vector
+    raw = raw_edge_operator(wm)
+    signs = SIGNS[:, None, :]
+    # exact +0 where an edge misses the vertex (s * x can give -0): a signed
+    # zero can flip an SVD reflector and change the kernel's last bits
+    A = np.where(signs != 0, signs * raw.T, 0).reshape(5 * 10, 10)
     K = nullspace(A)
     if K.shape[1] != 1:
         raise DegenerateWeightError(
@@ -119,8 +101,7 @@ def normalize_family(wm: WeightMatrix) -> EdgeOperatorFamily:
         )
     lam = K[:, 0]
     lam = lam / lam[np.argmax(np.abs(lam))]
-    ops = {b: complex(lam[bj]) * raw[b] for bj, b in enumerate(edges)}
-    return EdgeOperatorFamily(wm.simplex, ops, normalized=True)
+    return EdgeOperatorFamily(wm.simplex, lam[:, None] * raw)
 
 
 def extract_w_cocycle(fam: EdgeOperatorFamily) -> Cochain:
@@ -132,25 +113,17 @@ def extract_w_cocycle(fam: EdgeOperatorFamily) -> Cochain:
     independent of the choice; it is returned scaled so its largest component
     is exactly 1.
     """
-    if not fam.normalized:
-        raise ValueError("family must be normalized first")
-    edges = fam.edges
-    D = fam.operator_columns()
-    K = nullspace(D)
+    K = nullspace(fam.matrix.T)
     if K.shape[1] != 5:
         raise DegenerateWeightError(
             f"edge operators have kernel dimension {K.shape[1]}, expected 5"
         )
-    C = np.zeros((10, 4), dtype=complex)
-    for vi, v in enumerate(fam.simplex[:4]):
-        for bj, b in enumerate(edges):
-            C[bj, vi] = vertex_coboundary_sign(v, b)
-    Q = column_space(C)
+    Q = column_space(SIGNS[:4].T)
     P = K - Q @ (Q.conj().T @ K)
     u, s, _ = np.linalg.svd(P)
     if svd_rank(s, 1e-8) > 1:
         raise ConsistencyError("coboundary quotient of the kernel is not a line")
-    nu = Cochain(fam.simplex, 1, {b: u[bj, 0] for bj, b in enumerate(edges)})
+    nu = Cochain(fam.simplex, 1, {b: u[bj, 0] for bj, b in enumerate(fam.edges)})
     omega = coboundary(nu)
     top = max(omega.cells(), key=lambda s2: abs(omega[s2]))
     if abs(omega[top]) < 1e-12:

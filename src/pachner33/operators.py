@@ -80,23 +80,23 @@ def svd_rank(s: np.ndarray, rtol: float = RANK_RTOL) -> int:
     return int(np.sum(s > rtol * s[0]))
 
 
-def nullspace(A: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def nullspace(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the right null space, as columns."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     _, s, vh = np.linalg.svd(A)
-    return vh[svd_rank(s, rtol) :].conj().T
+    return vh[svd_rank(s) :].conj().T
 
 
-def column_space(A: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def column_space(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column space, as columns."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     u, s, _ = np.linalg.svd(A)
-    return u[:, : svd_rank(s, rtol)]
+    return u[:, : svd_rank(s)]
 
 
-def matrix_rank(A: np.ndarray, rtol: float = RANK_RTOL) -> int:
+def matrix_rank(A: np.ndarray) -> int:
     A = np.atleast_2d(np.asarray(A, dtype=complex))
-    return svd_rank(np.linalg.svd(A, compute_uv=False), rtol)
+    return svd_rank(np.linalg.svd(A, compute_uv=False))
 
 
 def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -146,7 +146,7 @@ def action_matrix(f: GrassmannElement) -> np.ndarray:
     return M
 
 
-def annihilator_of(f: GrassmannElement, rtol: float = RANK_RTOL) -> np.ndarray:
+def annihilator_of(f: GrassmannElement) -> np.ndarray:
     """All first-order operators killing f, as orthonormal basis columns in
     the (beta, gamma) layout: the null space of the action matrix."""
-    return nullspace(action_matrix(f), rtol)
+    return nullspace(action_matrix(f))

@@ -20,13 +20,7 @@ from .cocycle2weight import reconstruct_F
 from .edgeops import normalize_family
 from .errors import ConsistencyError, DegenerateWeightError
 from .grassmann import GeneratorSpace, GrassmannElement, berezin_integral
-from .operators import (
-    LinearOperator,
-    action_matrix,
-    matrix_rank,
-    operator_matrix,
-    principal_angles,
-)
+from .operators import action_matrix, matrix_rank, principal_angles
 from .simplicial import Cochain, faces
 from .weights import GaugeTransform, apply_gauge_to_F, gaussian_weight
 
@@ -79,14 +73,17 @@ def side_space(side: str) -> GeneratorSpace:
     return GeneratorSpace(_side_inner(side) + BOUNDARY_TETRAHEDRA)
 
 
+def _edge_components(fam, tetra) -> np.ndarray:
+    """(beta, gamma) at a tetrahedron of the operators on its six edges, as
+    the two rows of a 2x6 array."""
+    rows = [j for j, b in enumerate(fam.edges) if set(b) <= set(tetra)]
+    return fam.components(tetra)[rows].T
+
+
 def _transition(families: dict, tetra):
     """Least-squares 2x2 map sending the first owner's components on the
     shared tetrahedron to the second owner's, over its six edges."""
-    edges = faces(tetra, 1)
-    C1, C2 = (
-        np.array([families[u].operators[a].component(tetra) for a in edges]).T
-        for u in owners(tetra)
-    )
+    C1, C2 = (_edge_components(families[u], tetra) for u in owners(tetra))
     M = np.linalg.lstsq(C1.T, C2.T, rcond=None)[0].T
     scale = max(np.abs(C2).max(), 1e-300)
     resid = np.abs(M @ C1 - C2).max() / scale
@@ -123,13 +120,6 @@ class ReconciledWeights:
     def weight(self, simplex, space: GeneratorSpace | None = None) -> GrassmannElement:
         g = GaugeTransform(simplex, self.gauges[simplex])
         return gaussian_weight(apply_gauge_to_F(self.matrices[simplex], g), space)
-
-    def adjusted_component(self, simplex, edge, tetra) -> tuple[complex, complex]:
-        """(beta, gamma) of the scaled, gauge-adjusted edge operator."""
-        b, g = self.families[simplex].operators[tuple(sorted(edge))].component(tetra)
-        lam = self.gauges[simplex][tuple(sorted(tetra))]
-        r = self.rho[simplex]
-        return r * b / lam, r * g * lam
 
 
 def reconcile(omega: Cochain, tol: float = 1e-8) -> ReconciledWeights:
@@ -195,18 +185,22 @@ def reconcile(omega: Cochain, tol: float = 1e-8) -> ReconciledWeights:
     )
 
 
-def _composed_from(rec: ReconciledWeights, edge, pick) -> LinearOperator:
-    """Composed operator on the boundary space, components taken from the
+def _composed(rec: ReconciledWeights, pick) -> np.ndarray:
+    """The 15 composed operators on the boundary space as (beta, gamma) rows,
+    in edge-lex order, each component the scaled, gauge-adjusted one of the
     owner selected by `pick` (0 for the left owner, 1 for the right)."""
-    edge = tuple(sorted(edge))
     space = boundary_space()
-    beta = np.zeros(space.n, dtype=complex)
-    gamma = np.zeros(space.n, dtype=complex)
+    row = {a: k for k, a in enumerate(faces(VERTICES, 1))}
+    out = np.zeros((len(row), 2 * space.n), dtype=complex)
     for i, t in enumerate(space.labels):
         u = owners(t)[pick]  # a boundary tetrahedron's owners are (left, right)
-        if set(edge) <= set(u):
-            beta[i], gamma[i] = rec.adjusted_component(u, edge, t)
-    return LinearOperator(space, beta, gamma)
+        fam = rec.families[u]
+        lam, r = rec.gauges[u][t], rec.rho[u]
+        for a, (b, g) in zip(fam.edges, fam.components(t)):
+            # scalar by scalar: array arithmetic would round differently
+            out[row[a], i] = r * b / lam
+            out[row[a], space.n + i] = r * g * lam
+    return out
 
 
 def side_weight(rec: ReconciledWeights, side: str) -> GrassmannElement:
@@ -262,9 +256,7 @@ def verify_33(data, tol: float = 1e-8) -> Verification33:
 
     # rows are the 15 composed operators' (beta, gamma) vectors, read off
     # the left and the right owner of each boundary tetrahedron
-    scene_edges = faces(VERTICES, 1)
-    lhs_mat = operator_matrix(_composed_from(rec, a, 0) for a in scene_edges)
-    rhs_mat = operator_matrix(_composed_from(rec, a, 1) for a in scene_edges)
+    lhs_mat, rhs_mat = _composed(rec, 0), _composed(rec, 1)
     norms = np.maximum(np.linalg.norm(lhs_mat, axis=1), 1e-300)
     both = np.maximum(norms, np.linalg.norm(rhs_mat, axis=1))
     agreement = (np.abs(lhs_mat - rhs_mat).max(axis=1) / both).max()

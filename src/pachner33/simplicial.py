@@ -110,6 +110,14 @@ def is_cocycle(c: Cochain, rel_tol: float = 1e-12) -> bool:
     return True
 
 
+def roundtrip_residual(omega: Cochain, back: Cochain) -> float:
+    """max|omega - c*back| / max|omega|, with c matching the two at omega's
+    largest component."""
+    top = max(omega.cells(), key=lambda s: abs(omega[s]))
+    scale = omega[top] / back[top]
+    return max(abs(omega[s] - scale * back[s]) for s in back.cells()) / omega.max_abs()
+
+
 def vertex_coboundary_sign(vertex: int, edge) -> int:
     """Coefficient of an edge in the coboundary of the indicator 0-cochain."""
     a, b = tuple(sorted(edge))

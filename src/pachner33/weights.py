@@ -122,10 +122,9 @@ def gaussian_weight(wm: WeightMatrix, space: GeneratorSpace | None = None) -> Gr
     return exp_even(quadratic_form(wm, space))
 
 
-def weight_operators(wm: WeightMatrix, space: GeneratorSpace | None = None) -> list[LinearOperator]:
+def weight_operators(wm: WeightMatrix) -> list[LinearOperator]:
     """The five annihilating operators, k-th row: d/dx_{t_k} + sum_l F[k,l] x_{t_l}."""
-    if space is None:
-        space = tetra_space(wm.simplex)
+    space = tetra_space(wm.simplex)
     tets = wm.tetrahedra
     ops = []
     for k in range(5):

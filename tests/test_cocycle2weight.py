@@ -93,7 +93,7 @@ def test_paired_components_proportional(rng):
     pairs = (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
     comps = []
     for a, b in pairs:
-        op = alpha[a] * fam.operators[a] + alpha[b] * fam.operators[b]
+        op = alpha[a] * fam.operator(a) + alpha[b] * fam.operator(b)
         comps.append(np.array(op.component(t)))
     for i in range(3):
         j = (i + 1) % 3

@@ -10,11 +10,17 @@ from pachner33.edgeops import (
     extract_w_cocycle,
     normalize_family,
     raw_edge_operator,
-    vertex_coboundary_operator,
 )
 from pachner33.errors import DegenerateWeightError
 from pachner33.operators import matrix_rank, nullspace, partial_product
-from pachner33.simplicial import Cochain, coboundary, faces, is_cocycle, star_tetrahedra
+from pachner33.simplicial import (
+    Cochain,
+    coboundary,
+    faces,
+    is_cocycle,
+    star_tetrahedra,
+    vertex_coboundary_sign,
+)
 from pachner33.weights import GaugeTransform, WeightMatrix, apply_gauge_to_F, gaussian_weight
 
 SIMPLEX = (1, 2, 3, 4, 5)
@@ -34,10 +40,17 @@ def random_wm(rng):
     return WeightMatrix.from_phi(SIMPLEX, random_phi(rng))
 
 
+def raw_family(wm):
+    """The unscaled operators, wrapped for per-edge access."""
+    return EdgeOperatorFamily(wm.simplex, raw_edge_operator(wm))
+
+
 def test_raw_support_exact(rng):
     wm = random_wm(rng)
+    raw = raw_family(wm)
     for b in faces(SIMPLEX, 1):
-        d = raw_edge_operator(wm, b)
+        d = raw.operator(b)
+        assert np.abs(d.vector).max() == pytest.approx(1.0, abs=1e-15)
         star = set(star_tetrahedra(b, SIMPLEX))
         for t in wm.tetrahedra:
             beta, gamma = d.component(t)
@@ -48,7 +61,7 @@ def test_raw_support_exact(rng):
 def test_raw_edge12_reference_polynomials(rng):
     phi = random_phi(rng)
     wm = WeightMatrix.from_phi(SIMPLEX, phi)
-    d = raw_edge_operator(wm, (1, 2))
+    d = raw_family(wm).operator((1, 2))
     p = lambda *v: phi[v]
     expected = {
         (1, 2, 4, 5): (
@@ -93,8 +106,9 @@ def test_raw_edge12_reference_polynomials(rng):
 def test_raw_annihilates_weight(rng):
     wm = random_wm(rng)
     W = gaussian_weight(wm)
+    raw = raw_family(wm)
     for b in faces(SIMPLEX, 1):
-        d = raw_edge_operator(wm, b)
+        d = raw.operator(b)
         assert d.apply(W).max_abs() <= 1e-11 * W.max_abs()
 
 
@@ -103,22 +117,57 @@ def test_raw_degenerate_star_dimension():
     for dead in ((3, 4, 5), (2, 4, 5), (2, 3, 5), (2, 3, 4)):
         vals[dead] = 0.0  # wipes the column of tetrahedron 2345
     wm = WeightMatrix.from_phi(SIMPLEX, Cochain(SIMPLEX, 2, vals))
-    with pytest.raises(DegenerateWeightError):
-        raw_edge_operator(wm, (1, 2))
+    with pytest.raises(DegenerateWeightError, match=r"^edge \(1, 2\): star intersection"):
+        raw_edge_operator(wm)
+
+
+STAR_DIM_2 = "star intersection has dimension 2, expected 1"
+
+
+@pytest.mark.parametrize(
+    "dead, message",
+    [
+        (((1, 2, 3), (1, 2, 4), (1, 3, 4)), f"edge (1, 5): {STAR_DIM_2}"),
+        (((1, 2, 4), (1, 3, 4), (2, 3, 4)), f"edge (4, 5): {STAR_DIM_2}"),
+        (((1, 3, 4), (1, 3, 5), (1, 4, 5)), f"edge (1, 2): {STAR_DIM_2}"),
+        (((1, 2, 3), (1, 2, 4), (1, 2, 5)), "edge scale system has kernel dimension 3, expected 1"),
+    ],
+    ids=("edge15", "edge45", "edge12", "scales"),
+)
+def test_degenerate_weight_names_edge(rng, dead, message):
+    # the first degenerate edge in edge order is the one named
+    vals = dict(random_phi(rng).values)
+    for s in dead:
+        vals[s] = 0.0
+    wm = WeightMatrix.from_phi(SIMPLEX, Cochain(SIMPLEX, 2, vals))
+    with pytest.raises(DegenerateWeightError) as err:
+        normalize_family(wm)
+    assert str(err.value) == message
 
 
 def test_normalized_vertex_coboundaries_vanish(rng):
     fam = normalize_family(random_wm(rng))
-    assert fam.normalized
-    top = fam.max_abs()
-    for v in SIMPLEX:
-        resid = vertex_coboundary_operator(fam, v)
-        assert np.abs(resid.vector).max() <= 1e-10 * top
+    signs = np.array([[vertex_coboundary_sign(v, b) for b in fam.edges] for v in SIMPLEX])
+    resid = signs @ fam.matrix  # row v: the operator sum of v's coboundary
+    assert np.abs(resid).max() <= 1e-10 * np.abs(fam.matrix).max()
+
+
+def test_family_layout(rng):
+    fam = normalize_family(random_wm(rng))
+    assert fam.matrix.shape == (10, 10)
+    for j, b in enumerate(fam.edges):
+        d = fam.operator(b)
+        assert d.vector.tobytes() == fam.matrix[j].tobytes()
+        assert d.space.labels == tuple(faces(SIMPLEX, 3))
+    assert fam.operator((2, 1)).vector.tobytes() == fam.matrix[0].tobytes()
+    for t in faces(SIMPLEX, 3):
+        for b, (beta, gamma) in zip(fam.edges, fam.components(t)):
+            assert (beta, gamma) == fam.operator(b).component(t)
 
 
 def test_family_spans_five_dimensions(rng):
     fam = normalize_family(random_wm(rng))
-    assert matrix_rank(fam.operator_columns()) == 5
+    assert matrix_rank(fam.matrix.T) == 5
 
 
 def test_opposite_edges_partial_product(rng):
@@ -126,7 +175,7 @@ def test_opposite_edges_partial_product(rng):
     for t in faces(SIMPLEX, 3):
         w, x, y, z = t
         for a, b in (((w, x), (y, z)), ((w, y), (x, z)), ((w, z), (x, y))):
-            da, db = fam.operators[a], fam.operators[b]
+            da, db = fam.operator(a), fam.operator(b)
             val = partial_product(da, db, t)
             assert abs(val) <= 1e-11 * max(da.norm() * db.norm(), 1.0)
 
@@ -138,7 +187,7 @@ def test_w_cocycle_basics(rng):
     assert is_cocycle(omega, rel_tol=1e-9)
     assert abs(omega.max_abs() - 1.0) < 1e-12
     # any kernel representative gives the same normalized coboundary
-    K = nullspace(fam.operator_columns())
+    K = nullspace(fam.matrix.T)
     mu = K @ (rng.normal(size=5) + 1j * rng.normal(size=5))
     nu = Cochain(SIMPLEX, 1, {b: mu[j] for j, b in enumerate(fam.edges)})
     w2 = coboundary(nu)
@@ -148,19 +197,11 @@ def test_w_cocycle_basics(rng):
     assert diff <= 1e-10
 
 
-def test_extract_requires_normalized(rng):
-    wm = random_wm(rng)
-    raw = {b: raw_edge_operator(wm, b) for b in faces(SIMPLEX, 1)}
-    fam = EdgeOperatorFamily(SIMPLEX, raw, normalized=False)
-    with pytest.raises(ValueError):
-        extract_w_cocycle(fam)
-
-
 def test_component_relations_at_1234(rng):
     fam = normalize_family(random_wm(rng))
     omega = extract_w_cocycle(fam)
     t = (1, 2, 3, 4)
-    comp = lambda e: np.array(fam.operators[e].component(t))
+    comp = lambda e: np.array(fam.operator(e).component(t))
     denom = omega[(1, 3, 4)] - omega[(2, 3, 4)]
     lhs13 = comp((1, 3))
     rhs13 = -(omega[(1, 2, 4)] * comp((1, 2)) + omega[(2, 3, 4)] * comp((3, 4))) / denom
@@ -175,7 +216,7 @@ def test_norm_relation_at_1234(rng):
     fam = normalize_family(random_wm(rng))
     omega = extract_w_cocycle(fam)
     t = (1, 2, 3, 4)
-    d12, d34 = fam.operators[(1, 2)], fam.operators[(3, 4)]
+    d12, d34 = fam.operator((1, 2)), fam.operator((3, 4))
     t1 = omega[(1, 2, 3)] * omega[(1, 2, 4)] * partial_product(d12, d12, t)
     t2 = omega[(1, 3, 4)] * omega[(2, 3, 4)] * partial_product(d34, d34, t)
     assert abs(t1 + t2) <= 1e-9 * max(abs(t1), abs(t2), 1e-30)

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pachner33.cocycle2weight import SqrtChoice, calibrate_sqrt_choice, kappa
+from pachner33.cocycle2weight import calibrate_sqrt_choice, kappa
 from pachner33.edgeops import extract_w_cocycle, normalize_family
 from pachner33.elliptic import (
     EllipticParams,
@@ -154,7 +154,7 @@ def test_kappa_four_factor_product(rng):
         p = draw_params(rng)
         om = elliptic_cocycle(p)
         fam = normalize_family(elliptic_F(p, SIMPLEX))
-        cal = calibrate_sqrt_choice(fam, om, SqrtChoice.principal(om))
+        cal = calibrate_sqrt_choice(fam, om)
         x = p.coords
 
         def fr(i, j):

@@ -8,6 +8,7 @@ import pytest
 
 from pachner33.acceptance import elliptic_scene_cocycle, generic_cocycle
 from pachner33.errors import ConsistencyError, Pachner33Error
+from pachner33.operators import LinearOperator
 from pachner33.pachner import (
     BOUNDARY_TETRAHEDRA,
     INNER_LHS,
@@ -17,7 +18,7 @@ from pachner33.pachner import (
     SIMPLICES,
     VERTICES,
     _check_diagonal,
-    _composed_from,
+    _composed,
     boundary_space,
     owners,
     reconcile,
@@ -109,13 +110,15 @@ def test_side_weights_are_odd(rng):
 
 def test_composed_operators(rng):
     rec = reconcile(generic_cocycle(rng, VERTICES))
-    ops = {a: _composed_from(rec, a, 0) for a in faces(VERTICES, 1)}
+    space = boundary_space()
+    lhs, rhs = _composed(rec, 0), _composed(rec, 1)
+    ops = {a: LinearOperator.from_vector(space, v) for a, v in zip(faces(VERTICES, 1), lhs)}
     sl = side_weight(rec, "lhs")
     sr = side_weight(rec, "rhs")
     agreement = anni = 0.0
-    for a, d in ops.items():
+    for (a, d), v in zip(ops.items(), rhs):
         # both sides supply the same components on every boundary tetrahedron
-        other = _composed_from(rec, a, 1)
+        other = LinearOperator.from_vector(space, v)
         gap = abs(d.vector - other.vector).max() / max(d.norm(), other.norm())
         assert gap <= 1e-9
         agreement = max(agreement, gap)
