@@ -9,6 +9,14 @@ cocycle2weight (the reverse direction), elliptic (a concrete parameterized
 family), pachner (the six-simplex scene), cli (command line entry point).
 """
 
+import os
+
+# The program's matrices are small: several BLAS threads cost far more CPU
+# than one and save no time.  Set before numpy loads; a value set by the
+# user still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .errors import (
     BranchInconsistencyError,
     ConsistencyError,

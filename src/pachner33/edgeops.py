@@ -26,6 +26,8 @@ EDGE_POS = np.array(list(combinations(range(5), 2)))
 STAR_POS = np.array([[k for k in range(5) if k not in e] for e in EDGE_POS])
 # SIGNS[v, j]: coefficient of edge j in the coboundary of vertex v's indicator
 SIGNS = np.array([[vertex_coboundary_sign(v, e) for e in EDGE_POS] for v in range(5)])
+# orthonormal basis of the vertex coboundaries (any four of the five span them)
+COBOUNDARY_BASIS = column_space(SIGNS[:4].T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +120,7 @@ def extract_w_cocycle(fam: EdgeOperatorFamily) -> Cochain:
         raise DegenerateWeightError(
             f"edge operators have kernel dimension {K.shape[1]}, expected 5"
         )
-    Q = column_space(SIGNS[:4].T)
-    P = K - Q @ (Q.conj().T @ K)
+    P = K - COBOUNDARY_BASIS @ (COBOUNDARY_BASIS.conj().T @ K)
     u, s, _ = np.linalg.svd(P)
     if svd_rank(s, 1e-8) > 1:
         raise ConsistencyError("coboundary quotient of the kernel is not a line")

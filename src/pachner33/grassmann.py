@@ -9,12 +9,19 @@ Generators are labelled by strictly increasing integer tuples (tetrahedra
 as sorted 4-tuples of vertex ids in production; shorter tuples are fine for
 small examples).  The generator order is the lexicographic order of the
 labels, which makes embeddings into larger spaces order-preserving.
+
+Where whole arrays are wanted, an element's coefficients are a dense (2^n,)
+vector indexed by mask (GrassmannElement.dense), and a Gaussian's are
+computed directly in that layout as Pfaffian minors (gaussian_coefficients).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import SpaceMismatchError
 from .simplicial import permutation_sign
@@ -166,6 +173,12 @@ class GrassmannElement:
     def constant_term(self) -> complex:
         return self.coeffs.get(0, 0.0)
 
+    def dense(self) -> np.ndarray:
+        """The coefficients as a (2^n,) array indexed by mask."""
+        out = np.zeros(1 << self.space.n, dtype=complex)
+        out[list(self.coeffs)] = list(self.coeffs.values())
+        return out
+
     def embed(self, big: GeneratorSpace) -> "GrassmannElement":
         """Re-key into a larger space.  Lexicographic label order is shared by
         both spaces, so canonical monomials carry over without sign changes."""
@@ -254,3 +267,46 @@ def exp_even(q: GrassmannElement) -> GrassmannElement:
         power = (1.0 / k) * (power * q)
         result = result + power
     return result
+
+
+def bit_matrix(masks: np.ndarray, n: int) -> np.ndarray:
+    """Row r holds the n bits of masks[r] as uint8, lowest generator first
+    (masks below 2^16, which the generator cap keeps them)."""
+    octets = np.asarray(masks, dtype="<u2").view(np.uint8).reshape(-1, 2)
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little")
+
+
+@cache
+def _pfaffian_levels(n: int) -> tuple:
+    """For each even popcount 2, 4, ..., n: its masks; for each mask and each
+    generator above its lowest one, the flat index of their entry in an n x n
+    matrix and the mask left once both are removed; the alternating signs."""
+    masks = np.arange(1 << n)
+    bits = bit_matrix(masks, n)
+    count = bits.sum(axis=1)
+    levels = []
+    for k in range(2, n + 1, 2):
+        m = masks[count == k]
+        gens = np.nonzero(bits[m])[1].reshape(len(m), k)  # row-major: increasing per mask
+        low, rest = gens[:, :1], gens[:, 1:]
+        sub = m[:, None] ^ (1 << low) ^ (1 << rest)
+        levels.append((m, low * n + rest, sub, (-1.0) ** np.arange(k - 1)))
+    return tuple(levels)
+
+
+def gaussian_coefficients(A: np.ndarray) -> np.ndarray:
+    """Coefficients of exp(sum_{i<j} A[i, j] x_i x_j) as a (2^n,) array by mask.
+
+    The coefficient at an even mask is the Pfaffian of A's principal minor on
+    its generators (Berezin); odd masks are 0.  Minors are filled by popcount,
+    each expanded along its lowest generator, so no division is needed.  Only
+    the upper triangle of A is read.
+    """
+    A = np.asarray(A, dtype=complex)
+    flat = A.ravel()
+    pf = np.zeros(1 << A.shape[0], dtype=complex)
+    pf[0] = 1.0
+    for m, entry, sub, alt in _pfaffian_levels(A.shape[0]):
+        # einsum, not @: on several BLAS threads a product this small costs far more
+        pf[m] = np.einsum("ij,j->i", flat.take(entry) * pf.take(sub), alt)
+    return pf

@@ -8,11 +8,12 @@ stacked into a single vector of length 2n, beta first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import SpaceMismatchError
-from .grassmann import GeneratorSpace, GrassmannElement
+from .grassmann import GeneratorSpace, GrassmannElement, bit_matrix
 
 RANK_RTOL = 1e-10
 
@@ -47,7 +48,7 @@ class LinearOperator:
     def apply(self, f: GrassmannElement) -> GrassmannElement:
         if f.space != self.space:
             raise SpaceMismatchError("operator and element live on different spaces")
-        return GrassmannElement(self.space, dict(enumerate(action_matrix(f) @ self.vector)))
+        return GrassmannElement(self.space, dict(enumerate(action_matrix(f.dense()) @ self.vector)))
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         if other.space != self.space:
@@ -125,28 +126,34 @@ def operator_matrix(ops) -> np.ndarray:
     return np.array([d.vector for d in ops])
 
 
-def action_matrix(f: GrassmannElement) -> np.ndarray:
+@cache
+def _action_sources(n: int) -> np.ndarray:
+    """(2^n, 2n) indices into [c, -c, 0] that gather the action matrix of a
+    dense coefficient vector c."""
+    rows = np.arange(1 << n)
+    bits = bit_matrix(rows, n)
+    below = np.cumsum(bits, axis=1) - bits  # generators below i in the row's mask
+    src = rows[:, None] ^ (1 << np.arange(n))  # the mask that x_i enters or leaves
+    signed = np.where(below & 1, src + (1 << n), src)
+    zero = 2 << n
+    # d_i f lands on rows without x_i, x_i f on rows with it
+    return np.hstack([np.where(bits, zero, signed), np.where(bits, signed, zero)])
+
+
+def action_matrix(c: np.ndarray) -> np.ndarray:
     """The (2^n x 2n) matrix taking an operator's (beta, gamma) vector to the
-    operator applied to f: column i holds d_i f and column n+i holds x_i f.
+    operator applied to the element with dense coefficients c (see
+    GrassmannElement.dense): column i holds d_i f and column n+i holds x_i f.
 
     On a monomial without x_i, x_i moves in past the generators below it; on
     one with x_i, d_i moves x_i out past the same generators.  Either way the
     sign is the parity of the generators below i.
     """
-    n = f.space.n
-    M = np.zeros((1 << n, 2 * n), dtype=complex)
-    for mask, c in f.coeffs.items():
-        for i in range(n):
-            bit = 1 << i
-            v = -c if (mask & (bit - 1)).bit_count() & 1 else c
-            if mask & bit:
-                M[mask ^ bit, i] = v
-            else:
-                M[mask | bit, n + i] = v
-    return M
+    c = np.asarray(c, dtype=complex)
+    return np.concatenate([c, -c, [0]])[_action_sources(c.size.bit_length() - 1)]
 
 
 def annihilator_of(f: GrassmannElement) -> np.ndarray:
     """All first-order operators killing f, as orthonormal basis columns in
     the (beta, gamma) layout: the null space of the action matrix."""
-    return nullspace(action_matrix(f))
+    return nullspace(action_matrix(f.dense()))

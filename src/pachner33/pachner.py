@@ -7,6 +7,13 @@ weights is a matter of 2x2 transition fits on shared components and one
 scale per simplex propagated along a spanning tree with ten loop checks.
 Every simplex is rebuilt on principal roots, so a 2-face has the same root
 in each simplex that contains it and every fit must come out diagonal.
+
+A side's three gauged weights multiply to one Gaussian exp(1/2 x.A.x) on
+its twelve tetrahedra, so each coefficient of the product is a Pfaffian
+minor of A, and integrating over the three inner tetrahedra only reads off
+the minors that contain them, with a sign.  Both sides come out as dense
+coefficient vectors on the nine boundary tetrahedra and are compared as
+arrays.
 """
 
 from __future__ import annotations
@@ -19,10 +26,10 @@ import numpy as np
 from .cocycle2weight import reconstruct_F
 from .edgeops import normalize_family
 from .errors import ConsistencyError, DegenerateWeightError
-from .grassmann import GeneratorSpace, GrassmannElement, berezin_integral
+from .grassmann import GeneratorSpace, bit_matrix, gaussian_coefficients
 from .operators import action_matrix, matrix_rank, principal_angles
 from .simplicial import Cochain, faces
-from .weights import GaugeTransform, apply_gauge_to_F, gaussian_weight
+from .weights import GaugeTransform, apply_gauge_to_F, opposite_tetrahedra
 
 VERTICES = (1, 2, 3, 4, 5, 6)
 LHS_SIMPLICES = ((1, 2, 3, 4, 5), (1, 2, 3, 4, 6), (1, 2, 3, 5, 6))
@@ -117,10 +124,6 @@ class ReconciledWeights:
     rho: dict
     loop_residuals: tuple
 
-    def weight(self, simplex, space: GeneratorSpace | None = None) -> GrassmannElement:
-        g = GaugeTransform(simplex, self.gauges[simplex])
-        return gaussian_weight(apply_gauge_to_F(self.matrices[simplex], g), space)
-
 
 def reconcile(omega: Cochain, tol: float = 1e-8) -> ReconciledWeights:
     """Glue the six per-simplex reconstructions into one consistent scene.
@@ -203,19 +206,44 @@ def _composed(rec: ReconciledWeights, pick) -> np.ndarray:
     return out
 
 
-def side_weight(rec: ReconciledWeights, side: str) -> GrassmannElement:
-    """Product of the side's three gauge-adjusted weights, integrated over
-    its inner tetrahedra and written on the boundary generators.
-
-    Three integrations leave an odd element.
-    """
-    sims = side_simplices(side)
+def _side_tables(side: str) -> tuple:
+    """Where a side's simplices put their tetrahedra in the side space, and for
+    each boundary mask S the side-space mask and sign that the integral over
+    the inner tetrahedra reads S's coefficient from."""
     space = side_space(side)
-    prod = rec.weight(sims[0], space)
-    for u in sims[1:]:
-        prod = prod * rec.weight(u, space)
-    integ = berezin_integral(prod, _side_inner(side))
-    return integ.restrict_to(boundary_space())
+    slots = tuple(
+        np.array([space.index[t] for t in opposite_tetrahedra(u)]) for u in side_simplices(side)
+    )
+    bound = np.array([space.index[t] for t in boundary_space().labels])
+    inner = [space.index[t] for t in _side_inner(side)]
+    masks = (bit_matrix(np.arange(1 << bound.size), bound.size) << bound).sum(axis=1)
+    masks |= sum(1 << i for i in inner)
+    # the integral is a right derivative per inner generator, innermost first,
+    # each moving its generator out past the generators above it
+    rest, moves = masks, 0
+    for i in inner:
+        moves = moves + bit_matrix(rest >> (i + 1), space.n).sum(axis=1)
+        rest = rest ^ (1 << i)
+    return slots, masks, np.where(moves % 2, -1.0, 1.0)
+
+
+_SIDE_TABLES = {side: _side_tables(side) for side in ("lhs", "rhs")}
+
+
+def side_weight(rec: ReconciledWeights, side: str) -> np.ndarray:
+    """Product of the side's three gauge-adjusted weights, integrated over
+    its inner tetrahedra, as dense coefficients on the boundary generators.
+
+    Each weight is exp(-1/2 x.F.x) of its gauged matrix F, so the product
+    is the Gaussian of the side's assembled 12x12 form.  Three integrations
+    leave an odd element: entries at even masks are 0.
+    """
+    slots, masks, signs = _SIDE_TABLES[side]
+    A = np.zeros((12, 12), dtype=complex)
+    for u, ix in zip(side_simplices(side), slots):
+        gauged = apply_gauge_to_F(rec.matrices[u], GaugeTransform(u, rec.gauges[u]))
+        A[ix[:, None], ix] -= gauged.entries
+    return signs * gaussian_coefficients(A)[masks]
 
 
 @dataclass(frozen=True)
@@ -233,26 +261,23 @@ class Verification33:
 
 
 def verify_33(data, tol: float = 1e-8) -> Verification33:
-    """Integrate both sides and compare them monomial by monomial.
+    """Integrate both sides and compare them coefficient by coefficient.
 
     Accepts either a cocycle on six vertices or an already reconciled scene.
     """
     rec = reconcile(data, tol=tol) if isinstance(data, Cochain) else data
     SL = side_weight(rec, "lhs")
     SR = side_weight(rec, "rhs")
-    if SR.max_abs() == 0:
+    abs_l, abs_r = np.abs(SL), np.abs(SR)
+    if abs_r.max() == 0:
         raise DegenerateWeightError("right-hand side integrates to zero")
-    if SL.max_abs() == 0:
+    if abs_l.max() == 0:
         raise DegenerateWeightError("left-hand side integrates to zero")
     space = boundary_space()
-    top = max(SR.coeffs, key=lambda m: (abs(SR.coeffs[m]), -m))
-    const = SL.coeffs.get(top, 0.0) / SR.coeffs[top]
-    scale = SL.max_abs()
-    max_residual = 0.0
-    for m in range(1 << space.n):
-        lhs = SL.coeffs.get(m, 0.0)
-        rhs = SR.coeffs.get(m, 0.0)
-        max_residual = max(max_residual, abs(lhs - const * rhs) / scale)
+    top = np.argmax(abs_r)  # the first largest: the lowest mask among ties
+    const = SL[top] / SR[top]
+    scale = abs_l.max()
+    max_residual = np.abs(SL - const * SR).max() / scale
 
     # rows are the 15 composed operators' (beta, gamma) vectors, read off
     # the left and the right owner of each boundary tetrahedron
@@ -261,8 +286,8 @@ def verify_33(data, tol: float = 1e-8) -> Verification33:
     both = np.maximum(norms, np.linalg.norm(rhs_mat, axis=1))
     agreement = (np.abs(lhs_mat - rhs_mat).max(axis=1) / both).max()
     anni = max(
-        (np.abs(action_matrix(S) @ lhs_mat.T).max(axis=0) / norms).max() / S.max_abs()
-        for S in (SL, SR)
+        (np.abs(action_matrix(S) @ lhs_mat.T).max(axis=0) / norms).max() / abs_s.max()
+        for S, abs_s in ((SL, abs_l), (SR, abs_r))
     )
     # pairing <d, e> = beta_d . gamma_e + beta_e . gamma_d, for all pairs at once
     cross = lhs_mat[:, : space.n] @ lhs_mat[:, space.n :].T

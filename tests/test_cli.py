@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pachner33
 from pachner33 import cli
 from pachner33.acceptance import generic_cocycle
 from pachner33.pachner import VERTICES as SCENE_VERTICES
@@ -201,3 +206,18 @@ def test_out_of_range_argument_is_a_usage_error(capsys, argv):
         cli.main(argv)
     assert e.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", (None, "3"))
+def test_import_pins_blas_threads_unless_set(preset):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(pachner33.__file__).parent.parent)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = "import os, pachner33; print(*(os.environ[k] for k in %r))" % (BLAS_VARS,)
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [preset or "1", "1", "1"]

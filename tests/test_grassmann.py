@@ -15,6 +15,7 @@ from pachner33.grassmann import (
     GrassmannElement,
     berezin_integral,
     exp_even,
+    gaussian_coefficients,
     left_derivative,
     right_derivative,
 )
@@ -188,6 +189,48 @@ def test_exp_even_multiplicative_on_commuting_parts(rng):
     q1 = (0.4 + 0.2j) * (x(1) * x(2))
     q2 = (1.1 - 0.5j) * (x(3) * x(4)) + 0.3 * (x(3) * x(5))
     assert approx_equal(exp_even(q1 + q2), exp_even(q1) * exp_even(q2))
+
+
+def two_form(space, A):
+    """sum_{i<j} A[i, j] x_i x_j as an element, term by term."""
+    q = GrassmannElement.zero(space)
+    for i, j in zip(*np.triu_indices(space.n, 1)):
+        q = q + GrassmannElement.monomial(space, [space.labels[i], space.labels[j]], A[i, j])
+    return q
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_gaussian_coefficients_match_exp_even(rng, n):
+    space = GeneratorSpace(tuple((i,) for i in range(1, n + 1)))
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    sparse = np.where(rng.random((n, n)) < 0.4, 0, A)
+    lone = 1 << n // 2 if n else 0  # a generator that no term touches
+    sparse[:, n // 2 : n // 2 + 1] = sparse[n // 2 : n // 2 + 1, :] = 0
+    odd = [m for m in range(1 << n) if m.bit_count() % 2]
+    for form in (A, sparse):
+        expected = exp_even(two_form(space, form)).dense()
+        got = gaussian_coefficients(form)
+        assert got.shape == (1 << n,)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert not got[odd].any()
+    assert not gaussian_coefficients(sparse)[[m for m in range(1 << n) if m & lone]].any()
+
+
+def test_gaussian_coefficients_are_pfaffians():
+    # the top coefficient of a 4-generator Gaussian is A01 A23 - A02 A13 + A03 A12;
+    # the lower triangle is never read
+    A = np.triu(np.arange(16.0).reshape(4, 4) + 1j, 1) + np.tril(np.full((4, 4), np.nan), -1)
+    pf = gaussian_coefficients(A)
+    assert pf[0] == 1 and pf[0b0011] == A[0, 1] and pf[0b1010] == A[1, 3]
+    assert pf[0b1111] == A[0, 1] * A[2, 3] - A[0, 2] * A[1, 3] + A[0, 3] * A[1, 2]
+
+
+def test_dense_layout():
+    e = 2.0 * GrassmannElement.scalar(SPACE, 1.0) + (0.5j) * (x(2) * x(4))
+    d = e.dense()
+    assert d.shape == (64,) and d[0] == 2.0 and d[0b1010] == 0.5j
+    assert np.count_nonzero(d) == 2
+    assert not GrassmannElement.zero(SPACE).dense().any()
 
 
 def test_exp_even_rejects_bad_input():

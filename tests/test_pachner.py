@@ -6,8 +6,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pachner33.acceptance import elliptic_scene_cocycle, generic_cocycle
+from pachner33.acceptance import elliptic_scene_cocycle, generic_cocycle, random_elliptic_params
+from pachner33.elliptic import elliptic_cocycle
 from pachner33.errors import ConsistencyError, Pachner33Error
+from pachner33.grassmann import GrassmannElement, berezin_integral
 from pachner33.operators import LinearOperator
 from pachner33.pachner import (
     BOUNDARY_TETRAHEDRA,
@@ -19,14 +21,33 @@ from pachner33.pachner import (
     VERTICES,
     _check_diagonal,
     _composed,
+    _side_inner,
     boundary_space,
     owners,
     reconcile,
     shared_tetrahedra,
+    side_simplices,
+    side_space,
     side_weight,
     verify_33,
 )
 from pachner33.simplicial import Cochain, faces, random_cocycle
+from pachner33.weights import GaugeTransform, apply_gauge_to_F, gaussian_weight
+
+
+def expanded_side_weight(rec, side) -> np.ndarray:
+    """Oracle for side_weight: multiply the three gauged weights out in the
+    Grassmann algebra (2^12 terms), integrate term by term, restrict."""
+    space = side_space(side)
+    prod = GrassmannElement.scalar(space, 1.0)
+    for u in side_simplices(side):
+        wm = apply_gauge_to_F(rec.matrices[u], GaugeTransform(u, rec.gauges[u]))
+        prod = prod * gaussian_weight(wm, space)
+    return berezin_integral(prod, _side_inner(side)).restrict_to(boundary_space()).dense()
+
+
+def side_element(rec, side) -> GrassmannElement:
+    return GrassmannElement(boundary_space(), dict(enumerate(side_weight(rec, side))))
 
 
 def test_every_tetrahedron_shared_exactly_once():
@@ -101,11 +122,40 @@ def test_reconcile_rejects_non_cocycle(rng):
 
 def test_side_weights_are_odd(rng):
     rec = reconcile(generic_cocycle(rng, VERTICES))
+    even = [m for m in range(512) if m.bit_count() % 2 == 0]
     for side in ("lhs", "rhs"):
         s = side_weight(rec, side)
-        assert s.space == boundary_space()
-        assert s.is_odd()
-        assert s.max_abs() > 0
+        assert s.shape == (512,) and s.dtype == complex
+        assert np.all(s[even] == 0)
+        assert np.abs(s).max() > 0
+
+
+def _scenes(kind, count):
+    """The first `count` scenes that reconcile, drawn as the CLI draws its
+    --seed (and --elliptic) scenes; elliptic ones are not filtered."""
+    seed = 0
+    while count:
+        rng = np.random.default_rng(seed)
+        seed += 1
+        if kind == "elliptic":
+            om = elliptic_cocycle(random_elliptic_params(rng, VERTICES))
+        else:
+            om = generic_cocycle(rng, VERTICES)
+        try:
+            rec = reconcile(om)
+        except Pachner33Error:
+            continue  # no side to integrate
+        count -= 1
+        yield rec
+
+
+@pytest.mark.parametrize("kind", ("generic", "elliptic"))
+def test_side_weight_matches_expansion(kind):
+    for rec in _scenes(kind, 20):
+        for side in ("lhs", "rhs"):
+            expected = expanded_side_weight(rec, side)
+            got = side_weight(rec, side)
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_composed_operators(rng):
@@ -113,8 +163,8 @@ def test_composed_operators(rng):
     space = boundary_space()
     lhs, rhs = _composed(rec, 0), _composed(rec, 1)
     ops = {a: LinearOperator.from_vector(space, v) for a, v in zip(faces(VERTICES, 1), lhs)}
-    sl = side_weight(rec, "lhs")
-    sr = side_weight(rec, "rhs")
+    sl = side_element(rec, "lhs")
+    sr = side_element(rec, "rhs")
     agreement = anni = 0.0
     for (a, d), v in zip(ops.items(), rhs):
         # both sides supply the same components on every boundary tetrahedron
