@@ -4,7 +4,8 @@ Square roots of the cocycle's face values combine the edge operators into
 operators whose component at each tetrahedron is purely a derivative or
 purely a generator.  Ratios between sign-flipped variants of those
 combinations recover the weight matrix's double ratios, and a gauge-fixed
-representative is solved from five of them.
+representative is solved from five of them.  Each step is a closed form:
+pair ratios are read off coboundaries, with no SVD or least squares.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .errors import (
     ConsistencyError,
     DegenerateCocycleError,
 )
-from .operators import LinearOperator, svd_rank
-from .simplicial import Cochain, cochain_primitive, faces, vertex_coboundary_sign
+from .operators import LinearOperator
+from .simplicial import Cochain, cocycle_defect, faces
 from .weights import CANONICAL_RATIO_PAIRS, WeightMatrix, solve_F_from_ratios, tetra_space
 
 COMPONENT_TOL = 1e-8
@@ -198,33 +199,29 @@ def kappa(omega: Cochain, choice: SqrtChoice | None = None) -> complex:
     return lam_plus / lam_minus
 
 
-def _rank_complement(nu: Cochain, t0) -> np.ndarray:
-    """Orthonormal complement of the span of the coboundary rows and the
-    primitive's row, restricted to the six edges of t0."""
-    edges6 = faces(t0, 1)
-    rows = [[float(vertex_coboundary_sign(i, b)) for b in edges6] for i in t0]
-    nu_row = np.array([nu[b] for b in edges6])
-    rows.append(nu_row / np.abs(nu_row).max())  # as large as the +-1 rows: same span
-    B = np.array(rows, dtype=complex).T
-    u, s, _ = np.linalg.svd(B)
-    rank = svd_rank(s)
-    if rank != 4:
-        raise DegenerateCocycleError(f"reference span at {t0} has rank {rank}, expected 4")
-    return u[:, rank:]
+# coboundary from a tetrahedron's six edges to its four faces, both in lex order
+TETRA_COBOUNDARY = np.array(
+    [[1, -1, 0, 1, 0, 0], [1, 0, -1, 0, 1, 0], [0, 1, -1, 0, 0, 1], [0, 0, 0, 1, -1, 1]]
+)
 
 
-def pair_ratio(alpha: dict, Q: np.ndarray, k1, k2, t0) -> complex:
-    """Ratio rho with (flip k1) - rho * (flip k2) lying in the reference span
-    at t0, whose orthonormal complement is Q."""
-    edges6 = faces(t0, 1)
-    u = np.array([(-alpha[b] if k1 in b else alpha[b]) for b in edges6])
-    v = np.array([(-alpha[b] if k2 in b else alpha[b]) for b in edges6])
-    w1, w2 = Q.conj().T @ u, Q.conj().T @ v
-    if np.linalg.norm(w2) <= 1e-10 * np.linalg.norm(v):
+def pair_ratio(alpha: dict, omega: Cochain, k1, k2, t0) -> complex:
+    """Ratio rho with (flip k1) - rho * (flip k2) in the span of the exact
+    cochains and a primitive of omega, on the six edges of t0.
+
+    A tetrahedron has no first cohomology, so a cochain lies in that span
+    exactly when its coboundary is parallel to omega on t0's four faces.  On
+    its edges the Hodge Laplacian is 4: a coboundary's norm is twice that of
+    the cochain's part off the exact ones.
+    """
+    flips = np.array([[(-alpha[e] if k in e else alpha[e]) for e in faces(t0, 1)] for k in (k1, k2)])
+    w = np.array([omega[f] for f in faces(t0, 2)])
+    d = flips @ TETRA_COBOUNDARY.T
+    a, b = d - np.outer(d @ w.conj(), w) / np.vdot(w, w).real
+    if math.hypot(*abs(b)) <= 2e-10 * math.hypot(*abs(flips[1])):
         raise DegenerateCocycleError(f"ratio at {t0} is indeterminate")
-    rho = (w2.conj() @ w1) / (w2.conj() @ w2)
-    resid = np.linalg.norm(w1 - rho * w2)
-    if resid > 1e-8 * max(np.linalg.norm(w1), np.linalg.norm(w2)):
+    rho = np.vdot(b, a) / np.vdot(b, b)
+    if math.hypot(*abs(a - rho * b)) > 1e-8 * max(math.hypot(*abs(a)), math.hypot(*abs(b))):
         raise BranchInconsistencyError(f"rank condition fails at {t0}")
     return complex(rho)
 
@@ -245,20 +242,17 @@ def reconstruct_F(omega: Cochain, choice: SqrtChoice | None = None) -> WeightMat
     omega = omega.scaled(2.0**-k).scaled(2.0**-k)
     choice = SqrtChoice({f: r * 2.0**-k for f, r in choice.roots.items()})
     kappa(omega, choice)  # probe the common degeneracies early, by name
-    nu = cochain_primitive(omega)
-    alpha = alpha_coefficients(omega, choice)
     verts = omega.vertices
-    complements = {}  # built on first use: a failing tetrahedron raises in pair order
+    # a primitive's least-squares residual: the Hodge Laplacian here is 5
+    delta = cocycle_defect(omega)
+    if math.hypot(*abs(delta)) / math.sqrt(5) > 1e-9 * math.hypot(*abs(omega.as_vector())):
+        raise ValueError("cochain has no primitive: not a cocycle")
+    alpha = alpha_coefficients(omega, choice)
     ratios = []
     for rows, cols in CANONICAL_RATIO_PAIRS:
         # the double ratio at matrix positions (rows, cols) is a quotient of
         # two pair ratios, at the tetrahedra opposite the two column vertices
         k1, k2 = (verts[r - 1] for r in rows)
-        pair = []
-        for c in cols:
-            t0 = tuple(v for v in verts if v != verts[c - 1])
-            if t0 not in complements:
-                complements[t0] = _rank_complement(nu, t0)
-            pair.append(pair_ratio(alpha, complements[t0], k1, k2, t0))
-        ratios.append(pair[0] / pair[1])
+        t4, t5 = (tuple(v for v in verts if v != verts[c - 1]) for c in cols)
+        ratios.append(pair_ratio(alpha, omega, k1, k2, t4) / pair_ratio(alpha, omega, k1, k2, t5))
     return solve_F_from_ratios(verts, ratios)

@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateCocycleError, DegenerateWeightError
-from .operators import LinearOperator, column_space, nullspace, svd_rank
+from .operators import RANK_RTOL, LinearOperator, column_space, nullspace, svd_rank
 from .simplicial import Cochain, coboundary, faces, vertex_coboundary_sign
 from .weights import WeightMatrix, tetra_space
 
@@ -59,22 +59,29 @@ def raw_edge_operator(wm: WeightMatrix) -> np.ndarray:
 
     Within the five-dimensional span of (derivative + F·generator) rows, the
     combinations whose derivative and generator coefficients both vanish at
-    the two tetrahedra missing the edge form a line; a basis vector of that
-    line is returned, scaled so its largest coefficient equals 1.
+    the two tetrahedra missing the edge form a line: the kernel of a 2x3
+    block, spanned by the cross product of its rows.  Each operator is
+    scaled so its largest coefficient equals 1.
     """
     E = wm.entries
     # rows: generator coefficient at each non-star tetrahedron, unknowns being
     # the combination coefficients on the three star rows
-    _, s, vh = np.linalg.svd(E[STAR_POS[:, None, :], EDGE_POS[:, :, None]])
-    for edge, se in zip(faces(wm.simplex, 1), s):
-        dim = 3 - svd_rank(se)
+    M = E[STAR_POS[:, None, :], EDGE_POS[:, :, None]]
+    # a power of two per block keeps the products in range and every bit
+    M = M * 2.0 ** -np.frexp(np.abs(M).max(axis=(1, 2)))[1][:, None, None]
+    kernel = np.cross(M[:, 0], M[:, 1])  # bilinear: M @ kernel = 0
+    # |r1 x r2| = s1 s2 (Cauchy-Binet): dimension 2 for parallel rows or one
+    # zero row, 3 for two
+    n1, n2 = np.linalg.norm(M, axis=2).T
+    dims = 1 + (np.linalg.norm(kernel, axis=1) <= RANK_RTOL * n1 * n2) + (n1 + n2 == 0)
+    for edge, dim in zip(faces(wm.simplex, 1), dims):
         if dim != 1:
             raise DegenerateWeightError(
                 f"edge {edge}: star intersection has dimension {dim}, expected 1"
             )
     rows = np.arange(10)[:, None]
     C = np.zeros((10, 5), dtype=complex)
-    C[rows, STAR_POS] = vh[:, 2].conj()
+    C[rows, STAR_POS] = kernel
     G = (E.T @ C[:, :, None])[:, :, 0]  # one matrix-vector product per edge, as unbatched
     # matrix rows run in omitted-vertex order, operator slots in generator
     # order: the tetrahedron omitting vertex k is generator 4 - k

@@ -199,10 +199,8 @@ def _composed(rec: ReconciledWeights, pick) -> np.ndarray:
         u = owners(t)[pick]  # a boundary tetrahedron's owners are (left, right)
         fam = rec.families[u]
         lam, r = rec.gauges[u][t], rec.rho[u]
-        for a, (b, g) in zip(fam.edges, fam.components(t)):
-            # scalar by scalar: array arithmetic would round differently
-            out[row[a], i] = r * b / lam
-            out[row[a], space.n + i] = r * g * lam
+        # columns i and n + i: the beta and gamma components at t
+        out[[row[a] for a in fam.edges], i :: space.n] = fam.components(t) * (r / lam, r * lam)
     return out
 
 

@@ -98,16 +98,17 @@ def coboundary(c: Cochain) -> Cochain:
     raise ValueError("coboundary implemented for degrees 0 and 1 only")
 
 
-def is_cocycle(c: Cochain, rel_tol: float = 1e-12) -> bool:
-    """Check the alternating four-term sum on every tetrahedron."""
+def cocycle_defect(c: Cochain) -> np.ndarray:
+    """The alternating four-term sum on every tetrahedron, in lex order."""
     if c.degree != 2:
         raise ValueError("cocycle test applies to degree-2 cochains")
-    scale = max(c.max_abs(), 1e-300)
-    for i, j, k, l in faces(c.vertices, 3):
-        s = c[(j, k, l)] - c[(i, k, l)] + c[(i, j, l)] - c[(i, j, k)]
-        if abs(s) > rel_tol * scale:
-            return False
-    return True
+    return np.array([c[(j, k, l)] - c[(i, k, l)] + c[(i, j, l)] - c[(i, j, k)]
+                     for i, j, k, l in faces(c.vertices, 3)])
+
+
+def is_cocycle(c: Cochain, rel_tol: float = 1e-12) -> bool:
+    """Check the alternating four-term sum on every tetrahedron."""
+    return not np.any(np.abs(cocycle_defect(c)) > rel_tol * max(c.max_abs(), 1e-300))
 
 
 def roundtrip_residual(omega: Cochain, back: Cochain) -> float:
@@ -150,8 +151,8 @@ def random_cocycle(vertices, rng: np.random.Generator) -> Cochain:
 def cochain_primitive(omega: Cochain, rel_tol: float = 1e-9) -> Cochain:
     """Solve delta(nu) = omega for a 1-cochain nu (least squares).
 
-    Any primitive works for the callers here; the residual check rejects
-    inputs that are not cocycles.
+    The residual check rejects a non-cocycle; on a 4-simplex the residual
+    is |delta omega| / sqrt(5), which reconstruct_F checks directly.
     """
     if omega.degree != 2:
         raise ValueError("primitive is defined for degree-2 cochains")

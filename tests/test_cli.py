@@ -15,6 +15,7 @@ import pachner33
 from pachner33 import cli
 from pachner33.acceptance import generic_cocycle
 from pachner33.pachner import VERTICES as SCENE_VERTICES
+from pachner33.simplicial import Cochain
 
 
 def run(capsys, *argv):
@@ -119,6 +120,19 @@ def test_weight_from_cocycle_rejects_all_ones(capsys, tmp_path):
     rc, out = run(capsys, "weight-from-cocycle", "--cocycle", str(path))
     assert rc == 2
     assert "lambda_minus" in json.loads(out)["message"]
+
+
+def test_weight_from_cocycle_rejects_non_cocycle(capsys, tmp_path):
+    om = generic_cocycle(np.random.default_rng(3))
+    vals = dict(om.values)
+    vals[(1, 2, 3)] += 0.5
+    path = tmp_path / "open.json"
+    path.write_text(cli.dumps(cli.cochain_to_json(Cochain(om.vertices, 2, vals))))
+    rc, out = run(capsys, "weight-from-cocycle", "--cocycle", str(path))
+    assert rc == 2
+    rep = json.loads(out)
+    assert rep["error"] == "ValueError"
+    assert rep["message"] == "cochain has no primitive: not a cocycle"
 
 
 def test_edge_operators_output(capsys, tmp_path):

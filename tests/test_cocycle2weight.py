@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pachner33 import acceptance
+from pachner33.acceptance import random_elliptic_params
 from pachner33.cocycle2weight import (
     SqrtChoice,
     alpha_coefficients,
-    _rank_complement,
     build_f_t,
     calibrate_sqrt_choice,
     component_types,
@@ -23,9 +24,19 @@ from pachner33.errors import (
     ConsistencyError,
     DegenerateCocycleError,
 )
-from pachner33.operators import partial_product
-from pachner33.simplicial import Cochain, cochain_primitive, faces, random_cocycle
-from pachner33.weights import WeightMatrix, canonical_ratios, double_ratio
+from pachner33.elliptic import elliptic_cocycle
+from pachner33.operators import partial_product, svd_rank
+from pachner33.pachner import SIMPLICES, VERTICES
+from pachner33.simplicial import (
+    Cochain,
+    coboundary,
+    cochain_primitive,
+    cocycle_defect,
+    faces,
+    random_cocycle,
+    vertex_coboundary_sign,
+)
+from pachner33.weights import CANONICAL_RATIO_PAIRS, WeightMatrix, canonical_ratios, double_ratio
 
 SIMPLEX = (1, 2, 3, 4, 5)
 
@@ -154,8 +165,95 @@ def test_root_pair_choices_agree(rng):
 def ratio_opposite(omega, choice, k1, k2, l):
     """pair_ratio at the tetrahedron opposite vertex l, from scratch."""
     t0 = tuple(v for v in omega.vertices if v != l)
-    Q = _rank_complement(cochain_primitive(omega), t0)
-    return pair_ratio(alpha_coefficients(omega, choice), Q, k1, k2, t0)
+    return pair_ratio(alpha_coefficients(omega, choice), omega, k1, k2, t0)
+
+
+def rank_complement(nu, t0):
+    """Oracle for pair_ratio, first half: orthonormal complement of the span
+    of the coboundary rows and the primitive's row on the six edges of t0."""
+    edges6 = faces(t0, 1)
+    rows = [[float(vertex_coboundary_sign(i, b)) for b in edges6] for i in t0]
+    nu_row = np.array([nu[b] for b in edges6])
+    rows.append(nu_row / np.abs(nu_row).max())  # as large as the +-1 rows: same span
+    u, s, _ = np.linalg.svd(np.array(rows, dtype=complex).T)
+    assert svd_rank(s) == 4
+    return u[:, 4:]
+
+
+def projected_pair_ratio(alpha, Q, k1, k2, t0):
+    """Oracle for pair_ratio, second half: the ratio between the two flip
+    vectors' projections onto the complement Q."""
+    edges6 = faces(t0, 1)
+    u = np.array([(-alpha[b] if k1 in b else alpha[b]) for b in edges6])
+    v = np.array([(-alpha[b] if k2 in b else alpha[b]) for b in edges6])
+    w1, w2 = Q.conj().T @ u, Q.conj().T @ v
+    return complex((w2.conj() @ w1) / (w2.conj() @ w2))
+
+
+def scene_cocycle(kind, seed):
+    """The cocycle the CLI's verify-pachner draws for --seed (and --elliptic)."""
+    rng = np.random.default_rng(seed)
+    if kind == "elliptic":
+        return elliptic_cocycle(random_elliptic_params(rng, VERTICES))
+    return acceptance.generic_cocycle(rng, VERTICES)
+
+
+def pair_ratio_errors(om):
+    """Relative gap between pair_ratio and the projection oracle, for every
+    pair ratio that reconstruct_F takes on each simplex of a scene."""
+    errors = []
+    for u in SIMPLICES:
+        omega = om.restrict(u)
+        alpha = alpha_coefficients(omega, SqrtChoice.principal(omega))
+        nu = cochain_primitive(omega)
+        verts = omega.vertices
+        for rows, cols in CANONICAL_RATIO_PAIRS:
+            k1, k2 = (verts[r - 1] for r in rows)
+            for c in cols:
+                t0 = tuple(v for v in verts if v != verts[c - 1])
+                expected = projected_pair_ratio(alpha, rank_complement(nu, t0), k1, k2, t0)
+                got = pair_ratio(alpha, omega, k1, k2, t0)
+                errors.append(abs(got - expected) / abs(expected))
+    return errors
+
+
+@pytest.mark.parametrize("kind, bound", (("generic", 2e-12), ("elliptic", 1e-10)))
+def test_pair_ratios_match_projection_oracle(kind, bound):
+    # worst over seeds 0-999: 1.9e-13 (generic, seed 653), 8.1e-12 (elliptic, seed 439)
+    for seed in range(20):
+        assert max(pair_ratio_errors(scene_cocycle(kind, seed))) <= bound
+
+
+def test_pair_ratio_indeterminate(rng):
+    omega = generic_cocycle(rng)
+    t0 = (1, 2, 3, 4)
+    # flipped at vertex 2, these coefficients are the coboundary of f: exact on t0
+    f = dict(zip(t0, rng.normal(size=4)))
+    alpha = {b: (-1.0 if 2 in b else 1.0) * (f[b[1]] - f[b[0]]) for b in faces(t0, 1)}
+    with pytest.raises(DegenerateCocycleError) as err:
+        pair_ratio(alpha, omega, 1, 2, t0)
+    assert str(err.value) == "ratio at (1, 2, 3, 4) is indeterminate"
+
+
+def test_pair_ratio_rank_condition(rng):
+    omega = generic_cocycle(rng)
+    t0 = (1, 2, 3, 5)
+    # coefficients unrelated to omega: the two flips' coboundaries are not parallel
+    alpha = {b: complex(*rng.normal(size=2)) for b in faces(t0, 1)}
+    with pytest.raises(BranchInconsistencyError) as err:
+        pair_ratio(alpha, omega, 1, 2, t0)
+    assert str(err.value) == "rank condition fails at (1, 2, 3, 5)"
+
+
+def test_cocycle_defect_is_primitive_residual(rng):
+    # reconstruct_F rejects a non-cocycle by |delta omega| / sqrt(5): on a
+    # 4-simplex that is the least-squares residual of a primitive
+    for _ in range(20):
+        phi = random_phi(rng)
+        nu = cochain_primitive(phi, rel_tol=np.inf)
+        resid = np.linalg.norm(coboundary(nu).as_vector() - phi.as_vector())
+        defect = np.linalg.norm(cocycle_defect(phi)) / np.sqrt(5)
+        assert defect == pytest.approx(resid, rel=1e-12)
 
 
 def test_kappa_matches_component_ratio(rng):
