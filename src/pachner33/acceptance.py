@@ -55,7 +55,7 @@ from .weights import (
     weight_operators,
 )
 from .pachner import VERTICES as SCENE_VERTICES
-from .pachner import verify_33
+from .pachner import reconcile, verify_33
 
 DEFAULT_SEED = 20260814
 SIMPLEX = (1, 2, 3, 4, 5)
@@ -492,7 +492,7 @@ def criterion_9(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
             om = generic_cocycle(rng, SCENE_VERTICES)
         else:
             om = elliptic_scene_cocycle(rng)
-        rep = verify_33(om, tol=max(tol, 1e-8))
+        rep = verify_33(reconcile(om, tol=max(tol, 1e-8)))
         worst = max(
             worst,
             max(rep.loop_residuals),

@@ -292,7 +292,7 @@ def _verify_one(args, report: dict) -> int:
     omega, source = _scene_cocycle(args, report["seed"])
     report["source"] = source
     rec = reconcile(omega, tol=tol)
-    rep = verify_33(rec, tol=tol)
+    rep = verify_33(rec)
     report.update(
         {
             "const": rep.const,
@@ -423,6 +423,7 @@ def _add_common(p: argparse.ArgumentParser, *, tolerance=True, io=True, elliptic
         p.add_argument("--batch", type=_positive(int), default=1, help="run seeds seed..seed+n-1")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pachner33",

@@ -22,7 +22,7 @@ from .errors import (
     DegenerateCocycleError,
 )
 from .operators import LinearOperator
-from .simplicial import Cochain, cocycle_defect, faces
+from .simplicial import Cochain, coboundary_matrix, cocycle_defect, faces
 from .weights import CANONICAL_RATIO_PAIRS, WeightMatrix, solve_F_from_ratios, tetra_space
 
 COMPONENT_TOL = 1e-8
@@ -200,9 +200,7 @@ def kappa(omega: Cochain, choice: SqrtChoice | None = None) -> complex:
 
 
 # coboundary from a tetrahedron's six edges to its four faces, both in lex order
-TETRA_COBOUNDARY = np.array(
-    [[1, -1, 0, 1, 0, 0], [1, 0, -1, 0, 1, 0], [0, 1, -1, 0, 0, 1], [0, 0, 0, 1, -1, 1]]
-)
+TETRA_COBOUNDARY = coboundary_matrix(range(4), 1)
 
 
 def pair_ratio(alpha: dict, omega: Cochain, k1, k2, t0) -> complex:

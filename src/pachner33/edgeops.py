@@ -16,8 +16,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateCocycleError, DegenerateWeightError
-from .operators import RANK_RTOL, LinearOperator, column_space, nullspace, svd_rank
-from .simplicial import Cochain, coboundary, faces, vertex_coboundary_sign
+from .operators import RANK_RTOL, LinearOperator, nullspace, svd_rank
+from .simplicial import Cochain, coboundary_matrix, faces
 from .weights import WeightMatrix, tetra_space
 
 # vertex positions of the ten edges in edge-lex order; position k also names
@@ -25,9 +25,7 @@ from .weights import WeightMatrix, tetra_space
 EDGE_POS = np.array(list(combinations(range(5), 2)))
 STAR_POS = np.array([[k for k in range(5) if k not in e] for e in EDGE_POS])
 # SIGNS[v, j]: coefficient of edge j in the coboundary of vertex v's indicator
-SIGNS = np.array([[vertex_coboundary_sign(v, e) for e in EDGE_POS] for v in range(5)])
-# orthonormal basis of the vertex coboundaries (any four of the five span them)
-COBOUNDARY_BASIS = column_space(SIGNS[:4].T)
+SIGNS = coboundary_matrix(range(5), 0).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,24 +114,23 @@ def normalize_family(wm: WeightMatrix) -> EdgeOperatorFamily:
 def extract_w_cocycle(fam: EdgeOperatorFamily) -> Cochain:
     """The degree-2 cocycle measuring the family's one essential dependence.
 
-    The kernel of (scalars per edge) -> (combined operator) is 5-dimensional:
-    four dimensions of vertex coboundaries plus one more class.  A
-    representative of that class, read as a degree-1 cochain, has coboundary
-    independent of the choice; it is returned scaled so its largest component
-    is exactly 1.
+    The kernel K of (scalars per edge) -> (combined operator) is 5-dimensional:
+    four dimensions of vertex coboundaries, which the coboundary D kills, plus
+    one more class.  Off the four, D is sqrt(5) times an isometry (the edge
+    Hodge Laplacian of a 4-simplex is 5), so the cocycle is DK's first left
+    singular vector, scaled so its largest component is exactly 1.  A power of
+    two per column of the family leaves K unchanged and makes it scale-free.
     """
-    K = nullspace(fam.matrix.T)
+    M = fam.matrix
+    K = nullspace((M * 2.0 ** -np.frexp(np.abs(M).max(axis=0))[1]).T)
     if K.shape[1] != 5:
         raise DegenerateWeightError(
             f"edge operators have kernel dimension {K.shape[1]}, expected 5"
         )
-    P = K - COBOUNDARY_BASIS @ (COBOUNDARY_BASIS.conj().T @ K)
-    u, s, _ = np.linalg.svd(P)
+    u, s, _ = np.linalg.svd(coboundary_matrix(range(5), 1) @ K)
     if svd_rank(s, 1e-8) > 1:
         raise ConsistencyError("coboundary quotient of the kernel is not a line")
-    nu = Cochain(fam.simplex, 1, {b: u[bj, 0] for bj, b in enumerate(fam.edges)})
-    omega = coboundary(nu)
-    top = max(omega.cells(), key=lambda s2: abs(omega[s2]))
-    if abs(omega[top]) < 1e-12:
+    if s[0] < 1e-12:
         raise DegenerateCocycleError("extracted cocycle vanishes")
-    return omega.scaled(1.0 / omega[top])
+    omega = u[:, 0] / u[np.argmax(np.abs(u[:, 0])), 0]
+    return Cochain(fam.simplex, 2, dict(zip(faces(fam.simplex, 2), omega)))

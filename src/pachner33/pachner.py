@@ -258,12 +258,9 @@ class Verification33:
     loop_residuals: tuple
 
 
-def verify_33(data, tol: float = 1e-8) -> Verification33:
-    """Integrate both sides and compare them coefficient by coefficient.
-
-    Accepts either a cocycle on six vertices or an already reconciled scene.
-    """
-    rec = reconcile(data, tol=tol) if isinstance(data, Cochain) else data
+def verify_33(rec: ReconciledWeights) -> Verification33:
+    """Integrate both sides of a reconciled scene and compare them
+    coefficient by coefficient."""
     SL = side_weight(rec, "lhs")
     SR = side_weight(rec, "rhs")
     abs_l, abs_r = np.abs(SL), np.abs(SR)

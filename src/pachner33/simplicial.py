@@ -8,6 +8,7 @@ its sorted vertex tuple.  Cochains of degree d assign complex values to the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from typing import Mapping
 
@@ -84,26 +85,42 @@ class Cochain:
         return Cochain(sub, self.degree, vals)
 
 
+@cache
+def coboundary_terms(vertices, degree: int) -> np.ndarray:
+    """Row f, column k: the index of (degree+1)-cell f with its k-th vertex
+    dropped, a term of sign (-1)^k; cells in lex order.  Cached, read-only."""
+    index = {c: i for i, c in enumerate(faces(vertices, degree))}
+    drops = [[f[:k] + f[k + 1 :] for k in range(degree + 2)] for f in faces(vertices, degree + 1)]
+    terms = np.array([[index[g] for g in row] for row in drops], dtype=np.int64)
+    terms = terms.reshape(-1, degree + 2)  # two axes even with no (degree+1)-cells
+    terms.flags.writeable = False
+    return terms
+
+
+@cache
+def coboundary_matrix(vertices, degree: int) -> np.ndarray:
+    """The coboundary on degree-cochains as a +-1 matrix.  Cached, read-only."""
+    terms = coboundary_terms(vertices, degree)
+    D = np.zeros((len(terms), len(faces(vertices, degree))), dtype=np.int64)
+    D[np.arange(len(terms))[:, None], terms] = (-1) ** np.arange(degree + 2)
+    D.flags.writeable = False
+    return D
+
+
 def coboundary(c: Cochain) -> Cochain:
-    """Simplicial coboundary for degrees 0 and 1."""
-    if c.degree == 0:
-        vals = {(i, j): c[(j,)] - c[(i,)] for i, j in faces(c.vertices, 1)}
-        return Cochain(c.vertices, 1, vals)
-    if c.degree == 1:
-        vals = {
-            (i, j, k): c[(j, k)] - c[(i, k)] + c[(i, j)]
-            for i, j, k in faces(c.vertices, 2)
-        }
-        return Cochain(c.vertices, 2, vals)
-    raise ValueError("coboundary implemented for degrees 0 and 1 only")
+    """Simplicial coboundary of any degree, its terms added left to right."""
+    x, terms = c.as_vector(), coboundary_terms(c.vertices, c.degree)
+    d = x[terms[:, 0]]
+    for k in range(1, c.degree + 2):
+        d = d - x[terms[:, k]] if k % 2 else d + x[terms[:, k]]
+    return Cochain(c.vertices, c.degree + 1, dict(zip(faces(c.vertices, c.degree + 1), d)))
 
 
 def cocycle_defect(c: Cochain) -> np.ndarray:
     """The alternating four-term sum on every tetrahedron, in lex order."""
     if c.degree != 2:
         raise ValueError("cocycle test applies to degree-2 cochains")
-    return np.array([c[(j, k, l)] - c[(i, k, l)] + c[(i, j, l)] - c[(i, j, k)]
-                     for i, j, k, l in faces(c.vertices, 3)])
+    return coboundary(c).as_vector()
 
 
 def is_cocycle(c: Cochain, rel_tol: float = 1e-12) -> bool:
@@ -117,16 +134,6 @@ def roundtrip_residual(omega: Cochain, back: Cochain) -> float:
     top = max(omega.cells(), key=lambda s: abs(omega[s]))
     scale = omega[top] / back[top]
     return max(abs(omega[s] - scale * back[s]) for s in back.cells()) / omega.max_abs()
-
-
-def vertex_coboundary_sign(vertex: int, edge) -> int:
-    """Coefficient of an edge in the coboundary of the indicator 0-cochain."""
-    a, b = tuple(sorted(edge))
-    if vertex == b:
-        return 1
-    if vertex == a:
-        return -1
-    return 0
 
 
 def random_annulus(rng: np.random.Generator, lo: float = 0.5, hi: float = 1.5) -> complex:
@@ -156,17 +163,10 @@ def cochain_primitive(omega: Cochain, rel_tol: float = 1e-9) -> Cochain:
     """
     if omega.degree != 2:
         raise ValueError("primitive is defined for degree-2 cochains")
-    edges = faces(omega.vertices, 1)
-    tris = faces(omega.vertices, 2)
-    A = np.zeros((len(tris), len(edges)), dtype=complex)
-    col = {e: idx for idx, e in enumerate(edges)}
-    for r, (i, j, k) in enumerate(tris):
-        A[r, col[(j, k)]] += 1.0
-        A[r, col[(i, k)]] -= 1.0
-        A[r, col[(i, j)]] += 1.0
+    A = coboundary_matrix(omega.vertices, 1)
     b = omega.as_vector()
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
     resid = np.linalg.norm(A @ x - b)
     if resid > rel_tol * max(np.linalg.norm(b), 1e-300):
         raise ValueError("cochain has no primitive: not a cocycle")
-    return Cochain(omega.vertices, 1, {e: x[col[e]] for e in edges})
+    return Cochain(omega.vertices, 1, dict(zip(faces(omega.vertices, 1), x)))

@@ -34,8 +34,8 @@ from pachner33.simplicial import (
     cocycle_defect,
     faces,
     random_cocycle,
-    vertex_coboundary_sign,
 )
+from test_simplicial import vertex_coboundary_sign
 from pachner33.weights import CANONICAL_RATIO_PAIRS, WeightMatrix, canonical_ratios, double_ratio
 
 SIMPLEX = (1, 2, 3, 4, 5)

@@ -243,7 +243,7 @@ def test_composed_matches_scalar_fill(rng):
 
 
 def test_verify_random_scene(rng):
-    rep = verify_33(generic_cocycle(rng, VERTICES))
+    rep = verify_33(reconcile(generic_cocycle(rng, VERTICES)))
     assert abs(rep.const) > 1e-10
     assert rep.max_residual < 1e-12
     assert rep.agreement < 1e-12
@@ -255,7 +255,7 @@ def test_verify_random_scene(rng):
 
 
 def test_verify_elliptic_scene(rng):
-    rep = verify_33(elliptic_scene_cocycle(rng))
+    rep = verify_33(reconcile(elliptic_scene_cocycle(rng)))
     assert abs(rep.const) > 1e-10
     assert rep.max_residual < 1e-11
     assert rep.annihilator_dimension == 9
@@ -264,11 +264,11 @@ def test_verify_elliptic_scene(rng):
 
 def test_verify_scaling_covariance(rng):
     om = generic_cocycle(rng, VERTICES)
-    rep1 = verify_33(om)
+    rep1 = verify_33(reconcile(om))
     assert rep1.annihilator_dimension == 9
     scales = [3.7 - 1.2j] + [10.0**e for e in (12, 80, 100, 150, 200, 300)]
     for scale in scales + [1 / s for s in scales]:
-        rep2 = verify_33(om.scaled(scale))
+        rep2 = verify_33(reconcile(om.scaled(scale)))
         assert rep2.max_residual < 1e-12
         assert abs(rep2.const) > 1e-10
         assert rep2.annihilator_dimension == 9

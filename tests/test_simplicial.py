@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pachner33.cocycle2weight import TETRA_COBOUNDARY
+from pachner33.edgeops import SIGNS
 from pachner33.simplicial import (
     Cochain,
     coboundary,
@@ -13,11 +15,23 @@ from pachner33.simplicial import (
     is_cocycle,
     permutation_sign,
     random_cocycle,
+    coboundary_matrix,
+    coboundary_terms,
+    cocycle_defect,
     star_tetrahedra,
-    vertex_coboundary_sign,
 )
 
 SIMPLEX = (1, 2, 3, 4, 5)
+
+
+def vertex_coboundary_sign(vertex: int, edge) -> int:
+    """Oracle: coefficient of an edge in the coboundary of the indicator 0-cochain."""
+    a, b = tuple(sorted(edge))
+    if vertex == b:
+        return 1
+    if vertex == a:
+        return -1
+    return 0
 
 
 def test_faces_counts():
@@ -60,6 +74,62 @@ def test_coboundary_of_vertex_indicator():
     for i, j in faces(SIMPLEX, 1):
         expected = vertex_coboundary_sign(3, (i, j))
         assert d[(i, j)] == expected
+
+
+def test_coboundary_matrix_matches_hand_formulas():
+    edges, tris = faces(SIMPLEX, 1), faces(SIMPLEX, 2)
+    D0 = coboundary_matrix(SIMPLEX, 0)
+    assert D0.tolist() == [[vertex_coboundary_sign(v, e) for v in SIMPLEX] for e in edges]
+    # edges of a tetrahedron to its faces, as once typed out by hand
+    tetra = [[1, -1, 0, 1, 0, 0], [1, 0, -1, 0, 1, 0], [0, 1, -1, 0, 0, 1], [0, 0, 0, 1, -1, 1]]
+    assert coboundary_matrix(range(4), 1).tolist() == tetra
+    assert coboundary_matrix((2, 3, 5, 7), 1).tolist() == tetra
+    # the four-term sum on each tetrahedron
+    D2 = np.zeros((5, 10), dtype=np.int64)
+    for r, (i, j, k, l) in enumerate(faces(SIMPLEX, 3)):
+        for s, f in zip((1, -1, 1, -1), ((j, k, l), (i, k, l), (i, j, l), (i, j, k))):
+            D2[r, tris.index(f)] = s
+    assert (coboundary_matrix(SIMPLEX, 2) == D2).all()
+    # the module constants, equal to the arrays they replaced, dtype included
+    edges5 = faces(range(5), 1)
+    old_signs = np.array([[vertex_coboundary_sign(v, e) for e in edges5] for v in range(5)])
+    assert SIGNS.dtype == old_signs.dtype == TETRA_COBOUNDARY.dtype == np.int64
+    assert (SIGNS == old_signs).all() and (TETRA_COBOUNDARY == np.array(tetra)).all()
+    # term k of row f drops vertex k of face f
+    T = coboundary_terms(SIMPLEX, 1)
+    assert [[edges[c] for c in row] for row in T[:2]] == [
+        [(2, 3), (1, 3), (1, 2)],
+        [(2, 4), (1, 4), (1, 2)],
+    ]
+    assert coboundary_terms(SIMPLEX, 4).shape == (0, 6)
+    assert not T.flags.writeable and not D0.flags.writeable
+
+
+def test_coboundary_matches_dict_formulas(rng):
+    # the old per-degree formulas, bit for bit
+    for _ in range(20):
+        f = Cochain(SIMPLEX, 0, {(v,): complex(*rng.normal(size=2)) for v in SIMPLEX})
+        df = coboundary(f)
+        assert all(df[(i, j)] == f[(j,)] - f[(i,)] for i, j in faces(SIMPLEX, 1))
+        nu = Cochain(SIMPLEX, 1, {e: complex(*rng.normal(size=2)) for e in faces(SIMPLEX, 1)})
+        dnu = coboundary(nu)
+        for i, j, k in faces(SIMPLEX, 2):
+            assert dnu[(i, j, k)] == nu[(j, k)] - nu[(i, k)] + nu[(i, j)]
+        omega = Cochain(SIMPLEX, 2, {t: complex(*rng.normal(size=2)) for t in faces(SIMPLEX, 2)})
+        four_term = [omega[(j, k, l)] - omega[(i, k, l)] + omega[(i, j, l)] - omega[(i, j, k)]
+                     for i, j, k, l in faces(SIMPLEX, 3)]
+        assert cocycle_defect(omega).tolist() == four_term
+        assert coboundary(omega).as_vector().tolist() == four_term
+
+
+def test_coboundary_of_any_degree():
+    rng = np.random.default_rng(11)
+    verts = (0, 2, 3, 5, 8, 9)
+    for degree in range(4):
+        c = Cochain(verts, degree, {f: complex(*rng.normal(size=2)) for f in faces(verts, degree)})
+        assert coboundary(coboundary(c)).max_abs() < 1e-14
+        assert coboundary(c).as_vector() == pytest.approx(coboundary_matrix(verts, degree) @ c.as_vector())
+    assert coboundary(Cochain(SIMPLEX, 4, {SIMPLEX: 1.0})).cells() == []
 
 
 def test_coboundary_squares_to_zero():
