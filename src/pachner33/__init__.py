@@ -30,7 +30,6 @@ from .grassmann import GeneratorSpace, GrassmannElement, berezin_integral, exp_e
 from .simplicial import Cochain, coboundary, cochain_primitive, is_cocycle, random_cocycle
 from .operators import LinearOperator, annihilator_of, principal_angles
 from .weights import (
-    GaugeTransform,
     WeightMatrix,
     double_ratio,
     gaussian_weight,
@@ -64,7 +63,6 @@ __all__ = [
     "LinearOperator",
     "annihilator_of",
     "principal_angles",
-    "GaugeTransform",
     "WeightMatrix",
     "double_ratio",
     "gaussian_weight",

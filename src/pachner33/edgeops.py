@@ -41,11 +41,6 @@ class EdgeOperatorFamily:
     def edges(self) -> list:
         return faces(self.simplex, 1)
 
-    def components(self, tetra) -> np.ndarray:
-        """(beta, gamma) of the ten operators at one tetrahedron, a row per edge."""
-        i = faces(self.simplex, 3).index(tuple(tetra))  # generator order is lex order
-        return self.matrix[:, [i, 5 + i]]
-
     def operator(self, edge) -> LinearOperator:
         row = self.matrix[self.edges.index(tuple(sorted(edge)))]
         return LinearOperator.from_vector(tetra_space(self.simplex), row)

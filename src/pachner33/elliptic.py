@@ -96,25 +96,23 @@ class EllipticParams:
         return _sn(self.coords[i] - self.coords[j], self.modulus)
 
 
-def elliptic_cocycle(params: EllipticParams, vertices=None) -> Cochain:
+def elliptic_cocycle(params: EllipticParams) -> Cochain:
     """Face values sn(x_i-x_j) sn(x_i-x_k) sn(x_j-x_k) on all 2-faces."""
-    if vertices is None:
-        vertices = params.vertices
+    vertices = params.vertices
     vals = {}
-    for i, j, k in faces(tuple(vertices), 2):
+    for i, j, k in faces(vertices, 2):
         vals[(i, j, k)] = (
             params.difference_sn(i, j)
             * params.difference_sn(i, k)
             * params.difference_sn(j, k)
         )
-    return Cochain(tuple(vertices), 2, vals)
+    return Cochain(vertices, 2, vals)
 
 
-def elliptic_primitive(params: EllipticParams, vertices=None) -> Cochain:
+def elliptic_primitive(params: EllipticParams) -> Cochain:
     """The 1-cochain sn(x_i-x_j)/(m^2 sn x_i sn x_j) whose coboundary is the
     face cochain above."""
-    if vertices is None:
-        vertices = params.vertices
+    vertices = params.vertices
     m2 = params.modulus * params.modulus
     if m2 == 0:
         raise ValueError("modulus must be nonzero for the primitive formula")
@@ -125,9 +123,9 @@ def elliptic_primitive(params: EllipticParams, vertices=None) -> Cochain:
             raise ValueError(f"sn vanishes at vertex {v}")
         sn_at[v] = s
     vals = {}
-    for i, j in faces(tuple(vertices), 1):
+    for i, j in faces(vertices, 1):
         vals[(i, j)] = params.difference_sn(i, j) / (m2 * sn_at[i] * sn_at[j])
-    return Cochain(tuple(vertices), 1, vals)
+    return Cochain(vertices, 1, vals)
 
 
 def elliptic_F(params: EllipticParams, simplex) -> WeightMatrix:

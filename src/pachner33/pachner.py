@@ -29,7 +29,7 @@ from .errors import ConsistencyError, DegenerateWeightError
 from .grassmann import GeneratorSpace, bit_matrix, gaussian_coefficients
 from .operators import action_matrix, matrix_rank, principal_angles
 from .simplicial import Cochain, faces
-from .weights import GaugeTransform, apply_gauge_to_F, opposite_tetrahedra
+from .weights import apply_gauge_to_F, opposite_tetrahedra
 
 VERTICES = (1, 2, 3, 4, 5, 6)
 LHS_SIMPLICES = ((1, 2, 3, 4, 5), (1, 2, 3, 4, 6), (1, 2, 3, 5, 6))
@@ -44,24 +44,34 @@ BOUNDARY_TETRAHEDRA = tuple(
     for q in combinations((4, 5, 6), 2)
 )
 INNER_TETRAHEDRA = INNER_LHS + INNER_RHS
+SHARED = tuple(faces(VERTICES, 3))  # all 15 tetrahedra, in lex order
 
 
-def owners(tetra) -> tuple:
-    """The 4-simplices of the scene containing a tetrahedron (always two)."""
-    t = set(tetra)
-    return tuple(u for u in SIMPLICES if t <= set(u))
+def _incidence() -> tuple:
+    """The scene's incidence table, a row per tetrahedron of SHARED: its two
+    owners as indices into SIMPLICES, lex-smaller first; its generator slot
+    in each; its six edges as rows of each owner's family; its edges as
+    indices into the scene's 15 edges; -1 if it is inner, +1 if boundary."""
+    scene_edges = faces(VERTICES, 1)
+    owner, slot, edge_rows = [], [], []
+    for t in SHARED:
+        us = [tuple(sorted(t + (v,))) for v in VERTICES if v not in t]
+        owner.append([SIMPLICES.index(u) for u in us])
+        slot.append([faces(u, 3).index(t) for u in us])
+        edge_rows.append([[faces(u, 1).index(e) for e in faces(t, 1)] for u in us])
+    edges = [[scene_edges.index(e) for e in faces(t, 1)] for t in SHARED]
+    sign = [-1 if t in INNER_TETRAHEDRA else 1 for t in SHARED]
+    table = tuple(np.array(a) for a in (owner, slot, edge_rows, edges, sign))
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
-def shared_tetrahedra() -> list:
-    return sorted(INNER_TETRAHEDRA + BOUNDARY_TETRAHEDRA)
-
-
-def is_inner(tetra) -> bool:
-    return tuple(sorted(tetra)) in INNER_TETRAHEDRA
-
-
-def boundary_space() -> GeneratorSpace:
-    return GeneratorSpace(BOUNDARY_TETRAHEDRA)
+OWNER, SLOT, EDGE_ROWS, EDGES, SIGN = _incidence()
+# SIMPLICES[0]'s five tetrahedra join it to the other five simplices: a
+# spanning tree, in the lex order of the simplices it reaches
+TREE = OWNER[:, 0] == 0
+BOUNDARY = SIGN > 0  # rows of BOUNDARY_TETRAHEDRA, which is in lex order too
 
 
 def side_simplices(side: str) -> tuple:
@@ -80,20 +90,22 @@ def side_space(side: str) -> GeneratorSpace:
     return GeneratorSpace(_side_inner(side) + BOUNDARY_TETRAHEDRA)
 
 
-def _edge_components(fam, tetra) -> np.ndarray:
-    """(beta, gamma) at a tetrahedron of the operators on its six edges, as
-    the two rows of a 2x6 array."""
-    rows = [j for j, b in enumerate(fam.edges) if set(b) <= set(tetra)]
-    return fam.components(tetra)[rows].T
+def _components(families: np.ndarray, pick: int, rows=slice(None)) -> np.ndarray:
+    """(beta, gamma) of each shared tetrahedron's six edge operators, read
+    from its owner `pick` (0 for the left, 1 for the right), as an array
+    [tetrahedron, edge, component]; `rows` selects tetrahedra of SHARED."""
+    u, slot = OWNER[rows, pick], SLOT[rows, pick]
+    cols = slot[:, None, None] + np.array([0, 5])  # beta and gamma columns
+    return families[u[:, None, None], EDGE_ROWS[rows, pick][:, :, None], cols]
 
 
-def _transition(families: dict, tetra):
+def _transition(c1: np.ndarray, c2: np.ndarray, tetra):
     """Least-squares 2x2 map sending the first owner's components on the
-    shared tetrahedron to the second owner's, over its six edges."""
-    C1, C2 = (_edge_components(families[u], tetra) for u in owners(tetra))
-    M = np.linalg.lstsq(C1.T, C2.T, rcond=None)[0].T
-    scale = max(np.abs(C2).max(), 1e-300)
-    resid = np.abs(M @ C1 - C2).max() / scale
+    shared tetrahedron to the second owner's, over its six edges (a row
+    each in c1 and c2)."""
+    M = np.linalg.lstsq(c1, c2, rcond=None)[0].T
+    scale = max(np.abs(c2).max(), 1e-300)
+    resid = np.abs(M @ c1.T - c2.T).max() / scale
     if resid > 1e-8:
         raise ConsistencyError(
             f"components on {tetra} are not related by a 2x2 map (residual {resid:.2e})"
@@ -115,13 +127,15 @@ def _check_diagonal(M: np.ndarray, tetra):
 
 @dataclass(frozen=True, eq=False)
 class ReconciledWeights:
-    """Weights, operator families and scales that agree on shared tetrahedra."""
+    """Weights, operator families and scales that agree on shared tetrahedra,
+    each indexed like SIMPLICES: six WeightMatrix objects, the families as a
+    (6, 10, 10) array, each simplex's gauge as a row of five scales in
+    generator (lex) order, and its scale rho."""
 
-    omega: Cochain
-    matrices: dict
-    families: dict
-    gauges: dict
-    rho: dict
+    matrices: tuple
+    families: np.ndarray
+    gauges: np.ndarray
+    rho: np.ndarray
     loop_residuals: tuple
 
 
@@ -134,85 +148,67 @@ def reconcile(omega: Cochain, tol: float = 1e-8) -> ReconciledWeights:
     """
     if tuple(omega.vertices) != VERTICES or omega.degree != 2:
         raise ValueError("expected a degree-2 cochain on vertices 1..6")
-    matrices = {}
-    families = {}
+    matrices, families = [], []
     for u in SIMPLICES:
-        matrices[u] = reconstruct_F(omega.restrict(u))
-        families[u] = normalize_family(matrices[u])
+        matrices.append(reconstruct_F(omega.restrict(u)))
+        families.append(normalize_family(matrices[-1]).matrix)
+    families = np.array(families)
 
     # fit all 15 maps first: a fit's residual error outranks a diagonal check
-    maps = {t: _transition(families, t) for t in shared_tetrahedra()}
-    for t, M in maps.items():
+    pairs = zip(_components(families, 0), _components(families, 1), SHARED)
+    maps = np.array([_transition(c1, c2, t) for c1, c2, t in pairs])
+    for M, t in zip(maps, SHARED):
         _check_diagonal(M, t)
 
-    root = SIMPLICES[0]
-    rho_sq = {root: 1.0 + 0.0j}
-    tree = []
-    for u in sorted(SIMPLICES[1:]):
-        t = tuple(sorted(set(root) & set(u)))
-        tree.append(t)
-        prod = maps[t][0, 0] * maps[t][1, 1]
-        if abs(prod) < 1e-12:
-            raise DegenerateWeightError(f"singular transition on {t}")
-        sign = -1.0 if is_inner(t) else 1.0
-        rho_sq[u] = sign * rho_sq[root] / prod
-    rho = {u: np.sqrt(r) for u, r in rho_sq.items()}
+    prods = maps[:, 0, 0] * maps[:, 1, 1]
+    singular = TREE & (np.abs(prods) < 1e-12)
+    if singular.any():
+        raise DegenerateWeightError(f"singular transition on {SHARED[np.argmax(singular)]}")
+    rho_sq = np.ones(len(SIMPLICES), dtype=complex)
+    rho_sq[OWNER[TREE, 1]] = SIGN[TREE] / prods[TREE]
+    rho = np.sqrt(rho_sq)
 
-    loops = []
-    for t, M in maps.items():
-        if t in tree:
-            continue
-        u1, u2 = owners(t)
-        sign = -1.0 if is_inner(t) else 1.0
-        a = rho_sq[u2] * M[0, 0] * M[1, 1]
-        b = sign * rho_sq[u1]
-        loops.append(abs(a - b) / max(abs(a), abs(b)))
-    if max(loops) > tol:
+    loop = ~TREE
+    a = rho_sq[OWNER[loop, 1]] * maps[loop, 0, 0] * maps[loop, 1, 1]
+    b = SIGN[loop] * rho_sq[OWNER[loop, 0]]
+    loops = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    if loops.max() > tol:
         raise ConsistencyError(
-            f"loop residuals up to {max(loops):.2e} exceed {tol:.2e}; "
+            f"loop residuals up to {loops.max():.2e} exceed {tol:.2e}; "
             "the six restrictions are not jointly consistent"
         )
 
-    gauges = {u: {} for u in SIMPLICES}
-    for t, M in maps.items():
-        u1, u2 = owners(t)
-        gauges[u1][t] = 1.0 + 0.0j
-        gauges[u2][t] = M[0, 0] * rho[u2] / rho[u1]
-    return ReconciledWeights(
-        omega=omega,
-        matrices=matrices,
-        families=families,
-        gauges=gauges,
-        rho=rho,
-        loop_residuals=tuple(loops),
-    )
+    # the left owner of each tetrahedron keeps gauge one there
+    gauges = np.ones((len(SIMPLICES), 5), dtype=complex)
+    gauges[OWNER[:, 1], SLOT[:, 1]] = maps[:, 0, 0] * rho[OWNER[:, 1]] / rho[OWNER[:, 0]]
+    return ReconciledWeights(tuple(matrices), families, gauges, rho, tuple(loops.tolist()))
 
 
-def _composed(rec: ReconciledWeights, pick) -> np.ndarray:
+def _composed(rec: ReconciledWeights, pick: int) -> np.ndarray:
     """The 15 composed operators on the boundary space as (beta, gamma) rows,
     in edge-lex order, each component the scaled, gauge-adjusted one of the
     owner selected by `pick` (0 for the left owner, 1 for the right)."""
-    space = boundary_space()
-    row = {a: k for k, a in enumerate(faces(VERTICES, 1))}
-    out = np.zeros((len(row), 2 * space.n), dtype=complex)
-    for i, t in enumerate(space.labels):
-        u = owners(t)[pick]  # a boundary tetrahedron's owners are (left, right)
-        fam = rec.families[u]
-        lam, r = rec.gauges[u][t], rec.rho[u]
-        # columns i and n + i: the beta and gamma components at t
-        out[[row[a] for a in fam.edges], i :: space.n] = fam.components(t) * (r / lam, r * lam)
+    u = OWNER[BOUNDARY, pick]  # a boundary tetrahedron's owners are (left, right)
+    lam, r = rec.gauges[u, SLOT[BOUNDARY, pick]], rec.rho[u]
+    scaled = _components(rec.families, pick, BOUNDARY) * np.stack([r / lam, r * lam], axis=1)[:, None]
+    n = len(BOUNDARY_TETRAHEDRA)
+    out = np.zeros((len(faces(VERTICES, 1)), 2 * n), dtype=complex)
+    # columns i and n + i: the beta and gamma components at boundary tetrahedron i
+    out[EDGES[BOUNDARY][:, :, None], np.arange(n)[:, None, None] + np.array([0, n])] = scaled
     return out
 
 
 def _side_tables(side: str) -> tuple:
-    """Where a side's simplices put their tetrahedra in the side space, and for
-    each boundary mask S the side-space mask and sign that the integral over
-    the inner tetrahedra reads S's coefficient from."""
+    """Each of a side's simplices, as its index in SIMPLICES and where it puts
+    its tetrahedra in the side space, and for each boundary mask S the
+    side-space mask and sign that the integral over the inner tetrahedra
+    reads S's coefficient from."""
     space = side_space(side)
     slots = tuple(
-        np.array([space.index[t] for t in opposite_tetrahedra(u)]) for u in side_simplices(side)
+        (SIMPLICES.index(u), np.array([space.index[t] for t in opposite_tetrahedra(u)]))
+        for u in side_simplices(side)
     )
-    bound = np.array([space.index[t] for t in boundary_space().labels])
+    bound = np.array([space.index[t] for t in BOUNDARY_TETRAHEDRA])
     inner = [space.index[t] for t in _side_inner(side)]
     masks = (bit_matrix(np.arange(1 << bound.size), bound.size) << bound).sum(axis=1)
     masks |= sum(1 << i for i in inner)
@@ -238,8 +234,8 @@ def side_weight(rec: ReconciledWeights, side: str) -> np.ndarray:
     """
     slots, masks, signs = _SIDE_TABLES[side]
     A = np.zeros((12, 12), dtype=complex)
-    for u, ix in zip(side_simplices(side), slots):
-        gauged = apply_gauge_to_F(rec.matrices[u], GaugeTransform(u, rec.gauges[u]))
+    for i, ix in slots:
+        gauged = apply_gauge_to_F(rec.matrices[i], rec.gauges[i])
         A[ix[:, None], ix] -= gauged.entries
     return signs * gaussian_coefficients(A)[masks]
 
@@ -257,6 +253,18 @@ class Verification33:
     annihilator_angle: float
     loop_residuals: tuple
 
+    @property
+    def worst(self) -> float:
+        """The largest of the six residual figures, the one a tolerance bounds."""
+        return max(
+            self.max_residual,
+            self.agreement,
+            self.annihilation_residual,
+            self.isotropy_residual,
+            self.annihilator_angle,
+            max(self.loop_residuals),
+        )
+
 
 def verify_33(rec: ReconciledWeights) -> Verification33:
     """Integrate both sides of a reconciled scene and compare them
@@ -268,7 +276,6 @@ def verify_33(rec: ReconciledWeights) -> Verification33:
         raise DegenerateWeightError("right-hand side integrates to zero")
     if abs_l.max() == 0:
         raise DegenerateWeightError("left-hand side integrates to zero")
-    space = boundary_space()
     top = np.argmax(abs_r)  # the first largest: the lowest mask among ties
     const = SL[top] / SR[top]
     scale = abs_l.max()
@@ -285,7 +292,8 @@ def verify_33(rec: ReconciledWeights) -> Verification33:
         for S, abs_s in ((SL, abs_l), (SR, abs_r))
     )
     # pairing <d, e> = beta_d . gamma_e + beta_e . gamma_d, for all pairs at once
-    cross = lhs_mat[:, : space.n] @ lhs_mat[:, space.n :].T
+    n = len(BOUNDARY_TETRAHEDRA)
+    cross = lhs_mat[:, :n] @ lhs_mat[:, n:].T
     iso = (np.abs(cross + cross.T) / np.outer(norms, norms)).max()
     dim = matrix_rank(lhs_mat.T)
     angles = principal_angles(lhs_mat.T, rhs_mat.T)

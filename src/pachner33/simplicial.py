@@ -33,12 +33,6 @@ def permutation_sign(seq) -> int:
     return sign
 
 
-def star_tetrahedra(edge, simplex) -> list[tuple[int, ...]]:
-    """The tetrahedra of a 4-simplex containing a given edge (three of them)."""
-    edge = tuple(sorted(edge))
-    return [t for t in combinations(tuple(simplex), 4) if set(edge) <= set(t)]
-
-
 @dataclass(frozen=True)
 class Cochain:
     """A degree-d cochain on the full simplex with the given vertices."""
@@ -136,9 +130,9 @@ def roundtrip_residual(omega: Cochain, back: Cochain) -> float:
     return max(abs(omega[s] - scale * back[s]) for s in back.cells()) / omega.max_abs()
 
 
-def random_annulus(rng: np.random.Generator, lo: float = 0.5, hi: float = 1.5) -> complex:
-    """Point of the annulus lo <= |z| <= hi, uniform in area."""
-    r = np.sqrt(rng.uniform(lo * lo, hi * hi))
+def random_annulus(rng: np.random.Generator) -> complex:
+    """Point of the annulus 0.5 <= |z| <= 1.5, uniform in area."""
+    r = np.sqrt(rng.uniform(0.25, 2.25))
     theta = rng.uniform(0.0, 2.0 * np.pi)
     return r * np.exp(1j * theta)
 

@@ -9,7 +9,6 @@ simplex 12345 the order is 2345, 1345, 1245, 1235, 1234.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -101,11 +100,10 @@ class WeightMatrix:
         return float(np.abs(self.entries).max())
 
 
-def quadratic_form(wm: WeightMatrix, space: GeneratorSpace | None = None) -> GrassmannElement:
+def quadratic_form(wm: WeightMatrix) -> GrassmannElement:
     """The quadratic Grassmann form of the weight, -(1/2) x.F.x, built as a
     sum over 2-faces with permutation signs."""
-    if space is None:
-        space = tetra_space(wm.simplex)
+    space = tetra_space(wm.simplex)
     verts = wm.simplex
     phi = wm.phi()
     q = GrassmannElement.zero(space)
@@ -118,8 +116,8 @@ def quadratic_form(wm: WeightMatrix, space: GeneratorSpace | None = None) -> Gra
     return q
 
 
-def gaussian_weight(wm: WeightMatrix, space: GeneratorSpace | None = None) -> GrassmannElement:
-    return exp_even(quadratic_form(wm, space))
+def gaussian_weight(wm: WeightMatrix) -> GrassmannElement:
+    return exp_even(quadratic_form(wm))
 
 
 def weight_operators(wm: WeightMatrix) -> list[LinearOperator]:
@@ -137,29 +135,15 @@ def weight_operators(wm: WeightMatrix) -> list[LinearOperator]:
     return ops
 
 
-@dataclass(frozen=True)
-class GaugeTransform:
-    """Per-tetrahedron rescale x_t -> scale_t * x_t."""
-
-    simplex: tuple[int, ...]
-    scales: Mapping[tuple[int, ...], complex]
-
-    def __post_init__(self):
-        verts = tuple(sorted(int(v) for v in self.simplex))
-        tets = opposite_tetrahedra(verts)
-        sc = {}
-        for t in tets:
-            lam = complex(self.scales.get(t, 1.0))
-            if lam == 0:
-                raise ValueError(f"gauge scale for {t} must be nonzero")
-            sc[t] = lam
-        object.__setattr__(self, "simplex", verts)
-        object.__setattr__(self, "scales", sc)
-
-
-def apply_gauge_to_F(wm: WeightMatrix, g: GaugeTransform) -> WeightMatrix:
-    """Congruence F -> AFA with A = diag(scales)."""
-    A = np.diag([g.scales[t] for t in wm.tetrahedra])
+def apply_gauge_to_F(wm: WeightMatrix, scales) -> WeightMatrix:
+    """Congruence F -> AFA for the rescale x_t -> scale_t * x_t, the five
+    scales given in generator (lex) order: A is their diagonal in the
+    matrix's opposite-vertex order, which is the reverse."""
+    scales = np.asarray(scales, dtype=complex)
+    for t, lam in zip(faces(wm.simplex, 3), scales):
+        if lam == 0:
+            raise ValueError(f"gauge scale for {t} must be nonzero")
+    A = np.diag(scales[::-1])
     return WeightMatrix(wm.simplex, A @ wm.entries @ A)
 
 

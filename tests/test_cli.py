@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
@@ -53,6 +54,24 @@ def test_verify_pachner_report_contents(capsys):
     assert rep["max_residual"] <= 1e-8
     assert abs(complex(*rep["const"])) > 1e-10
     assert len(rep["gauges"]) == 6
+    # five scales per simplex, one per tetrahedron; SIMPLICES[0] is the
+    # lex-smaller owner of all five of its tetrahedra, so they are all one
+    assert all(len(per) == 5 for per in rep["gauges"].values())
+    assert rep["gauges"]["1,2,3,4,5"] == {
+        ",".join(map(str, t)): [1.0, 0.0] for t in itertools.combinations((1, 2, 3, 4, 5), 4)
+    }
+
+
+def test_verify_pachner_bounds_isotropy(capsys, monkeypatch):
+    """within_tolerance is rep.worst <= --tolerance: an isotropy residual
+    alone above it gives exit 1."""
+    real = cli.verify_33
+    monkeypatch.setattr(
+        cli, "verify_33", lambda rec: dataclasses.replace(real(rec), isotropy_residual=1e-6)
+    )
+    rc, out = run(capsys, "verify-pachner", "--seed", "1")
+    assert rc == 1
+    assert json.loads(out)["within_tolerance"] is False
 
 
 def test_verify_pachner_elliptic(capsys):

@@ -10,31 +10,51 @@ import pytest
 from pachner33.acceptance import elliptic_scene_cocycle, generic_cocycle, random_elliptic_params
 from pachner33.elliptic import elliptic_cocycle
 from pachner33.errors import ConsistencyError, Pachner33Error
-from pachner33.grassmann import GrassmannElement, _pfaffian_levels, berezin_integral
+from pachner33.grassmann import GeneratorSpace, GrassmannElement, _pfaffian_levels, berezin_integral
 from pachner33.operators import LinearOperator
 from pachner33.pachner import (
     BOUNDARY_TETRAHEDRA,
+    EDGE_ROWS,
+    EDGES,
     INNER_LHS,
     INNER_RHS,
     LHS_SIMPLICES,
+    OWNER,
     RHS_SIMPLICES,
+    SHARED,
+    SIGN,
     SIMPLICES,
+    SLOT,
+    TREE,
     VERTICES,
     _SIDE_TABLES,
     _check_diagonal,
     _composed,
     _side_inner,
-    boundary_space,
-    owners,
     reconcile,
-    shared_tetrahedra,
     side_simplices,
     side_space,
     side_weight,
     verify_33,
 )
 from pachner33.simplicial import Cochain, faces, random_cocycle
-from pachner33.weights import GaugeTransform, apply_gauge_to_F, gaussian_weight
+from pachner33.weights import apply_gauge_to_F, gaussian_weight
+
+BOUNDARY_SPACE = GeneratorSpace(BOUNDARY_TETRAHEDRA)
+
+
+def scanned_owners() -> dict:
+    """Oracle for the incidence table: each tetrahedron's owners, found by
+    scanning every simplex's faces, in the lex order of the simplices."""
+    seen = {}
+    for u in SIMPLICES:
+        for t in faces(u, 3):
+            seen.setdefault(t, []).append(u)
+    return seen
+
+
+def table_owners(t) -> list:
+    return [SIMPLICES[i] for i in OWNER[SHARED.index(t)]]
 
 
 def expanded_side_weight(rec, side) -> np.ndarray:
@@ -43,37 +63,57 @@ def expanded_side_weight(rec, side) -> np.ndarray:
     space = side_space(side)
     prod = GrassmannElement.scalar(space, 1.0)
     for u in side_simplices(side):
-        wm = apply_gauge_to_F(rec.matrices[u], GaugeTransform(u, rec.gauges[u]))
-        prod = prod * gaussian_weight(wm, space)
-    return berezin_integral(prod, _side_inner(side)).restrict_to(boundary_space()).dense()
+        i = SIMPLICES.index(u)
+        wm = apply_gauge_to_F(rec.matrices[i], rec.gauges[i])
+        prod = prod * gaussian_weight(wm).embed(space)
+    return berezin_integral(prod, _side_inner(side)).restrict_to(BOUNDARY_SPACE).dense()
 
 
 def side_element(rec, side) -> GrassmannElement:
-    return GrassmannElement(boundary_space(), dict(enumerate(side_weight(rec, side))))
+    return GrassmannElement(BOUNDARY_SPACE, dict(enumerate(side_weight(rec, side))))
 
 
 def test_every_tetrahedron_shared_exactly_once():
-    seen = {}
-    for u in SIMPLICES:
-        for t in faces(u, 3):
-            seen.setdefault(t, []).append(u)
-    shared = shared_tetrahedra()
-    assert sorted(seen) == shared
-    assert len(shared) == 15
+    seen = scanned_owners()
+    assert sorted(seen) == list(SHARED)
+    assert len(SHARED) == 15
     for t, us in seen.items():
         assert len(us) == 2
-        assert tuple(owners(t)) == tuple(us)
+        assert table_owners(t) == us
+    # each tetrahedron of each simplex is one (owner, slot) entry of the table
+    entries = sorted(zip(OWNER.ravel().tolist(), SLOT.ravel().tolist()))
+    assert entries == [(i, s) for i in range(6) for s in range(5)]
+
+
+def test_incidence_table_matches_scan():
+    scene_edges = faces(VERTICES, 1)
+    assert OWNER.shape == SLOT.shape == (15, 2)
+    assert EDGE_ROWS.shape == (15, 2, 6) and EDGES.shape == (15, 6) and SIGN.shape == (15,)
+    for t, us in scanned_owners().items():
+        k = SHARED.index(t)
+        for j, u in enumerate(us):
+            assert SLOT[k, j] == faces(u, 3).index(t)
+            rows = [r for r, b in enumerate(faces(u, 1)) if set(b) <= set(t)]
+            assert EDGE_ROWS[k, j].tolist() == rows
+            assert [faces(u, 1)[r] for r in rows] == [scene_edges[e] for e in EDGES[k]]
+        assert SIGN[k] == (-1 if t in INNER_LHS + INNER_RHS else 1)
+    # the spanning tree reaches the other five simplices in lex order
+    assert OWNER[TREE, 0].tolist() == [0] * 5
+    assert [SIMPLICES[i] for i in OWNER[TREE, 1]] == sorted(SIMPLICES[1:])
+    with pytest.raises(ValueError):
+        OWNER[0, 0] = 1
 
 
 def test_scene_partition():
     assert len(BOUNDARY_TETRAHEDRA) == 9
+    assert [t for t, s in zip(SHARED, SIGN) if s > 0] == list(BOUNDARY_TETRAHEDRA)
     for t in BOUNDARY_TETRAHEDRA:
-        lhs_u, rhs_u = owners(t)
+        lhs_u, rhs_u = table_owners(t)
         assert lhs_u in LHS_SIMPLICES and rhs_u in RHS_SIMPLICES
     for t in INNER_LHS:
-        assert all(u in LHS_SIMPLICES for u in owners(t))
+        assert all(u in LHS_SIMPLICES for u in table_owners(t))
     for t in INNER_RHS:
-        assert all(u in RHS_SIMPLICES for u in owners(t))
+        assert all(u in RHS_SIMPLICES for u in table_owners(t))
     # the sides meet exactly in the boundary tetrahedra
     lhs_tets = {t for u in LHS_SIMPLICES for t in faces(u, 3)}
     rhs_tets = {t for u in RHS_SIMPLICES for t in faces(u, 3)}
@@ -83,15 +123,29 @@ def test_scene_partition():
 def test_reconcile_basics(rng):
     om = generic_cocycle(rng, VERTICES)
     rec = reconcile(om)
-    assert rec.rho[SIMPLICES[0]] == 1.0
+    assert [wm.simplex for wm in rec.matrices] == list(SIMPLICES)
+    assert rec.families.shape == (6, 10, 10)
+    assert rec.gauges.shape == (6, 5) and rec.rho.shape == (6,)
+    assert rec.rho[0] == 1.0
     assert len(rec.loop_residuals) == 10
     assert max(rec.loop_residuals) < 1e-12
-    for u in SIMPLICES:
-        assert set(rec.gauges[u]) == set(faces(u, 3))
-    # lex-smaller owner anchors each shared tetrahedron at gauge one
-    for t in shared_tetrahedra():
-        u1, _ = owners(t)
-        assert rec.gauges[u1][t] == 1.0
+    owners = scanned_owners()
+    for t in SHARED:
+        (u1, u2), s1 = owners[t], faces(owners[t][0], 3).index(t)
+        # lex-smaller owner anchors each shared tetrahedron at gauge one
+        assert rec.gauges[SIMPLICES.index(u1), s1] == 1.0
+        # scaled and gauged, both owners give the same beta on the tetrahedron's
+        # six edges, and the same gamma up to the sign of an inner one
+        sides = []
+        for u in (u1, u2):
+            i, s = SIMPLICES.index(u), faces(u, 3).index(t)
+            rows = [r for r, b in enumerate(faces(u, 1)) if set(b) <= set(t)]
+            lam, r = rec.gauges[i, s], rec.rho[i]
+            sides.append((r / lam * rec.families[i][rows, s], r * lam * rec.families[i][rows, 5 + s]))
+        (b1, g1), (b2, g2) = sides
+        sign = -1 if t in INNER_LHS + INNER_RHS else 1
+        assert np.abs(b2 - b1).max() <= 1e-12 * np.abs(b1).max()
+        assert np.abs(g2 - sign * g1).max() <= 1e-12 * np.abs(g1).max()
 
 
 def test_check_diagonal():
@@ -158,8 +212,8 @@ def mp_side_weight(rec, side):
     on |A| with every sign +1, the sum of the minors' absolute terms."""
     slots, masks, signs = _SIDE_TABLES[side]
     A = np.zeros((12, 12), dtype=complex)
-    for u, ix in zip(side_simplices(side), slots):
-        gauged = apply_gauge_to_F(rec.matrices[u], GaugeTransform(u, rec.gauges[u]))
+    for i, ix in slots:
+        gauged = apply_gauge_to_F(rec.matrices[i], rec.gauges[i])
         A[ix[:, None], ix] -= gauged.entries
     flat = A.ravel()
     pf, H = [mpmath.mpc(1)] + [mpmath.mpc(0)] * 4095, np.zeros(4096)
@@ -192,7 +246,7 @@ def test_side_weight_matches_expansion(kind):
 
 def test_composed_operators(rng):
     rec = reconcile(generic_cocycle(rng, VERTICES))
-    space = boundary_space()
+    space = BOUNDARY_SPACE
     lhs, rhs = _composed(rec, 0), _composed(rec, 1)
     ops = {a: LinearOperator.from_vector(space, v) for a, v in zip(faces(VERTICES, 1), lhs)}
     sl = side_element(rec, "lhs")
@@ -227,16 +281,17 @@ def test_composed_operators(rng):
 
 def test_composed_matches_scalar_fill(rng):
     rec = reconcile(generic_cocycle(rng, VERTICES))
-    space = boundary_space()
+    owners = scanned_owners()
     row = {a: k for k, a in enumerate(faces(VERTICES, 1))}
     for pick in (0, 1):
         expected = np.zeros((15, 18), dtype=complex)
-        for i, t in enumerate(space.labels):
-            u = owners(t)[pick]
-            lam, r = rec.gauges[u][t], rec.rho[u]
-            for a, (b, g) in zip(rec.families[u].edges, rec.families[u].components(t)):
+        for i, t in enumerate(BOUNDARY_TETRAHEDRA):
+            u = owners[t][pick]
+            k, s = SIMPLICES.index(u), faces(u, 3).index(t)
+            lam, r = rec.gauges[k, s], rec.rho[k]
+            for a, b, g in zip(faces(u, 1), rec.families[k][:, s], rec.families[k][:, 5 + s]):
                 expected[row[a], i] = r * b / lam
-                expected[row[a], space.n + i] = r * g * lam
+                expected[row[a], 9 + i] = r * g * lam
         got = _composed(rec, pick)
         assert np.all((got == 0) == (expected == 0))
         assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()

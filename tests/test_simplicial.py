@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from pachner33.simplicial import (
     coboundary_matrix,
     coboundary_terms,
     cocycle_defect,
-    star_tetrahedra,
 )
 
 SIMPLEX = (1, 2, 3, 4, 5)
@@ -32,6 +33,12 @@ def vertex_coboundary_sign(vertex: int, edge) -> int:
     if vertex == a:
         return -1
     return 0
+
+
+def star_tetrahedra(edge, simplex) -> list[tuple[int, ...]]:
+    """The tetrahedra of a 4-simplex containing a given edge (three of them)."""
+    edge = tuple(sorted(edge))
+    return [t for t in combinations(tuple(simplex), 4) if set(edge) <= set(t)]
 
 
 def test_faces_counts():

@@ -17,7 +17,6 @@ from pachner33.operators import (
 from pachner33.simplicial import Cochain, faces
 from pachner33.weights import (
     CANONICAL_RATIO_PAIRS,
-    GaugeTransform,
     WeightMatrix,
     apply_gauge_to_F,
     canonical_ratios,
@@ -165,30 +164,30 @@ def test_odd_weight_properties(rng):
 
 def test_gauge_on_F_and_elements(rng):
     wm = random_wm(rng)
-    tets = wm.tetrahedra
-    identity = GaugeTransform(SIMPLEX, {})
-    assert np.abs(apply_gauge_to_F(wm, identity).entries - wm.entries).max() == 0
-    g2 = GaugeTransform(SIMPLEX, {tets[0]: 2.0})
-    scaled = apply_gauge_to_F(wm, g2)
+    assert np.abs(apply_gauge_to_F(wm, np.ones(5)).entries - wm.entries).max() == 0
+    # scales run in generator (lex) order: the last is 2345's, matrix row 0
+    scaled = apply_gauge_to_F(wm, [1, 1, 1, 1, 2.0])
     assert np.allclose(scaled.entries[0, 1:], 2.0 * wm.entries[0, 1:])
     assert np.allclose(scaled.entries[1:, 1:], wm.entries[1:, 1:])
     assert scaled.entries[0, 0] == 0
 
-    lam = {t: complex(*rng.normal(size=2)) for t in tets}
-    g = GaugeTransform(SIMPLEX, lam)
-    W_gauged = gaussian_weight(apply_gauge_to_F(wm, g))
+    lam = np.array([complex(*rng.normal(size=2)) for _ in range(5)])
+    W_gauged = gaussian_weight(apply_gauge_to_F(wm, lam))
     W = gaussian_weight(wm)
-    # substitute x_t -> lam_t x_t monomial by monomial
+    # substitute x_i -> lam_i x_i monomial by monomial, generator i at bit i
     W_subst = GrassmannElement(
         W.space,
-        {m: c * np.prod([lam[t] for t in W.space.labels_of(m)]) for m, c in W.coeffs.items()},
+        {m: c * np.prod([lam[i] for i in range(5) if m >> i & 1]) for m, c in W.coeffs.items()},
     )
     assert (W_gauged - W_subst).max_abs() < 1e-12 * W_subst.max_abs()
 
 
-def test_gauge_rejects_zero_scale():
-    with pytest.raises(ValueError):
-        GaugeTransform(SIMPLEX, {(2, 3, 4, 5): 0.0})
+def test_gauge_rejects_zero_scale(rng):
+    wm = random_wm(rng)
+    with pytest.raises(ValueError, match=r"gauge scale for \(2, 3, 4, 5\) must be nonzero"):
+        apply_gauge_to_F(wm, [1, 1, 1, 1, 0.0])
+    with pytest.raises(ValueError, match=r"\(1, 2, 3, 4\)"):
+        apply_gauge_to_F(wm, [0j, 1, 1, 1, 1])
 
 
 def test_double_ratio_explicit(rng):
@@ -201,8 +200,8 @@ def test_double_ratio_explicit(rng):
 
 def test_double_ratio_gauge_invariant(rng):
     wm = random_wm(rng)
-    lam = {t: complex(*rng.normal(size=2)) for t in wm.tetrahedra}
-    gauged = apply_gauge_to_F(wm, GaugeTransform(SIMPLEX, lam))
+    lam = np.array([complex(*rng.normal(size=2)) for _ in range(5)])
+    gauged = apply_gauge_to_F(wm, lam)
     for rows, cols in CANONICAL_RATIO_PAIRS:
         a = double_ratio(wm, rows, cols)
         b = double_ratio(gauged, rows, cols)
