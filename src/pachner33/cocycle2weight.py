@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import (
     DegenerateCocycleError,
 )
 from .operators import LinearOperator
-from .simplicial import Cochain, coboundary_matrix, cocycle_defect, faces
+from .simplicial import Cochain, coboundary_matrix, coboundary_terms, faces
 from .weights import CANONICAL_RATIO_PAIRS, WeightMatrix, solve_F_from_ratios, tetra_space
 
 COMPONENT_TOL = 1e-8
@@ -59,29 +60,48 @@ class SuperisotropicOperator:
     alpha: dict
 
 
-def _check_roots(omega: Cochain, choice: SqrtChoice):
-    for s in omega.cells():
-        w = omega[s]
-        if abs(w) == 0.0:
-            raise DegenerateCocycleError(f"cocycle vanishes on face {s}")
-        if abs(choice.root(s) ** 2 - w) > 1e-12 * abs(w):
-            raise ConsistencyError(f"root at face {s} does not square to the value")
+def _values(omega: Cochain, choice: SqrtChoice | None = None) -> tuple:
+    """The face values and their roots as arrays in face (lex) order."""
+    w = omega.as_vector()
+    if choice is None:
+        return w, np.sqrt(w)
+    return w, np.array([choice.roots[f] for f in omega.cells()], dtype=complex)
+
+
+def _check_roots(cells, w: np.ndarray, r: np.ndarray):
+    mag = np.abs(w)
+    bad = (mag == 0.0) | (np.abs(r * r - w) > 1e-12 * mag)
+    if bad.any():
+        i = int(np.argmax(bad))  # the first bad face in face order
+        if mag[i] == 0.0:
+            raise DegenerateCocycleError(f"cocycle vanishes on face {cells[i]}")
+        raise ConsistencyError(f"root at face {cells[i]} does not square to the value")
+
+
+# a simplex's edges and faces as vertex positions, to their lex indices
+EDGE_INDEX = {e: i for i, e in enumerate(combinations(range(5), 2))}
+FACE_INDEX = {f: i for i, f in enumerate(combinations(range(5), 3))}
+# edge j's coefficient multiplies the roots at ALPHA_ROOTS[j]: the face
+# disjoint from the edge, then the three that contain it
+ALPHA_ROOTS = tuple(
+    (FACE_INDEX[tuple(v for v in range(5) if v not in e)],)
+    + tuple(i for f, i in FACE_INDEX.items() if set(e) <= set(f))
+    for e in EDGE_INDEX
+)
+
+
+def _alpha(r: list) -> list:
+    """Edge coefficients in edge order from the roots in face order, each a
+    left-to-right product of Python scalars, rounded as a loop rounds it."""
+    return [r[a] * r[b] * r[c] * r[d] for a, b, c, d in ALPHA_ROOTS]
 
 
 def alpha_coefficients(omega: Cochain, choice: SqrtChoice) -> dict:
     """Edge coefficients: the product of the four roots at faces that either
     contain the edge or are disjoint from it."""
-    _check_roots(omega, choice)
-    verts = omega.vertices
-    out = {}
-    for b in faces(verts, 1):
-        rest = tuple(v for v in verts if v not in b)
-        val = choice.root(rest)
-        for s in faces(verts, 2):
-            if set(b) <= set(s):
-                val *= choice.root(s)
-        out[b] = val
-    return out
+    w, r = _values(omega, choice)
+    _check_roots(omega.cells(), w, r)
+    return dict(zip(faces(omega.vertices, 1), _alpha(r.tolist())))
 
 
 def _combine(fam: EdgeOperatorFamily, alpha: dict) -> LinearOperator:
@@ -174,22 +194,17 @@ def build_f_t(
     return SuperisotropicOperator(f, alpha)
 
 
-def kappa(omega: Cochain, choice: SqrtChoice | None = None) -> complex:
-    """The ratio tying together the two variants that multiply at the last
-    tetrahedron, in closed form."""
-    if choice is None:
-        choice = SqrtChoice.principal(omega)
-    _check_roots(omega, choice)
-    v1, v2, v3, v4, v5 = omega.vertices
-    r = lambda *f: choice.root(f)
-    w = lambda *f: omega[tuple(f)]
+def _kappa(w: list, r: list) -> complex:
+    """kappa from face values and roots listed in face order, with vertex
+    positions 0..4 standing for v1..v5."""
+    i = FACE_INDEX
     terms = [
-        w(v1, v2, v4) * r(v1, v2, v5) * r(v3, v4, v5),
-        -w(v1, v2, v3) * r(v1, v2, v5) * r(v3, v4, v5),
-        -r(v1, v2, v3) * r(v1, v3, v5) * r(v2, v3, v4) * r(v2, v4, v5),
-        r(v1, v2, v4) * r(v1, v3, v4) * r(v1, v3, v5) * r(v2, v4, v5),
-        r(v1, v2, v4) * r(v1, v4, v5) * r(v2, v3, v4) * r(v2, v3, v5),
-        -r(v1, v2, v3) * r(v1, v3, v4) * r(v1, v4, v5) * r(v2, v3, v5),
+        w[i[0, 1, 3]] * r[i[0, 1, 4]] * r[i[2, 3, 4]],
+        -w[i[0, 1, 2]] * r[i[0, 1, 4]] * r[i[2, 3, 4]],
+        -r[i[0, 1, 2]] * r[i[0, 2, 4]] * r[i[1, 2, 3]] * r[i[1, 3, 4]],
+        r[i[0, 1, 3]] * r[i[0, 2, 3]] * r[i[0, 2, 4]] * r[i[1, 3, 4]],
+        r[i[0, 1, 3]] * r[i[0, 3, 4]] * r[i[1, 2, 3]] * r[i[1, 2, 4]],
+        -r[i[0, 1, 2]] * r[i[0, 2, 3]] * r[i[0, 3, 4]] * r[i[1, 2, 4]],
     ]
     even, odd = sum(terms[:2]), sum(terms[2:])
     lam_plus, lam_minus = even + odd, even - odd
@@ -199,29 +214,74 @@ def kappa(omega: Cochain, choice: SqrtChoice | None = None) -> complex:
     return lam_plus / lam_minus
 
 
+def kappa(omega: Cochain, choice: SqrtChoice | None = None) -> complex:
+    """The ratio tying together the two variants that multiply at the last
+    tetrahedron, in closed form."""
+    w, r = _values(omega, choice)
+    _check_roots(omega.cells(), w, r)
+    return _kappa(w.tolist(), r.tolist())
+
+
 # coboundary from a tetrahedron's six edges to its four faces, both in lex order
 TETRA_COBOUNDARY = coboundary_matrix(range(4), 1)
+# the defect's four-term sums on a simplex's five tetrahedra, by face index
+DEFECT_TERMS = coboundary_terms(tuple(range(5)), 2)
 
 
-def pair_ratio(alpha: dict, omega: Cochain, k1, k2, t0) -> complex:
-    """Ratio rho with (flip k1) - rho * (flip k2) in the span of the exact
-    cochains and a primitive of omega, on the six edges of t0.
+def _ratio_tables() -> tuple:
+    """The pair ratios that the canonical double ratios are quotients of.
+
+    The double ratio at matrix positions (rows, cols) is the quotient of two
+    pair ratios, flipped at the two row vertices, at the tetrahedra opposite
+    the two column vertices.  The ten ratios hold nine distinct ones; each
+    is listed once, in order of first use.  Per ratio: its tetrahedron, its
+    six edges and four faces as indices, and which edges each of its two
+    flips negates; and per double ratio, the two ratios' indices.
+    """
+    keys = []  # (rows, column) of each distinct pair ratio, 1-based
+    for rows, cols in CANONICAL_RATIO_PAIRS:
+        keys += [(rows, c) for c in cols if (rows, c) not in keys]
+    quotients = tuple(tuple(keys.index((rows, c)) for c in cols) for rows, cols in CANONICAL_RATIO_PAIRS)
+    tetra = [tuple(v for v in range(5) if v != c - 1) for _, c in keys]
+    edges = [list(combinations(t, 2)) for t in tetra]
+    edge_ix = np.array([[EDGE_INDEX[e] for e in es] for es in edges])
+    face_ix = np.array([[FACE_INDEX[f] for f in combinations(t, 3)] for t in tetra])
+    flips = np.array([[[k - 1 in e for e in es] for k in rows] for (rows, _), es in zip(keys, edges)])
+    return tetra, edge_ix, face_ix, flips, quotients
+
+
+RATIO_TETRA, RATIO_EDGES, RATIO_FACES, RATIO_FLIPS, RATIO_QUOTIENTS = _ratio_tables()
+
+
+def pair_ratios(flips: np.ndarray, w: np.ndarray, tetrahedra) -> np.ndarray:
+    """Ratios rho[n] with flips[n, 0] - rho[n] * flips[n, 1] in the span of
+    the exact cochains and a primitive of omega, on the six edges of
+    tetrahedra[n], where w[n] holds omega on its four faces (lex order).
 
     A tetrahedron has no first cohomology, so a cochain lies in that span
-    exactly when its coboundary is parallel to omega on t0's four faces.  On
+    exactly when its coboundary is parallel to omega on the four faces.  On
     its edges the Hodge Laplacian is 4: a coboundary's norm is twice that of
-    the cochain's part off the exact ones.
+    the cochain's part off the exact ones.  Every product is a stacked
+    matmul, whose bits are those of the same product taken alone; the checks
+    run in stack order, so the first failing tetrahedron is named.
     """
-    flips = np.array([[(-alpha[e] if k in e else alpha[e]) for e in faces(t0, 1)] for k in (k1, k2)])
-    w = np.array([omega[f] for f in faces(t0, 2)])
-    d = flips @ TETRA_COBOUNDARY.T
-    a, b = d - np.outer(d @ w.conj(), w) / np.vdot(w, w).real
-    if math.hypot(*abs(b)) <= 2e-10 * math.hypot(*abs(flips[1])):
-        raise DegenerateCocycleError(f"ratio at {t0} is indeterminate")
-    rho = np.vdot(b, a) / np.vdot(b, b)
-    if math.hypot(*abs(a - rho * b)) > 1e-8 * max(math.hypot(*abs(a)), math.hypot(*abs(b))):
-        raise BranchInconsistencyError(f"rank condition fails at {t0}")
-    return complex(rho)
+    # an indeterminate ratio divides by zero here, before its check raises
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = flips @ TETRA_COBOUNDARY.T
+        wc = w.conj()
+        ww = (wc[:, None, :] @ w[:, :, None]).real
+        ab = d - (d @ wc[:, :, None]) * w[:, None, :] / ww
+        a, b = ab[:, 0], ab[:, 1]
+        bc = b.conj()[:, None, :]
+        rho = (bc @ a[:, :, None])[:, 0, 0] / (bc @ b[:, :, None])[:, 0, 0]
+        resid = a - rho[:, None] * b
+    norms = [[math.hypot(*row) for row in np.abs(x).tolist()] for x in (a, b, flips[:, 1], resid)]
+    for t, na, nb, nf, nr in zip(tetrahedra, *norms):
+        if nb <= 2e-10 * nf:
+            raise DegenerateCocycleError(f"ratio at {t} is indeterminate")
+        if nr > 1e-8 * max(na, nb):
+            raise BranchInconsistencyError(f"rank condition fails at {t}")
+    return rho
 
 
 def reconstruct_F(omega: Cochain, choice: SqrtChoice | None = None) -> WeightMatrix:
@@ -232,25 +292,23 @@ def reconstruct_F(omega: Cochain, choice: SqrtChoice | None = None) -> WeightMat
     """
     if len(omega.vertices) != 5 or omega.degree != 2:
         raise ValueError("expected a degree-2 cochain on five vertices")
-    if choice is None:
-        choice = SqrtChoice.principal(omega)
+    verts, cells = omega.vertices, omega.cells()
+    w, r = _values(omega, choice)
     # F depends on ratios only.  Scaling omega by 4^-k and the roots by 2^-k
     # brings max|omega| near 1 exactly, so products of four roots stay in range.
-    k = math.frexp(omega.max_abs())[1] // 2
-    omega = omega.scaled(2.0**-k).scaled(2.0**-k)
-    choice = SqrtChoice({f: r * 2.0**-k for f, r in choice.roots.items()})
-    kappa(omega, choice)  # probe the common degeneracies early, by name
-    verts = omega.vertices
+    scale = 2.0 ** -(math.frexp(omega.max_abs())[1] // 2)
+    w, r = w * scale * scale, r * scale
+    _check_roots(cells, w, r)
+    roots = r.tolist()
+    _kappa(w.tolist(), roots)  # probe the common degeneracies early, by name
     # a primitive's least-squares residual: the Hodge Laplacian here is 5
-    delta = cocycle_defect(omega)
-    if math.hypot(*abs(delta)) / math.sqrt(5) > 1e-9 * math.hypot(*abs(omega.as_vector())):
+    x = w[DEFECT_TERMS]
+    delta = x[:, 0] - x[:, 1] + x[:, 2] - x[:, 3]
+    if math.hypot(*abs(delta)) / math.sqrt(5) > 1e-9 * math.hypot(*abs(w)):
         raise ValueError("cochain has no primitive: not a cocycle")
-    alpha = alpha_coefficients(omega, choice)
-    ratios = []
-    for rows, cols in CANONICAL_RATIO_PAIRS:
-        # the double ratio at matrix positions (rows, cols) is a quotient of
-        # two pair ratios, at the tetrahedra opposite the two column vertices
-        k1, k2 = (verts[r - 1] for r in rows)
-        t4, t5 = (tuple(v for v in verts if v != verts[c - 1]) for c in cols)
-        ratios.append(pair_ratio(alpha, omega, k1, k2, t4) / pair_ratio(alpha, omega, k1, k2, t5))
-    return solve_F_from_ratios(verts, ratios)
+    alpha = np.array(_alpha(roots))[RATIO_EDGES][:, None]
+    flips = np.where(RATIO_FLIPS, -alpha, alpha)
+    tetra = [tuple(verts[v] for v in t) for t in RATIO_TETRA]
+    rho = pair_ratios(flips, w[RATIO_FACES], tetra).tolist()
+    # Python quotients: numpy's array division rounds some differently
+    return solve_F_from_ratios(verts, [rho[i] / rho[j] for i, j in RATIO_QUOTIENTS])

@@ -46,64 +46,94 @@ class EdgeOperatorFamily:
         return LinearOperator.from_vector(tetra_space(self.simplex), row)
 
 
-def raw_edge_operator(wm: WeightMatrix) -> np.ndarray:
-    """The weight-annihilating operators supported on each edge's star, one
-    (beta, gamma) row per edge in edge-lex order.
+def _raw_edge_operators(E: np.ndarray) -> tuple:
+    """The weight-annihilating operators supported on each edge's star, for
+    a stack of weight matrices E (B, 5, 5): a (B, 10, 10) array, one
+    (beta, gamma) row per edge in edge-lex order, and each star
+    intersection's dimension, (B, 10).
 
     Within the five-dimensional span of (derivative + F·generator) rows, the
     combinations whose derivative and generator coefficients both vanish at
     the two tetrahedra missing the edge form a line: the kernel of a 2x3
     block, spanned by the cross product of its rows.  Each operator is
-    scaled so its largest coefficient equals 1.
+    scaled so its largest coefficient equals 1; where the dimension is not
+    1 its row is not meaningful.
     """
-    E = wm.entries
     # rows: generator coefficient at each non-star tetrahedron, unknowns being
     # the combination coefficients on the three star rows
-    M = E[STAR_POS[:, None, :], EDGE_POS[:, :, None]]
+    M = E[:, STAR_POS[:, None, :], EDGE_POS[:, :, None]]
     # a power of two per block keeps the products in range and every bit
-    M = M * 2.0 ** -np.frexp(np.abs(M).max(axis=(1, 2)))[1][:, None, None]
-    kernel = np.cross(M[:, 0], M[:, 1])  # bilinear: M @ kernel = 0
+    M = M * 2.0 ** -np.frexp(np.abs(M).max(axis=(2, 3)))[1][..., None, None]
+    kernel = np.cross(M[:, :, 0], M[:, :, 1])  # bilinear: M @ kernel = 0
     # |r1 x r2| = s1 s2 (Cauchy-Binet): dimension 2 for parallel rows or one
     # zero row, 3 for two
-    n1, n2 = np.linalg.norm(M, axis=2).T
-    dims = 1 + (np.linalg.norm(kernel, axis=1) <= RANK_RTOL * n1 * n2) + (n1 + n2 == 0)
-    for edge, dim in zip(faces(wm.simplex, 1), dims):
+    n1, n2 = np.moveaxis(np.linalg.norm(M, axis=3), 2, 0)
+    dims = 1 + (np.linalg.norm(kernel, axis=2) <= RANK_RTOL * n1 * n2) + (n1 + n2 == 0)
+    rows = np.arange(10)[:, None]
+    C = np.zeros((len(E), 10, 5), dtype=complex)
+    C[:, rows, STAR_POS] = kernel
+    # one matrix-vector product per edge, as unstacked
+    G = (E.transpose(0, 2, 1)[:, None] @ C[..., None])[..., 0]
+    # matrix rows run in omitted-vertex order, operator slots in generator
+    # order: the tetrahedron omitting vertex k is generator 4 - k
+    raw = np.zeros((len(E), 10, 10), dtype=complex)
+    raw[:, rows, 4 - STAR_POS] = C[:, rows, STAR_POS]
+    raw[:, rows, 9 - STAR_POS] = G[:, rows, STAR_POS]
+    top = np.take_along_axis(raw, np.argmax(np.abs(raw), axis=2)[..., None], axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows of degenerate stars
+        return raw / top, dims
+
+
+def _check_stars(simplex, dims):
+    for edge, dim in zip(faces(simplex, 1), dims):
         if dim != 1:
             raise DegenerateWeightError(
                 f"edge {edge}: star intersection has dimension {dim}, expected 1"
             )
-    rows = np.arange(10)[:, None]
-    C = np.zeros((10, 5), dtype=complex)
-    C[rows, STAR_POS] = kernel
-    G = (E.T @ C[:, :, None])[:, :, 0]  # one matrix-vector product per edge, as unbatched
-    # matrix rows run in omitted-vertex order, operator slots in generator
-    # order: the tetrahedron omitting vertex k is generator 4 - k
-    raw = np.zeros((10, 10), dtype=complex)
-    raw[rows, 4 - STAR_POS] = C[rows, STAR_POS]
-    raw[rows, 9 - STAR_POS] = G[rows, STAR_POS]
-    return raw / raw[rows, np.argmax(np.abs(raw), axis=1)[:, None]]
 
 
-def normalize_family(wm: WeightMatrix) -> EdgeOperatorFamily:
-    """Scale the raw edge operators so all five vertex coboundaries vanish.
+def raw_edge_operator(wm: WeightMatrix) -> np.ndarray:
+    """One weight's raw edge operators (see _raw_edge_operators), (10, 10);
+    raises on the first edge whose star intersection is not a line."""
+    raw, dims = _raw_edge_operators(wm.entries[None])
+    _check_stars(wm.simplex, dims[0])
+    return raw[0]
 
-    The scales solve a homogeneous linear system, one block of coefficient
-    equations per vertex; a one-dimensional kernel is required.  The kernel
-    vector is divided by its largest entry, so the dominant edge scale is 1.
+
+def normalize_families(wms) -> np.ndarray:
+    """The normalized edge operator families of a sequence of weights, as a
+    (B, 10, 10) array.
+
+    Each weight's raw operators are scaled so all five vertex coboundaries
+    vanish.  The scales solve a homogeneous linear system, one block of
+    coefficient equations per vertex; a one-dimensional kernel is required.
+    The kernel vector is divided by its largest entry, so the dominant edge
+    scale is 1.  The systems are solved by one stacked SVD, whose bits are
+    those of each SVD taken alone.  Errors come weight by weight, in order:
+    a weight's star dimensions, then its kernel dimension.
     """
-    raw = raw_edge_operator(wm)
+    raw, dims = _raw_edge_operators(np.array([wm.entries for wm in wms]))
+    whole = (dims == 1).all(axis=1)
+    n = len(wms) if whole.all() else int(np.argmin(whole))  # weights before the first bad star
     signs = SIGNS[:, None, :]
     # exact +0 where an edge misses the vertex (s * x can give -0): a signed
     # zero can flip an SVD reflector and change the kernel's last bits
-    A = np.where(signs != 0, signs * raw.T, 0).reshape(5 * 10, 10)
-    K = nullspace(A)
-    if K.shape[1] != 1:
-        raise DegenerateWeightError(
-            f"edge scale system has kernel dimension {K.shape[1]}, expected 1"
-        )
-    lam = K[:, 0]
-    lam = lam / lam[np.argmax(np.abs(lam))]
-    return EdgeOperatorFamily(wm.simplex, lam[:, None] * raw)
+    A = np.where(signs != 0, signs * raw[:n, None].transpose(0, 1, 3, 2), 0).reshape(n, 5 * 10, 10)
+    _, s, vh = np.linalg.svd(A, full_matrices=False)  # the same vh as the full SVD
+    null = 10 - (s > RANK_RTOL * s[:, :1]).sum(axis=1)  # svd_rank's rule
+    for k in null:
+        if k != 1:
+            raise DegenerateWeightError(f"edge scale system has kernel dimension {k}, expected 1")
+    if n < len(wms):
+        _check_stars(wms[n].simplex, dims[n])
+    lam = vh[:, -1].conj()
+    lam = lam / np.take_along_axis(lam, np.argmax(np.abs(lam), axis=1)[:, None], axis=1)
+    return lam[:, :, None] * raw
+
+
+def normalize_family(wm: WeightMatrix) -> EdgeOperatorFamily:
+    """One weight's normalized family (see normalize_families)."""
+    return EdgeOperatorFamily(wm.simplex, normalize_families([wm])[0])
 
 
 def extract_w_cocycle(fam: EdgeOperatorFamily) -> Cochain:

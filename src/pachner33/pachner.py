@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .cocycle2weight import reconstruct_F
-from .edgeops import normalize_family
+from .edgeops import normalize_families
 from .errors import ConsistencyError, DegenerateWeightError
 from .grassmann import GeneratorSpace, bit_matrix, gaussian_coefficients
 from .operators import action_matrix, matrix_rank, principal_angles
@@ -148,11 +148,8 @@ def reconcile(omega: Cochain, tol: float = 1e-8) -> ReconciledWeights:
     """
     if tuple(omega.vertices) != VERTICES or omega.degree != 2:
         raise ValueError("expected a degree-2 cochain on vertices 1..6")
-    matrices, families = [], []
-    for u in SIMPLICES:
-        matrices.append(reconstruct_F(omega.restrict(u)))
-        families.append(normalize_family(matrices[-1]).matrix)
-    families = np.array(families)
+    matrices = tuple(reconstruct_F(omega.restrict(u)) for u in SIMPLICES)
+    families = normalize_families(matrices)
 
     # fit all 15 maps first: a fit's residual error outranks a diagonal check
     pairs = zip(_components(families, 0), _components(families, 1), SHARED)
@@ -181,7 +178,7 @@ def reconcile(omega: Cochain, tol: float = 1e-8) -> ReconciledWeights:
     # the left owner of each tetrahedron keeps gauge one there
     gauges = np.ones((len(SIMPLICES), 5), dtype=complex)
     gauges[OWNER[:, 1], SLOT[:, 1]] = maps[:, 0, 0] * rho[OWNER[:, 1]] / rho[OWNER[:, 0]]
-    return ReconciledWeights(tuple(matrices), families, gauges, rho, tuple(loops.tolist()))
+    return ReconciledWeights(matrices, families, gauges, rho, tuple(loops.tolist()))
 
 
 def _composed(rec: ReconciledWeights, pick: int) -> np.ndarray:

@@ -103,6 +103,24 @@ def test_all_ones_cocycle_names_the_degeneracy(capsys, tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
+def test_zero_face_names_the_face(capsys, tmp_path):
+    # face 456 lies in the last three simplices; the first of them to be
+    # rebuilt names it
+    om = generic_cocycle(np.random.default_rng(2), SCENE_VERTICES)
+    vals = {",".join(map(str, c)): [v.real, v.imag] for c, v in om.values.items()}
+    vals["4,5,6"] = [0.0, 0.0]
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"degree": 2, "values": vals}))
+    rc = cli.main(["verify-pachner", "--cocycle", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err == ""
+    rep = json.loads(out)
+    assert rep["error"] == "DegenerateCocycleError"
+    assert rep["message"] == "cocycle vanishes on face (4, 5, 6)"
+
+
+@pytest.mark.filterwarnings("error")
 def test_scene_file_near_the_top_of_the_float_range(capsys, tmp_path):
     om = generic_cocycle(np.random.default_rng(1), SCENE_VERTICES).scaled(1e200)
     path = tmp_path / "big.json"

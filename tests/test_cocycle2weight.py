@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from pachner33 import acceptance
 from pachner33.acceptance import random_elliptic_params
 from pachner33.cocycle2weight import (
+    TETRA_COBOUNDARY,
     SqrtChoice,
     alpha_coefficients,
     build_f_t,
     calibrate_sqrt_choice,
     component_types,
     kappa,
-    pair_ratio,
+    pair_ratios,
     reconstruct_F,
     superisotropic_f,
 )
@@ -23,6 +26,7 @@ from pachner33.errors import (
     BranchInconsistencyError,
     ConsistencyError,
     DegenerateCocycleError,
+    Pachner33Error,
 )
 from pachner33.elliptic import elliptic_cocycle
 from pachner33.operators import partial_product, svd_rank
@@ -36,7 +40,13 @@ from pachner33.simplicial import (
     random_cocycle,
 )
 from test_simplicial import vertex_coboundary_sign
-from pachner33.weights import CANONICAL_RATIO_PAIRS, WeightMatrix, canonical_ratios, double_ratio
+from pachner33.weights import (
+    CANONICAL_RATIO_PAIRS,
+    WeightMatrix,
+    canonical_ratios,
+    double_ratio,
+    solve_F_from_ratios,
+)
 
 SIMPLEX = (1, 2, 3, 4, 5)
 
@@ -162,6 +172,19 @@ def test_root_pair_choices_agree(rng):
         assert abs(patterns[0][j] - expect) <= 1e-13 * abs(base[j])
 
 
+def flip_stack(alpha, omega, k1, k2, t0):
+    """pair_ratios' inputs for one ratio: the coefficients on t0's edges
+    flipped at k1 and at k2, and omega on its faces."""
+    flips = [[(-alpha[e] if k in e else alpha[e]) for e in faces(t0, 1)] for k in (k1, k2)]
+    return np.array(flips), np.array([omega[f] for f in faces(t0, 2)])
+
+
+def pair_ratio(alpha, omega, k1, k2, t0):
+    """One ratio from pair_ratios, as a stack of one."""
+    flips, w = flip_stack(alpha, omega, k1, k2, t0)
+    return complex(pair_ratios(flips[None], w[None], [t0])[0])
+
+
 def ratio_opposite(omega, choice, k1, k2, l):
     """pair_ratio at the tetrahedron opposite vertex l, from scratch."""
     t0 = tuple(v for v in omega.vertices if v != l)
@@ -224,25 +247,172 @@ def test_pair_ratios_match_projection_oracle(kind, bound):
         assert max(pair_ratio_errors(scene_cocycle(kind, seed))) <= bound
 
 
-def test_pair_ratio_indeterminate(rng):
+def good_and_bad(rng, bad_alpha, t_bad, t_good):
+    """A stack of two ratios flipped at vertices 1 and 2: a well-posed one
+    at t_good from a cocycle's own coefficients, then one at t_bad from
+    the given coefficients."""
     omega = generic_cocycle(rng)
+    alpha = alpha_coefficients(omega, SqrtChoice.principal(omega))
+    stacks = [flip_stack(a, omega, 1, 2, t) for a, t in ((alpha, t_good), (bad_alpha, t_bad))]
+    flips, w = (np.array(x) for x in zip(*stacks))
+    return flips, w, [t_good, t_bad]
+
+
+@pytest.mark.filterwarnings("error")
+def test_pair_ratio_indeterminate(rng):
     t0 = (1, 2, 3, 4)
     # flipped at vertex 2, these coefficients are the coboundary of f: exact on t0
     f = dict(zip(t0, rng.normal(size=4)))
     alpha = {b: (-1.0 if 2 in b else 1.0) * (f[b[1]] - f[b[0]]) for b in faces(t0, 1)}
+    flips, w, tetra = good_and_bad(rng, alpha, t0, (1, 2, 3, 5))
+    pair_ratios(flips[:1], w[:1], tetra[:1])  # the first alone is well posed
     with pytest.raises(DegenerateCocycleError) as err:
-        pair_ratio(alpha, omega, 1, 2, t0)
+        pair_ratios(flips, w, tetra)
     assert str(err.value) == "ratio at (1, 2, 3, 4) is indeterminate"
 
 
+@pytest.mark.filterwarnings("error")
 def test_pair_ratio_rank_condition(rng):
-    omega = generic_cocycle(rng)
     t0 = (1, 2, 3, 5)
     # coefficients unrelated to omega: the two flips' coboundaries are not parallel
     alpha = {b: complex(*rng.normal(size=2)) for b in faces(t0, 1)}
+    flips, w, tetra = good_and_bad(rng, alpha, t0, (1, 2, 3, 4))
+    pair_ratios(flips[:1], w[:1], tetra[:1])
     with pytest.raises(BranchInconsistencyError) as err:
-        pair_ratio(alpha, omega, 1, 2, t0)
+        pair_ratios(flips, w, tetra)
     assert str(err.value) == "rank condition fails at (1, 2, 3, 5)"
+
+
+# The dict-based reconstruction that the array code replaced, kept as the
+# oracle for its exact bits: every product, quotient and reduction below is
+# rounded as reconstruct_F rounds it.
+
+
+def oracle_check_roots(omega, choice):
+    for s in omega.cells():
+        w = omega[s]
+        if abs(w) == 0.0:
+            raise DegenerateCocycleError(f"cocycle vanishes on face {s}")
+        if abs(choice.root(s) ** 2 - w) > 1e-12 * abs(w):
+            raise ConsistencyError(f"root at face {s} does not square to the value")
+
+
+def oracle_alpha(omega, choice):
+    verts = omega.vertices
+    out = {}
+    for b in faces(verts, 1):
+        val = choice.root(tuple(v for v in verts if v not in b))
+        for s in faces(verts, 2):
+            if set(b) <= set(s):
+                val *= choice.root(s)
+        out[b] = val
+    return out
+
+
+def oracle_kappa_probe(omega, choice):
+    v1, v2, v3, v4, v5 = omega.vertices
+    r = lambda *f: choice.root(f)
+    w = lambda *f: omega[tuple(f)]
+    terms = [
+        w(v1, v2, v4) * r(v1, v2, v5) * r(v3, v4, v5),
+        -w(v1, v2, v3) * r(v1, v2, v5) * r(v3, v4, v5),
+        -r(v1, v2, v3) * r(v1, v3, v5) * r(v2, v3, v4) * r(v2, v4, v5),
+        r(v1, v2, v4) * r(v1, v3, v4) * r(v1, v3, v5) * r(v2, v4, v5),
+        r(v1, v2, v4) * r(v1, v4, v5) * r(v2, v3, v4) * r(v2, v3, v5),
+        -r(v1, v2, v3) * r(v1, v3, v4) * r(v1, v4, v5) * r(v2, v3, v5),
+    ]
+    lam_minus = sum(terms[:2]) - sum(terms[2:])
+    if abs(lam_minus) <= 1e-12 * max(abs(x) for x in terms):
+        raise DegenerateCocycleError("lambda_minus = 0, the cocycle is degenerate")
+
+
+def oracle_pair_ratio(alpha, omega, k1, k2, t0):
+    tc = TETRA_COBOUNDARY.T
+    flips = np.array([[(-alpha[e] if k in e else alpha[e]) for e in faces(t0, 1)] for k in (k1, k2)])
+    w = np.array([omega[f] for f in faces(t0, 2)])
+    d = flips @ tc
+    a, b = d - np.outer(d @ w.conj(), w) / np.vdot(w, w).real
+    if math.hypot(*abs(b)) <= 2e-10 * math.hypot(*abs(flips[1])):
+        raise DegenerateCocycleError(f"ratio at {t0} is indeterminate")
+    rho = np.vdot(b, a) / np.vdot(b, b)
+    if math.hypot(*abs(a - rho * b)) > 1e-8 * max(math.hypot(*abs(a)), math.hypot(*abs(b))):
+        raise BranchInconsistencyError(f"rank condition fails at {t0}")
+    return complex(rho)
+
+
+def oracle_reconstruct_F(omega, choice=None):
+    if choice is None:
+        choice = SqrtChoice.principal(omega)
+    k = math.frexp(omega.max_abs())[1] // 2
+    omega = omega.scaled(2.0**-k).scaled(2.0**-k)
+    choice = SqrtChoice({f: r * 2.0**-k for f, r in choice.roots.items()})
+    oracle_check_roots(omega, choice)
+    oracle_kappa_probe(omega, choice)
+    delta = cocycle_defect(omega)
+    if math.hypot(*abs(delta)) / math.sqrt(5) > 1e-9 * math.hypot(*abs(omega.as_vector())):
+        raise ValueError("cochain has no primitive: not a cocycle")
+    alpha = oracle_alpha(omega, choice)
+    verts = omega.vertices
+    ratios = []
+    for rows, cols in CANONICAL_RATIO_PAIRS:
+        k1, k2 = (verts[r - 1] for r in rows)
+        t4, t5 = (tuple(v for v in verts if v != verts[c - 1]) for c in cols)
+        ratios.append(
+            oracle_pair_ratio(alpha, omega, k1, k2, t4) / oracle_pair_ratio(alpha, omega, k1, k2, t5)
+        )
+    return solve_F_from_ratios(verts, ratios)
+
+
+def outcome(fn, *args):
+    """A weight matrix's entries, or the error raised instead."""
+    try:
+        return fn(*args).entries
+    except (ValueError, Pachner33Error) as err:
+        return type(err), str(err)
+
+
+def same_outcome(x, y):
+    if isinstance(x, np.ndarray) and isinstance(y, np.ndarray):
+        return np.array_equal(x, y) and x.tobytes() == y.tobytes()
+    return x == y
+
+
+@pytest.mark.parametrize("kind", ("generic", "elliptic"))
+def test_reconstruct_matches_dict_oracle_bits(kind):
+    # on every simplex of seeds 0-99, and on branch-flipped roots for a few
+    for seed in range(100):
+        om = scene_cocycle(kind, seed)
+        for u in SIMPLICES:
+            omega = om.restrict(u)
+            assert same_outcome(outcome(reconstruct_F, omega), outcome(oracle_reconstruct_F, omega))
+            if seed < 10:
+                choice = SqrtChoice.principal(omega).flipped(faces(u, 2)[seed::3])
+                got = outcome(reconstruct_F, omega, choice)
+                assert same_outcome(got, outcome(oracle_reconstruct_F, omega, choice))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        ({(1, 3, 4): 0.0}, (DegenerateCocycleError, "cocycle vanishes on face (1, 3, 4)")),
+        ({(2, 4, 5): 0.5}, (ValueError, "cochain has no primitive: not a cocycle")),
+        ({(3, 4, 5): 0.0, (1, 2, 4): 0.0}, (DegenerateCocycleError, "cocycle vanishes on face (1, 2, 4)")),
+    ],
+    ids=("zero-face", "open", "first-zero"),
+)
+def test_reconstruct_errors_match_dict_oracle(rng, change, error):
+    omega = generic_cocycle(rng)
+    vals = dict(omega.values)
+    for f, v in change.items():
+        vals[f] = v * vals[f]
+    omega = Cochain(SIMPLEX, 2, vals)
+    assert outcome(reconstruct_F, omega) == outcome(oracle_reconstruct_F, omega) == error
+    bad_root = SqrtChoice({**SqrtChoice.principal(omega).roots, (1, 2, 5): 2.0})
+    if error[0] is ValueError:  # every value is nonzero: the root check speaks
+        expected = (ConsistencyError, "root at face (1, 2, 5) does not square to the value")
+        assert outcome(reconstruct_F, omega, bad_root) == expected
+        assert outcome(oracle_reconstruct_F, omega, bad_root) == expected
 
 
 def test_cocycle_defect_is_primitive_residual(rng):

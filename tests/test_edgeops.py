@@ -12,11 +12,13 @@ from pachner33.edgeops import (
     STAR_POS,
     EdgeOperatorFamily,
     extract_w_cocycle,
+    normalize_families,
     normalize_family,
     raw_edge_operator,
 )
+from pachner33.cocycle2weight import reconstruct_F
 from pachner33.elliptic import elliptic_F
-from pachner33.errors import DegenerateWeightError
+from pachner33.errors import DegenerateWeightError, Pachner33Error
 from pachner33.operators import column_space, matrix_rank, nullspace, partial_product, svd_rank
 from pachner33.simplicial import (
     Cochain,
@@ -25,7 +27,9 @@ from pachner33.simplicial import (
     is_cocycle,
     roundtrip_residual,
 )
+from pachner33.pachner import SIMPLICES
 from pachner33.weights import WeightMatrix, apply_gauge_to_F, gaussian_weight
+from test_cocycle2weight import scene_cocycle
 from test_simplicial import star_tetrahedra, vertex_coboundary_sign
 
 SIMPLEX = (1, 2, 3, 4, 5)
@@ -196,6 +200,89 @@ def test_degenerate_weight_names_edge(rng, dead, message):
     with pytest.raises(DegenerateWeightError) as err:
         normalize_family(wm)
     assert str(err.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("first", ("scales", "star"))
+def test_stacked_family_errors_in_weight_order(rng, first):
+    # a weight's star dimensions, then its kernel, then the next weight's
+    dead = {
+        "scales": ((1, 2, 3), (1, 2, 4), (1, 2, 5)),
+        "star": ((1, 2, 3), (1, 2, 4), (1, 3, 4)),
+    }
+    message = {
+        "scales": "edge scale system has kernel dimension 3, expected 1",
+        "star": f"edge (1, 5): {STAR_DIM_2}",
+    }
+    weights = {}
+    for name, faces_ in dead.items():
+        vals = dict(random_phi(rng).values)
+        for s in faces_:
+            vals[s] = 0.0
+        weights[name] = WeightMatrix.from_phi(SIMPLEX, Cochain(SIMPLEX, 2, vals))
+    second = "star" if first == "scales" else "scales"
+    with pytest.raises(DegenerateWeightError) as err:
+        normalize_families([random_wm(rng), weights[first], weights[second]])
+    assert str(err.value) == message[first]
+
+
+# The per-weight code that the stacked families replaced, kept as the
+# oracle for their exact bits.
+
+
+def oracle_raw_edge_operator(wm):
+    E = wm.entries
+    M = E[STAR_POS[:, None, :], EDGE_POS[:, :, None]]
+    M = M * 2.0 ** -np.frexp(np.abs(M).max(axis=(1, 2)))[1][:, None, None]
+    kernel = np.cross(M[:, 0], M[:, 1])
+    n1, n2 = np.linalg.norm(M, axis=2).T
+    dims = 1 + (np.linalg.norm(kernel, axis=1) <= 1e-10 * n1 * n2) + (n1 + n2 == 0)
+    for edge, dim in zip(faces(wm.simplex, 1), dims):
+        if dim != 1:
+            raise DegenerateWeightError(
+                f"edge {edge}: star intersection has dimension {dim}, expected 1"
+            )
+    rows = np.arange(10)[:, None]
+    C = np.zeros((10, 5), dtype=complex)
+    C[rows, STAR_POS] = kernel
+    G = (E.T @ C[:, :, None])[:, :, 0]
+    raw = np.zeros((10, 10), dtype=complex)
+    raw[rows, 4 - STAR_POS] = C[rows, STAR_POS]
+    raw[rows, 9 - STAR_POS] = G[rows, STAR_POS]
+    return raw / raw[rows, np.argmax(np.abs(raw), axis=1)[:, None]]
+
+
+def oracle_family(wm):
+    raw = oracle_raw_edge_operator(wm)
+    signs = SIGNS[:, None, :]
+    K = nullspace(np.where(signs != 0, signs * raw.T, 0).reshape(5 * 10, 10))
+    if K.shape[1] != 1:
+        raise DegenerateWeightError(
+            f"edge scale system has kernel dimension {K.shape[1]}, expected 1"
+        )
+    lam = K[:, 0]
+    return (lam / lam[np.argmax(np.abs(lam))])[:, None] * raw
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kind", ("generic", "elliptic"))
+def test_stacked_families_match_per_weight_oracle_bits(kind):
+    # the six reconstructed weights of seeds 0-99, stacked as reconcile
+    # stacks them, and single random or elliptic weights as a stack of one
+    for seed in range(100):
+        om = scene_cocycle(kind, seed)
+        try:
+            wms = [reconstruct_F(om.restrict(u)) for u in SIMPLICES]
+        except Pachner33Error:
+            continue
+        for wm, fam in zip(wms, normalize_families(wms)):
+            assert same_bits(fam, oracle_family(wm))
+            assert same_bits(raw_edge_operator(wm), oracle_raw_edge_operator(wm))
+        wm = oracle_weight("random" if kind == "generic" else kind, seed)
+        assert same_bits(normalize_family(wm).matrix, oracle_family(wm))
 
 
 def test_normalized_vertex_coboundaries_vanish(rng):

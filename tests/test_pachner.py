@@ -189,21 +189,34 @@ def test_side_weights_are_odd(rng):
 
 def _scenes(kind, count):
     """The first `count` scenes that reconcile, drawn as the CLI draws its
-    --seed (and --elliptic) scenes; elliptic ones are not filtered."""
-    seed = 0
-    while count:
+    --seed (and --elliptic) scenes; elliptic ones are not filtered.  Fails
+    after count + 50 draws, naming the last error, rather than drawing on."""
+    last, draws = None, count + 50
+    for seed in range(draws):
         rng = np.random.default_rng(seed)
-        seed += 1
         if kind == "elliptic":
             om = elliptic_cocycle(random_elliptic_params(rng, VERTICES))
         else:
             om = generic_cocycle(rng, VERTICES)
         try:
             rec = reconcile(om)
-        except Pachner33Error:
+        except Pachner33Error as err:
+            last = err
             continue  # no side to integrate
         count -= 1
         yield rec
+        if not count:
+            return
+    pytest.fail(f"{count} {kind} scenes short after {draws} draws; last error: {last!r}")
+
+
+def test_scenes_stop_when_nothing_reconciles(monkeypatch):
+    def never(om):
+        raise ConsistencyError("never")
+
+    monkeypatch.setitem(globals(), "reconcile", never)
+    with pytest.raises(pytest.fail.Exception, match="3 generic scenes short after 53 draws; last error"):
+        list(_scenes("generic", 3))
 
 
 def mp_side_weight(rec, side):
