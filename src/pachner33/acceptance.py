@@ -10,6 +10,7 @@ in a criterion; dimension and error-type checks stay fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,31 +31,20 @@ from .elliptic import (
     jacobi_sn_cn_dn,
 )
 from .errors import DegenerateCocycleError, NumericsError, Pachner33Error
-from .grassmann import (
-    GeneratorSpace,
-    GrassmannElement,
-    berezin_integral,
-    exp_even,
-    left_derivative,
-    right_derivative,
-)
+from .grassmann import bit_matrix, gaussian_coefficients
 from .operators import (
     LinearOperator,
-    annihilator_of,
+    action_matrix,
+    nullspace,
     operator_matrix,
     partial_product,
     principal_angles,
 )
 from .simplicial import Cochain, coboundary, faces, is_cocycle, random_cocycle, roundtrip_residual
-from .weights import (
-    WeightMatrix,
-    apply_gauge_to_F,
-    canonical_ratios,
-    gaussian_weight,
-    weight_operators,
-)
+from .weights import WeightMatrix, apply_gauge_to_F, canonical_ratios, weight_operators
+from . import pachner
+from .pachner import BOUNDARY_TETRAHEDRA, INNER_LHS, INNER_RHS, reconcile, verify_33
 from .pachner import VERTICES as SCENE_VERTICES
-from .pachner import reconcile, verify_33
 
 DEFAULT_SEED = 20260814
 SIMPLEX = (1, 2, 3, 4, 5)
@@ -115,76 +105,50 @@ def elliptic_scene_cocycle(rng: np.random.Generator) -> Cochain:
             return om
 
 
-def _random_monomials(space: GeneratorSpace, rng, parity=None, terms: int = 4) -> GrassmannElement:
-    out = GrassmannElement.zero(space)
-    for _ in range(terms):
-        k = int(rng.integers(0, space.n + 1))
-        if parity is not None and k % 2 != parity:
-            k = k - 1 if k > 0 else k + 1
-        picks = sorted(rng.choice(space.n, size=k, replace=False).tolist()) if k else []
-        labs = [space.labels[i] for i in picks]
-        out = out + GrassmannElement.monomial(space, labs, complex(*rng.normal(size=2)))
-    return out
+def _side_table_residuals(rng):
+    """Each side's integral of a random element, innermost tetrahedron first,
+    against the masks and signs that side_weight gathers with: exact."""
+    for side, inner in (("lhs", INNER_LHS), ("rhs", INNER_RHS)):
+        _, masks, signs = pachner._SIDE_TABLES[side]
+        index = pachner.side_space(side).index
+        f = np.exp(2j * np.pi * rng.random(1 << len(index)))
+        sign = np.where(bit_matrix(np.arange(f.size), len(index)).sum(axis=1) % 2, -1.0, 1.0)
+        g = f
+        for t in inner:  # right derivative: d_t's column times (-1)^(deg - 1), the row's degree
+            g = sign * action_matrix(g)[:, index[t]]
+        bits = [1 << index[t] for t in BOUNDARY_TETRAHEDRA]
+        at = [sum(b for j, b in enumerate(bits) if k >> j & 1) for k in range(1 << len(bits))]
+        yield np.abs(g[at] - signs * f[masks]).max()
 
 
-def _random_even_nilpotent(space: GeneratorSpace, rng, terms: int = 3) -> GrassmannElement:
-    out = GrassmannElement.zero(space)
-    for _ in range(terms):
-        k = 2 * int(rng.integers(1, space.n // 2 + 1))
-        picks = sorted(rng.choice(space.n, size=k, replace=False).tolist())
-        labs = [space.labels[i] for i in picks]
-        out = out + GrassmannElement.monomial(space, labs, complex(*rng.normal(size=2)))
-    return out
+def _gaussian_residuals(rng):
+    """exp(sum_{i<j} A_ij x_i x_j) is killed by d_i - sum_j A_ij x_j; 9 and 12
+    generators are the scene's boundary and side spaces."""
+    for n in (3, 6, 9, 12):
+        B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        A = B - B.T
+        G = gaussian_coefficients(A)
+        M = action_matrix(G)
+        for op in np.hstack([np.eye(n), -A]):
+            yield np.abs(M @ op).max() / (np.linalg.norm(op) * np.abs(G).max())
+
+
+def _canonical_residuals():
+    """d_1..d_n, x_1..x_n as 2^n x 2^n matrices for n up to 6, column m the
+    action on mask m: {d_i, x_j} = delta_ij, and other pairs anticommute; exact."""
+    for n in range(1, 7):
+        ops = np.stack([action_matrix(e) for e in np.eye(1 << n)], axis=2).transpose(1, 0, 2)
+        pairing = np.roll(np.eye(2 * n), n, axis=1)
+        for k, l in np.ndindex(pairing.shape):
+            anti = ops[k] @ ops[l] + ops[l] @ ops[k]
+            yield np.abs(anti - pairing[k, l] * np.eye(1 << n)).max()
 
 
 def criterion_1(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> CriterionResult:
     tol = 1e-12 if tolerance is None else tolerance
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(2, 7))
-        space = GeneratorSpace(tuple((i,) for i in range(1, n + 1)))
-
-        i, j = rng.integers(0, n, size=2)
-        a = complex(*rng.normal(size=2)) * GrassmannElement.generator(space, space.labels[i])
-        b = complex(*rng.normal(size=2)) * GrassmannElement.generator(space, space.labels[j])
-        scale = max(a.max_abs() * b.max_abs(), 1e-3)
-        worst = max(worst, (a * b + b * a).max_abs() / scale)
-
-        par = int(rng.integers(0, 2))
-        f = _random_monomials(space, rng, parity=par)
-        g = _random_monomials(space, rng)
-        lab = space.labels[int(rng.integers(0, n))]
-        lhs = left_derivative(lab, f * g)
-        sign = 1.0 if par == 0 else -1.0
-        rhs = left_derivative(lab, f) * g + sign * (f * left_derivative(lab, g))
-        worst = max(worst, (lhs - rhs).max_abs() / max(lhs.max_abs(), rhs.max_abs(), 1.0))
-
-        f = _random_monomials(space, rng)
-        m = int(rng.integers(1, n + 1))
-        labs = [space.labels[i] for i in rng.choice(n, size=m, replace=False)]
-        nested = f
-        for lab in labs:
-            nested = right_derivative(lab, nested)
-        worst = max(
-            worst, (berezin_integral(f, labs) - nested).max_abs() / max(f.max_abs(), 1.0)
-        )
-        # the single integral is pinned down by what it does to x_l*g and to
-        # anything free of x_l
-        lab = labs[0]
-        sub = GeneratorSpace(tuple(l for l in space.labels if l != lab))
-        par = int(rng.integers(0, 2))
-        g = _random_monomials(sub, rng, parity=par, terms=3).embed(space)
-        xg = GrassmannElement.generator(space, lab) * g
-        sign = 1.0 if par == 0 else -1.0
-        gscale = max(g.max_abs(), 1.0)
-        worst = max(worst, (berezin_integral(xg, [lab]) - sign * g).max_abs() / gscale)
-        worst = max(worst, berezin_integral(g, [lab]).max_abs() / gscale)
-
-        q = _random_even_nilpotent(space, rng)
-        prod = exp_even(q) * exp_even(-1.0 * q)
-        one = GrassmannElement.scalar(space, 1.0)
-        worst = max(worst, (prod - one).max_abs() / max(exp_even(q).max_abs(), 1.0))
+    # generators, so each check's arrays (some 2^12 x 24) are freed before the next
+    worst = max(chain(_side_table_residuals(rng), _gaussian_residuals(rng), _canonical_residuals()))
     return CriterionResult(
         1,
         "anticommuting core identities",
@@ -202,13 +166,15 @@ def criterion_2(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
     dims_ok = True
     for _ in range(100):
         wm = random_weight_matrix(rng)
-        W = gaussian_weight(wm)
-        ops = weight_operators(wm)
-        for d in ops:
-            worst = max(worst, d.apply(W).max_abs() / (d.norm() * W.max_abs()))
-        ann = annihilator_of(W)
+        # exp(-1/2 x.F.x), F's rows reversed from opposite-vertex into generator order
+        W = gaussian_coefficients(-wm.entries[::-1, ::-1])
+        M = action_matrix(W)
+        ops = operator_matrix(weight_operators(wm))
+        resid = np.abs(M @ ops.T).max(axis=0) / np.linalg.norm(ops, axis=1)
+        worst = max(worst, resid.max() / np.abs(W).max())
+        ann = nullspace(M)
         dims_ok = dims_ok and ann.shape[1] == 5
-        angles = principal_angles(operator_matrix(ops).T, ann)
+        angles = principal_angles(ops.T, ann)
         worst_angle = max(worst_angle, float(angles.max()))
     ok = worst <= tol and worst_angle <= tol_angle and dims_ok
     return CriterionResult(

@@ -137,6 +137,12 @@ def _parse_pair(pair) -> complex:
     return z
 
 
+def _parse_int(value, field: str) -> int:
+    if type(value) is not int:  # a float, a string or a bool
+        raise ValueError(f"{field} {value!r} is not an integer")
+    return value
+
+
 def cochain_to_json(c: Cochain) -> dict:
     return {
         "degree": c.degree,
@@ -145,7 +151,7 @@ def cochain_to_json(c: Cochain) -> dict:
 
 
 def cochain_from_json(d: dict) -> Cochain:
-    degree = int(d["degree"])
+    degree = _parse_int(d["degree"], "degree")
     values = {}
     verts: set[int] = set()
     for key, pair in d["values"].items():
@@ -164,7 +170,7 @@ def weight_matrix_to_json(wm: WeightMatrix) -> dict:
 
 
 def weight_matrix_from_json(d: dict) -> WeightMatrix:
-    simplex = tuple(int(v) for v in d["simplex"])
+    simplex = tuple(_parse_int(v, "simplex entry") for v in d["simplex"])
     phi = Cochain(simplex, 2, {_parse_cell(k): _parse_pair(v) for k, v in d["phi"].items()})
     return WeightMatrix.from_phi(simplex, phi)
 

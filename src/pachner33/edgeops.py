@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConsistencyError, DegenerateCocycleError, DegenerateWeightError
+from .errors import ConsistencyError, DegenerateWeightError
 from .operators import RANK_RTOL, LinearOperator, nullspace, svd_rank
 from .simplicial import Cochain, coboundary_matrix, faces
 from .weights import WeightMatrix, tetra_space
@@ -120,8 +120,7 @@ def normalize_families(wms) -> np.ndarray:
     # zero can flip an SVD reflector and change the kernel's last bits
     A = np.where(signs != 0, signs * raw[:n, None].transpose(0, 1, 3, 2), 0).reshape(n, 5 * 10, 10)
     _, s, vh = np.linalg.svd(A, full_matrices=False)  # the same vh as the full SVD
-    null = 10 - (s > RANK_RTOL * s[:, :1]).sum(axis=1)  # svd_rank's rule
-    for k in null:
+    for k in 10 - svd_rank(s):
         if k != 1:
             raise DegenerateWeightError(f"edge scale system has kernel dimension {k}, expected 1")
     if n < len(wms):
@@ -143,8 +142,9 @@ def extract_w_cocycle(fam: EdgeOperatorFamily) -> Cochain:
     four dimensions of vertex coboundaries, which the coboundary D kills, plus
     one more class.  Off the four, D is sqrt(5) times an isometry (the edge
     Hodge Laplacian of a 4-simplex is 5), so the cocycle is DK's first left
-    singular vector, scaled so its largest component is exactly 1.  A power of
-    two per column of the family leaves K unchanged and makes it scale-free.
+    singular vector, scaled so its largest component is exactly 1; never 0, as
+    K meets those six dimensions, where |Dv| = sqrt(5)|v|.  A power of two per
+    column of the family leaves K unchanged and makes it scale-free.
     """
     M = fam.matrix
     K = nullspace((M * 2.0 ** -np.frexp(np.abs(M).max(axis=0))[1]).T)
@@ -155,7 +155,5 @@ def extract_w_cocycle(fam: EdgeOperatorFamily) -> Cochain:
     u, s, _ = np.linalg.svd(coboundary_matrix(range(5), 1) @ K)
     if svd_rank(s, 1e-8) > 1:
         raise ConsistencyError("coboundary quotient of the kernel is not a line")
-    if s[0] < 1e-12:
-        raise DegenerateCocycleError("extracted cocycle vanishes")
     omega = u[:, 0] / u[np.argmax(np.abs(u[:, 0])), 0]
     return Cochain(fam.simplex, 2, dict(zip(faces(fam.simplex, 2), omega)))

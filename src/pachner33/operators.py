@@ -74,11 +74,9 @@ def partial_product(d1: LinearOperator, d2: LinearOperator, label) -> complex:
     return complex(d1.beta[i] * d2.gamma[i] + d2.beta[i] * d1.gamma[i])
 
 
-def svd_rank(s: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """Number of singular values above rtol times the largest; 0 when all vanish."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+def svd_rank(s: np.ndarray, rtol: float = RANK_RTOL):
+    """Number of singular values above rtol times the largest, along the last axis."""
+    return (s > rtol * s[..., :1]).sum(axis=-1)
 
 
 def nullspace(A: np.ndarray) -> np.ndarray:
@@ -97,7 +95,7 @@ def column_space(A: np.ndarray) -> np.ndarray:
 
 def matrix_rank(A: np.ndarray) -> int:
     A = np.atleast_2d(np.asarray(A, dtype=complex))
-    return svd_rank(np.linalg.svd(A, compute_uv=False))
+    return int(svd_rank(np.linalg.svd(A, compute_uv=False)))
 
 
 def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -132,12 +130,14 @@ def _action_sources(n: int) -> np.ndarray:
     dense coefficient vector c."""
     rows = np.arange(1 << n)
     bits = bit_matrix(rows, n)
-    below = np.cumsum(bits, axis=1) - bits  # generators below i in the row's mask
+    below = np.cumsum(bits, axis=1, dtype=np.uint8) - bits  # generators below i in the row's mask
     src = rows[:, None] ^ (1 << np.arange(n))  # the mask that x_i enters or leaves
-    signed = np.where(below & 1, src + (1 << n), src)
-    zero = 2 << n
+    src[below & 1 == 1] += 1 << n  # signed; in place, as at n = 12 each copy is 0.4 MB
+    out = np.full((1 << n, 2 * n), 2 << n)  # the zero entry
     # d_i f lands on rows without x_i, x_i f on rows with it
-    return np.hstack([np.where(bits, zero, signed), np.where(bits, signed, zero)])
+    np.copyto(out[:, :n], src, where=bits == 0)
+    np.copyto(out[:, n:], src, where=bits == 1)
+    return out
 
 
 def action_matrix(c: np.ndarray) -> np.ndarray:

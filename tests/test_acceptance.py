@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from pachner33 import acceptance
+from pachner33 import acceptance, grassmann, operators, pachner, weights
 from pachner33.pachner import Verification33
 
 
@@ -51,3 +52,52 @@ def test_criterion_9_bounds_every_figure(monkeypatch, bad):
     result = acceptance.criterion_9()
     assert not result.passed
     assert "worst residual 1.00e+00" in result.line
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("the dict algebra was called")
+
+
+def test_criteria_1_and_2_check_the_dense_kernels_only(monkeypatch):
+    """The dict algebra is the tests' oracle; selftest checks the dense
+    kernels that verify-pachner runs."""
+    for owner, name in (
+        (grassmann.GrassmannElement, "__mul__"),
+        (grassmann, "berezin_integral"),
+        (grassmann, "exp_even"),
+        (weights, "gaussian_weight"),
+        (operators.LinearOperator, "apply"),
+        (operators, "annihilator_of"),
+    ):
+        monkeypatch.setattr(owner, name, _boom)
+        assert name not in vars(acceptance)  # no copy imported past the patch
+    for crit in (acceptance.criterion_1, acceptance.criterion_2):
+        result = crit()
+        assert result.passed, result.line
+
+
+@pytest.mark.parametrize("side", ("lhs", "rhs"))
+def test_criterion_1_fails_on_a_side_table_sign_flip(monkeypatch, side):
+    slots, masks, signs = pachner._SIDE_TABLES[side]
+    flipped = signs.copy()
+    flipped[-1] = -flipped[-1]
+    monkeypatch.setitem(pachner._SIDE_TABLES, side, (slots, masks, flipped))
+    assert not acceptance.criterion_1().passed
+
+
+@pytest.mark.parametrize("columns", ("all", "multiplications"))
+def test_criterion_1_fails_on_an_action_matrix_sign_flip(monkeypatch, columns):
+    """Flip the sign rule (the parity of the generators below i) in every
+    column, which the side tables see, or in the x_i columns only, which
+    the canonical relations see."""
+    sources = operators._action_sources
+
+    def flipped(n):
+        src = sources(n).copy()  # the original is cached: leave it as it is
+        cols = slice(None) if columns == "all" else slice(n, None)
+        live = src[:, cols] < 2 << n  # the zero entry has no sign
+        src[:, cols] = np.where(live, src[:, cols] ^ 1 << n, src[:, cols])
+        return src
+
+    monkeypatch.setattr(operators, "_action_sources", flipped)
+    assert not acceptance.criterion_1().passed

@@ -260,17 +260,26 @@ def _input_doc(command, first):
         (float("nan"), "not finite"),
         (float("inf"), "not finite"),
         ("one", "not a number"),
+        # integer fields over a good file; a command reads one of the two
+        ({"degree": 2.7, "simplex": [1.9, 2, 3, 4, 5]}, "not an integer"),
+        ({"degree": "2", "simplex": ["1", 2, 3, 4, 5]}, "not an integer"),
+        ({"degree": True, "simplex": [True, 2, 3, 4, 5]}, "not an integer"),
     ],
 )
 def test_malformed_input_file_is_an_input_error(capsys, tmp_path, command, doc, problem):
+    fields = doc if isinstance(doc, dict) else {}
     if not isinstance(doc, (list, dict)):
         doc = _input_doc(command, doc)  # a bad first component in a good file
+    elif fields:
+        doc = {**_input_doc(command, 1.0), **fields}
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
     rc, out = run(capsys, command, "--cocycle", str(path))
     rep = json.loads(out)
     assert rc == 2
     assert rep["error"] == "ValueError" and problem in rep["message"]
+    if problem == "not an integer":
+        assert rep["message"].split()[0] in fields  # names the field
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from pachner33.operators import column_space, matrix_rank, nullspace, partial_pr
 from pachner33.simplicial import (
     Cochain,
     coboundary,
+    coboundary_matrix,
     faces,
     is_cocycle,
     roundtrip_residual,
@@ -357,6 +358,19 @@ def test_w_cocycle_matches_projection_oracle(kind, bound):
         fam = normalize_family(oracle_weight(kind, seed))
         omega, expected = extract_w_cocycle(fam), projected_w_cocycle(fam)
         assert max(abs(omega[s] - expected[s]) for s in omega.cells()) <= bound
+
+
+@pytest.mark.parametrize("kind", ("random", "elliptic"))
+def test_w_cocycle_never_vanishes(kind):
+    # K has five orthonormal columns in ten dimensions, so it meets the six
+    # co-exact ones, where D is sqrt(5) times an isometry: DK's largest
+    # singular value is sqrt(5), and extract_w_cocycle needs no zero check
+    D = coboundary_matrix(range(5), 1)
+    for seed in range(100):
+        M = normalize_family(oracle_weight(kind, seed)).matrix
+        K = nullspace((M * 2.0 ** -np.frexp(np.abs(M).max(axis=0))[1]).T)
+        s = np.linalg.svd(D @ K, compute_uv=False)
+        assert np.sqrt(5) * (1 - 1e-12) <= s[0] <= np.sqrt(5) * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("e", (-280, -200, -100, -10, 8, 10, 100, 200, 280))

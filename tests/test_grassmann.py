@@ -171,6 +171,18 @@ def test_berezin_fubini(rng):
         assert approx_equal(ab, -1.0 * ba)
 
 
+def test_berezin_single_integral_is_pinned_down(rng):
+    # the integral over x_i takes x_i g to (-1)^|g| g and kills anything free of x_i
+    for parity in (True, False):
+        for _ in range(25):
+            i = int(rng.integers(1, 7))
+            f = random_element(rng, even=parity)
+            g = GrassmannElement(SPACE, {m: c for m, c in f.coeffs.items() if not m >> (i - 1) & 1})
+            eps = 1.0 if parity else -1.0
+            assert approx_equal(berezin_integral(x(i) * g, [(i,)]), eps * g)
+            assert berezin_integral(g, [(i,)]).coeffs == {}
+
+
 def test_exp_even_known_expansion():
     # exp(l x1x2 + m x2x3 + n x3x4) = 1 + ... + l*n x1x2x3x4
     lam, mu, nu = 0.7 + 0.1j, -0.3 + 2.0j, 0.25
@@ -189,6 +201,15 @@ def test_exp_even_multiplicative_on_commuting_parts(rng):
     q1 = (0.4 + 0.2j) * (x(1) * x(2))
     q2 = (1.1 - 0.5j) * (x(3) * x(4)) + 0.3 * (x(3) * x(5))
     assert approx_equal(exp_even(q1 + q2), exp_even(q1) * exp_even(q2))
+
+
+def test_exp_even_inverse(rng):
+    # even elements commute, so exp(q) exp(-q) = 1 however q's terms overlap
+    one = GrassmannElement.scalar(SPACE, 1.0)
+    for _ in range(25):
+        q = random_element(rng, terms=8, even=True)
+        q = q - q.constant_term() * one
+        assert approx_equal(exp_even(q) * exp_even(-1.0 * q), one)
 
 
 def two_form(space, A):

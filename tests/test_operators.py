@@ -190,11 +190,17 @@ def test_svd_rank_counts_above_the_relative_threshold():
     assert svd_rank(s, rtol=1e-8) == 2
     assert svd_rank(np.array([1.0, 1e-8]), rtol=1e-8) == 1  # strictly above
     assert svd_rank(np.array([1.0, 1.0001e-8]), rtol=1e-8) == 2
+    # a stack is counted row by row, as each row alone
+    stack = np.array([s, [1.0, 1e-8, 0.0, 0.0], [3.0, 2.0, 1.0, 0.0]])
+    rows = [svd_rank(r, rtol=1e-8) for r in stack]
+    assert svd_rank(stack, rtol=1e-8).tolist() == rows == [2, 1, 3]
 
 
 def test_svd_rank_of_zero_and_empty():
     assert svd_rank(np.zeros(3)) == 0
     assert svd_rank(np.zeros(0)) == 0
+    assert svd_rank(np.array([[1.0, 0.0], [0.0, 0.0]])).tolist() == [1, 0]
+    assert svd_rank(np.zeros((2, 0))).tolist() == [0, 0]
     assert matrix_rank(np.zeros((4, 3))) == 0
     assert nullspace(np.zeros((2, 3))).shape == (3, 3)
     assert column_space(np.zeros((4, 2))).shape == (4, 0)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from pachner33.errors import DegenerateWeightError
-from pachner33.grassmann import GrassmannElement, left_derivative
+from pachner33.grassmann import GrassmannElement, gaussian_coefficients, left_derivative
 from pachner33.operators import (
     LinearOperator,
+    annihilator_of,
     matrix_rank,
     nullspace,
     operator_matrix,
@@ -108,6 +109,18 @@ def test_gaussian_weight_annihilated(rng):
     assert W.constant_term() == 1.0
     for d in weight_operators(wm):
         assert d.apply(W).max_abs() <= 1e-12 * W.max_abs()
+
+
+def test_gaussian_weight_is_the_dense_gaussian_of_minus_F(rng):
+    # selftest reads each weight as gaussian_coefficients of -F in generator
+    # order and its annihilator off action_matrix; the dict algebra is the oracle
+    wm = random_wm(rng)
+    W = gaussian_weight(wm)
+    dense = gaussian_coefficients(-wm.entries[::-1, ::-1])
+    assert np.abs(W.dense() - dense).max() <= 1e-14 * np.abs(dense).max()
+    ann = annihilator_of(W)
+    assert ann.shape == (10, 5)
+    assert principal_angles(operator_matrix(weight_operators(wm)).T, ann).max() <= 1e-8
 
 
 def test_gaussian_weight_spans_joint_kernel(rng):
