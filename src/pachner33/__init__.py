@@ -37,7 +37,7 @@ from .weights import (
     weight_operators,
 )
 from .edgeops import EdgeOperatorFamily, extract_w_cocycle, normalize_family, raw_edge_operator
-from .cocycle2weight import SqrtChoice, kappa, reconstruct_F, superisotropic_f
+from .cocycle2weight import kappa, reconstruct_F, superisotropic_f
 from .elliptic import EllipticParams, elliptic_F, elliptic_cocycle, jacobi_sn_cn_dn
 from .pachner import ReconciledWeights, Verification33, reconcile, side_weight, verify_33
 
@@ -72,7 +72,6 @@ __all__ = [
     "extract_w_cocycle",
     "normalize_family",
     "raw_edge_operator",
-    "SqrtChoice",
     "kappa",
     "reconstruct_F",
     "superisotropic_f",

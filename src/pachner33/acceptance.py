@@ -15,6 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .cocycle2weight import (
+    alpha_coefficients,
     build_f_t,
     calibrate_sqrt_choice,
     kappa,
@@ -302,30 +303,26 @@ def criterion_5(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
         wm = random_weight_matrix(rng)
         fam = normalize_family(wm)
         omega = extract_w_cocycle(fam)
-        iso = superisotropic_f(fam, omega)
-        n2 = np.linalg.norm(iso.f.vector) ** 2
-        for t in iso.f.space.labels:
-            worst_iso = max(worst_iso, abs(partial_product(iso.f, iso.f, t)) / n2)
+        f = superisotropic_f(fam, omega)
+        n2 = np.linalg.norm(f) ** 2
+        for beta, gamma in zip(f[:5], f[5:]):  # f paired with itself, per tetrahedron
+            worst_iso = max(worst_iso, abs(complex(beta * gamma + beta * gamma)) / n2)
 
-        t = (1, 2, 3, 4)
+        alpha = alpha_coefficients(omega)
         comps = []
         for a, b in (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))):
-            op = iso.alpha[a] * fam.operator(a) + iso.alpha[b] * fam.operator(b)
-            comps.append(np.array(op.component(t)))
+            i, j = fam.edges.index(a), fam.edges.index(b)
+            op = alpha[i] * fam.matrix[i] + alpha[j] * fam.matrix[j]
+            comps.append(op[[0, 5]])  # at (1, 2, 3, 4), generator 0
         for i in range(3):
             j = (i + 1) % 3
             cross = comps[i][0] * comps[j][1] - comps[i][1] * comps[j][0]
             scale = max(np.abs(comps[i]).max(), np.abs(comps[j]).max()) ** 2
             worst_pair = max(worst_pair, abs(cross) / scale)
 
-        cal = calibrate_sqrt_choice(fam, omega)
-        for t in wm.space().labels:
-            ft = build_f_t(fam, omega, cal, t).f
-            top = np.abs(ft.vector).max()
-            for t2 in ft.space.labels:
-                beta, gamma = ft.component(t2)
-                bad = abs(gamma) if t2 == t else abs(beta)
-                worst_pattern = max(worst_pattern, bad / top)
+        ft = build_f_t(fam, omega, calibrate_sqrt_choice(fam, omega))
+        stray = np.abs(np.where(np.eye(5, dtype=bool), ft[:, 5:], ft[:, :5])).max(axis=1)
+        worst_pattern = max(worst_pattern, (stray / np.abs(ft).max(axis=1)).max())
     ok = worst_iso <= tol_iso and worst_pair <= tol and worst_pattern <= tol
     return CriterionResult(
         5,
@@ -343,11 +340,11 @@ def criterion_6(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
         wm = random_weight_matrix(rng)
         fam = normalize_family(wm)
         omega = extract_w_cocycle(fam)
-        cal = calibrate_sqrt_choice(fam, omega)
-        f1345 = build_f_t(fam, omega, cal, (1, 3, 4, 5)).f
-        f2345 = build_f_t(fam, omega, cal, (2, 3, 4, 5)).f
-        direct = f1345.component((1, 2, 3, 4))[1] / f2345.component((1, 2, 3, 4))[1]
-        worst = max(worst, abs(kappa(omega, cal) - direct) / abs(direct))
+        roots = calibrate_sqrt_choice(fam, omega)
+        f = build_f_t(fam, omega, roots)
+        # gamma at (1, 2, 3, 4) of the variants differentiating at (1, 3, 4, 5) and (2, 3, 4, 5)
+        direct = f[3, 5] / f[4, 5]
+        worst = max(worst, abs(kappa(omega, roots) - direct) / abs(direct))
     ones = Cochain(SIMPLEX, 2, {s: 1.0 for s in faces(SIMPLEX, 2)})
     try:
         kappa(ones)
@@ -372,8 +369,7 @@ def criterion_7(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
         wm = random_weight_matrix(rng)
         fam = normalize_family(wm)
         omega = extract_w_cocycle(fam)
-        cal = calibrate_sqrt_choice(fam, omega)
-        rebuilt = reconstruct_F(omega, cal)
+        rebuilt = reconstruct_F(omega, calibrate_sqrt_choice(fam, omega))
         target = canonical_ratios(wm)
         got = canonical_ratios(rebuilt)
         worst_fwd = max(worst_fwd, max(abs(x - y) / abs(y) for x, y in zip(got, target)))
@@ -431,11 +427,11 @@ def criterion_8(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
         w = extract_w_cocycle(fam)
         ratios = [w[s] / om[s] for s in om.cells()]
         worst_prop = max(worst_prop, max(abs(r / ratios[0] - 1.0) for r in ratios))
-        cal = calibrate_sqrt_choice(fam, om)
+        roots = calibrate_sqrt_choice(fam, om)
         x = p.coords
         fr = lambda a, b: _half_ratio(x[a] - x[b], p.modulus)
         pred = -fr(1, 3) * fr(1, 4) / (fr(2, 3) * fr(2, 4))
-        worst_kappa = max(worst_kappa, abs(kappa(om, cal) - pred) / abs(pred))
+        worst_kappa = max(worst_kappa, abs(kappa(om, roots) - pred) / abs(pred))
         done += 1
     ok = worst_id <= tol_id and worst_prim <= tol_prim and worst_prop <= tol and worst_kappa <= tol
     return CriterionResult(

@@ -120,7 +120,12 @@ def _cell_key(cell) -> str:
 
 
 def _parse_cell(key: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in key.split(","))
+    """The cell a canonical key names: increasing decimal vertices with no
+    sign, space or leading zero, joined by single commas."""
+    cell = sorted({int(p) for p in key.split(",") if p.isdecimal()})
+    if not key or _cell_key(cell) != key:
+        raise ValueError(f"cell key {key!r} is not canonical, as '1,2,3' is")
+    return tuple(cell)
 
 
 def _parse_pair(pair) -> complex:
@@ -152,13 +157,8 @@ def cochain_to_json(c: Cochain) -> dict:
 
 def cochain_from_json(d: dict) -> Cochain:
     degree = _parse_int(d["degree"], "degree")
-    values = {}
-    verts: set[int] = set()
-    for key, pair in d["values"].items():
-        cell = _parse_cell(key)
-        verts.update(cell)
-        values[cell] = _parse_pair(pair)
-    return Cochain(tuple(sorted(verts)), degree, values)
+    values = {_parse_cell(k): _parse_pair(v) for k, v in d["values"].items()}
+    return Cochain(tuple(sorted({v for cell in values for v in cell})), degree, values)
 
 
 def weight_matrix_to_json(wm: WeightMatrix) -> dict:
@@ -195,7 +195,12 @@ def params_to_json(p: EllipticParams) -> dict:
 
 
 def params_from_json(d: dict, modulus: complex | None = None) -> EllipticParams:
-    coords = {int(k): _parse_pair(v) for k, v in d["coords"].items()}
+    coords = {}
+    for key, pair in d["coords"].items():
+        cell = _parse_cell(key)
+        if len(cell) != 1:
+            raise ValueError(f"coords key {key!r} is not one vertex")
+        coords[cell[0]] = _parse_pair(pair)
     if modulus is None:
         if "modulus" not in d:
             raise ValueError("coords file has no modulus and none was given")
@@ -203,11 +208,21 @@ def params_from_json(d: dict, modulus: complex | None = None) -> EllipticParams:
     return EllipticParams(modulus, coords)
 
 
+def _members(pairs: list) -> dict:
+    """A JSON object's members as a dict; a repeated key is an error."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"repeated key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
 def _read(path: str, parse):
     """parse() applied to the JSON object in a file; malformed content is a
     ValueError that names the problem."""
     with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
+        d = json.load(fh, object_pairs_hook=_members)
     if not isinstance(d, dict):
         raise ValueError(f"top-level JSON value is {type(d).__name__}, not an object")
     try:

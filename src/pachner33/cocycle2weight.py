@@ -11,61 +11,22 @@ pair ratios are read off coboundaries, with no SVD or least squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .edgeops import EdgeOperatorFamily, extract_w_cocycle
-from .errors import (
-    BranchInconsistencyError,
-    ConsistencyError,
-    DegenerateCocycleError,
-)
-from .operators import LinearOperator
+from .errors import BranchInconsistencyError, ConsistencyError, DegenerateCocycleError
 from .simplicial import Cochain, coboundary_matrix, coboundary_terms, faces
-from .weights import CANONICAL_RATIO_PAIRS, WeightMatrix, solve_F_from_ratios, tetra_space
+from .weights import CANONICAL_RATIO_PAIRS, WeightMatrix, solve_F_from_ratios
 
 COMPONENT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SqrtChoice:
-    """A fixed branch of the square root of every face value."""
-
-    roots: dict
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "roots", {tuple(f): complex(v) for f, v in self.roots.items()}
-        )
-
-    @staticmethod
-    def principal(omega: Cochain) -> "SqrtChoice":
-        return SqrtChoice({s: np.sqrt(complex(omega[s])) for s in omega.cells()})
-
-    def root(self, face) -> complex:
-        return self.roots[tuple(sorted(face))]
-
-    def flipped(self, flip_faces) -> "SqrtChoice":
-        flips = {tuple(sorted(f)) for f in flip_faces}
-        return SqrtChoice(
-            {f: (-v if f in flips else v) for f, v in self.roots.items()}
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class SuperisotropicOperator:
-    f: LinearOperator
-    alpha: dict
-
-
-def _values(omega: Cochain, choice: SqrtChoice | None = None) -> tuple:
-    """The face values and their roots as arrays in face (lex) order."""
+def _values(omega: Cochain, roots=None) -> tuple:
+    """Face values and roots (principal unless given) as arrays in face order."""
     w = omega.as_vector()
-    if choice is None:
-        return w, np.sqrt(w)
-    return w, np.array([choice.roots[f] for f in omega.cells()], dtype=complex)
+    return w, np.sqrt(w) if roots is None else np.asarray(roots, dtype=complex)
 
 
 def _check_roots(cells, w: np.ndarray, r: np.ndarray):
@@ -88,6 +49,14 @@ ALPHA_ROOTS = tuple(
     + tuple(i for f, i in FACE_INDEX.items() if set(e) <= set(f))
     for e in EDGE_INDEX
 )
+# a flip at vertex position m negates the roots at the two faces of
+# FACE_FLIPS[m], m with the first two other vertices and m with the last two;
+# that negates the coefficients at the four edges through m, EDGE_FLIPS[m]
+FACE_FLIPS = np.array(
+    [[set(f) in ({m, *o[:2]}, {m, *o[2:]}) for f in FACE_INDEX]
+     for m, o in enumerate([v for v in range(5) if v != m] for m in range(5))]
+)
+EDGE_FLIPS = np.array([[m in e for e in EDGE_INDEX] for m in range(5)])
 
 
 def _alpha(r: list) -> list:
@@ -96,17 +65,18 @@ def _alpha(r: list) -> list:
     return [r[a] * r[b] * r[c] * r[d] for a, b, c, d in ALPHA_ROOTS]
 
 
-def alpha_coefficients(omega: Cochain, choice: SqrtChoice) -> dict:
-    """Edge coefficients: the product of the four roots at faces that either
-    contain the edge or are disjoint from it."""
-    w, r = _values(omega, choice)
+def alpha_coefficients(omega: Cochain, roots=None) -> np.ndarray:
+    """Edge coefficients in edge (lex) order: the product of the four roots
+    at faces that either contain the edge or are disjoint from it."""
+    w, r = _values(omega, roots)
     _check_roots(omega.cells(), w, r)
-    return dict(zip(faces(omega.vertices, 1), _alpha(r.tolist())))
+    return np.array(_alpha(r.tolist()))
 
 
-def _combine(fam: EdgeOperatorFamily, alpha: dict) -> LinearOperator:
-    vec = sum(alpha[b] * row for b, row in zip(fam.edges, fam.matrix))
-    return LinearOperator.from_vector(tetra_space(fam.simplex), vec)
+def _combine(fam: EdgeOperatorFamily, alpha: np.ndarray) -> np.ndarray:
+    """The (beta, gamma) vector of sum_j alpha[..., j] times edge j's row,
+    summed left to right, for one coefficient row or a stack of them."""
+    return sum(a * row for a, row in zip(alpha.T[..., None], fam.matrix))
 
 
 def _check_matches_family(fam: EdgeOperatorFamily, omega: Cochain):
@@ -118,80 +88,55 @@ def _check_matches_family(fam: EdgeOperatorFamily, omega: Cochain):
         raise ConsistencyError("cocycle does not belong to this operator family")
 
 
-def superisotropic_f(
-    fam: EdgeOperatorFamily, omega: Cochain, choice: SqrtChoice | None = None
-) -> SuperisotropicOperator:
-    """f = sum of alpha_b d_b; every tetrahedron pairs it to zero with itself."""
-    if choice is None:
-        choice = SqrtChoice.principal(omega)
+def superisotropic_f(fam: EdgeOperatorFamily, omega: Cochain, roots=None) -> np.ndarray:
+    """f = sum of alpha_b d_b as a (beta, gamma) vector in generator order;
+    every tetrahedron pairs it to zero with itself."""
     _check_matches_family(fam, omega)
-    alpha = alpha_coefficients(omega, choice)
-    return SuperisotropicOperator(_combine(fam, alpha), alpha)
+    return _combine(fam, alpha_coefficients(omega, roots))
 
 
-def component_types(f: LinearOperator) -> frozenset:
-    """Tetrahedra where f acts by multiplication; the rest differentiate.
-
-    A component with both parts of comparable size means the branch data is
-    inconsistent with the family.
-    """
-    top = np.abs(f.vector).max()
-    gen_type = set()
-    for t in f.space.labels:
-        beta, gamma = f.component(t)
-        small_b, small_g = abs(beta) <= COMPONENT_TOL * top, abs(gamma) <= COMPONENT_TOL * top
+def component_types(f: np.ndarray, simplex) -> np.ndarray:
+    """Whether f multiplies at each tetrahedron, in generator order, rather
+    than differentiates; a mixed or vanishing component is an error."""
+    small = np.abs(f.reshape(2, 5)) <= COMPONENT_TOL * np.abs(f).max()
+    for t, (small_b, small_g) in zip(faces(simplex, 3), small.T):
         if small_b and small_g:
             raise DegenerateCocycleError(f"operator vanishes at {t}")
         if not small_b and not small_g:
             raise BranchInconsistencyError(f"mixed component at {t}")
-        if small_b:
-            gen_type.add(t)
-    return frozenset(gen_type)
+    return small[0]
 
 
-def _vertex_flip_faces(verts, m) -> list:
-    """Two faces whose root flips negate precisely the coefficients at the
-    four edges through m."""
-    others = [v for v in verts if v != m]
-    return [tuple(sorted((m,) + tuple(others[:2]))), tuple(sorted((m,) + tuple(others[2:])))]
-
-
-def calibrate_sqrt_choice(fam: EdgeOperatorFamily, omega: Cochain) -> SqrtChoice:
-    """Adjust principal branch signs until every component of f differentiates."""
-    choice = SqrtChoice.principal(omega)
-    f = superisotropic_f(fam, omega, choice).f
-    gen_type = component_types(f)
-    flip_vertices = [v for v in fam.simplex if tuple(x for x in fam.simplex if x != v) in gen_type]
-    if len(flip_vertices) % 2 != 0:
+def calibrate_sqrt_choice(fam: EdgeOperatorFamily, omega: Cochain) -> np.ndarray:
+    """Principal roots with their signs flipped so that every component of f
+    differentiates."""
+    roots = np.sqrt(omega.as_vector())
+    # generator i is the tetrahedron opposite vertex position 4 - i
+    flips = component_types(superisotropic_f(fam, omega, roots), fam.simplex)[::-1]
+    if flips.sum() % 2 != 0:
         raise BranchInconsistencyError("odd component-type pattern")
-    for m in flip_vertices:
-        choice = choice.flipped(_vertex_flip_faces(fam.simplex, m))
-    return choice
+    return np.where(np.logical_xor.reduce(FACE_FLIPS[flips]), -roots, roots)
 
 
-def build_f_t(
-    fam: EdgeOperatorFamily, omega: Cochain, choice: SqrtChoice, t
-) -> SuperisotropicOperator:
-    """The variant of f that differentiates only at t.
+def build_f_t(fam: EdgeOperatorFamily, omega: Cochain, roots) -> np.ndarray:
+    """The five variants of f as a (5, 10) array: row i differentiates only
+    at generator i.
 
-    Flipping one root pair negates the coefficients at the four edges through
-    the vertex opposite t, turning every other component into multiplication.
+    Row i flips the roots at the vertex opposite generator i, which negates
+    the coefficients at the four edges through it and turns every other
+    component into multiplication.
     """
-    t = tuple(sorted(t))
-    (m,) = (v for v in fam.simplex if v not in t)
-    pair = _vertex_flip_faces(fam.simplex, m)
-    flipped = choice.flipped(pair)
-    alpha = alpha_coefficients(omega, flipped)
-    f = _combine(fam, alpha)
-    top = np.abs(f.vector).max()
-    for t2 in f.space.labels:
-        beta, gamma = f.component(t2)
-        stray = gamma if t2 == t else beta
-        if abs(stray) > COMPONENT_TOL * top:
-            raise BranchInconsistencyError(
-                f"component at {t2} is not of the expected kind; calibrate the branch first"
-            )
-    return SuperisotropicOperator(f, alpha)
+    alpha = alpha_coefficients(omega, roots)
+    f = _combine(fam, np.where(EDGE_FLIPS[::-1], -alpha, alpha))
+    # row i's stray parts: gamma at generator i, beta elsewhere
+    stray = np.abs(np.where(np.eye(5, dtype=bool), f[:, 5:], f[:, :5]))
+    bad = stray > COMPONENT_TOL * np.abs(f).max(axis=1, keepdims=True)
+    if bad.any():
+        t = faces(fam.simplex, 3)[np.argwhere(bad)[0, 1]]  # the first in row-major order
+        raise BranchInconsistencyError(
+            f"component at {t} is not of the expected kind; calibrate the branch first"
+        )
+    return f
 
 
 def _kappa(w: list, r: list) -> complex:
@@ -214,10 +159,10 @@ def _kappa(w: list, r: list) -> complex:
     return lam_plus / lam_minus
 
 
-def kappa(omega: Cochain, choice: SqrtChoice | None = None) -> complex:
+def kappa(omega: Cochain, roots=None) -> complex:
     """The ratio tying together the two variants that multiply at the last
     tetrahedron, in closed form."""
-    w, r = _values(omega, choice)
+    w, r = _values(omega, roots)
     _check_roots(omega.cells(), w, r)
     return _kappa(w.tolist(), r.tolist())
 
@@ -243,10 +188,10 @@ def _ratio_tables() -> tuple:
         keys += [(rows, c) for c in cols if (rows, c) not in keys]
     quotients = tuple(tuple(keys.index((rows, c)) for c in cols) for rows, cols in CANONICAL_RATIO_PAIRS)
     tetra = [tuple(v for v in range(5) if v != c - 1) for _, c in keys]
-    edges = [list(combinations(t, 2)) for t in tetra]
-    edge_ix = np.array([[EDGE_INDEX[e] for e in es] for es in edges])
+    edge_ix = np.array([[EDGE_INDEX[e] for e in combinations(t, 2)] for t in tetra])
     face_ix = np.array([[FACE_INDEX[f] for f in combinations(t, 3)] for t in tetra])
-    flips = np.array([[[k - 1 in e for e in es] for k in rows] for (rows, _), es in zip(keys, edges)])
+    flipped = np.array([rows for rows, _ in keys]) - 1  # the two row vertices' positions
+    flips = EDGE_FLIPS[flipped[:, :, None], edge_ix[:, None, :]]
     return tetra, edge_ix, face_ix, flips, quotients
 
 
@@ -284,16 +229,16 @@ def pair_ratios(flips: np.ndarray, w: np.ndarray, tetrahedra) -> np.ndarray:
     return rho
 
 
-def reconstruct_F(omega: Cochain, choice: SqrtChoice | None = None) -> WeightMatrix:
+def reconstruct_F(omega: Cochain, roots=None) -> WeightMatrix:
     """Gauge-fixed weight matrix whose double ratios match the cocycle's.
 
-    The fixed branch determines which of the finitely many compatible
+    The branch, roots in face order, determines which of the finitely many compatible
     matrices is produced; all of them yield this cocycle back.
     """
     if len(omega.vertices) != 5 or omega.degree != 2:
         raise ValueError("expected a degree-2 cochain on five vertices")
     verts, cells = omega.vertices, omega.cells()
-    w, r = _values(omega, choice)
+    w, r = _values(omega, roots)
     # F depends on ratios only.  Scaling omega by 4^-k and the roots by 2^-k
     # brings max|omega| near 1 exactly, so products of four roots stay in range.
     scale = 2.0 ** -(math.frexp(omega.max_abs())[1] // 2)

@@ -264,22 +264,81 @@ def _input_doc(command, first):
         ({"degree": 2.7, "simplex": [1.9, 2, 3, 4, 5]}, "not an integer"),
         ({"degree": "2", "simplex": ["1", 2, 3, 4, 5]}, "not an integer"),
         ({"degree": True, "simplex": [True, 2, 3, 4, 5]}, "not an integer"),
+        # the first cell's key "1,2,3" rewritten; every key must be canonical
+        (("key", "01,2,3"), "not canonical"),
+        (("key", "1, 2, 3"), "not canonical"),
+        (("key", "1,2,3,"), "not canonical"),
+        (("key", "+1,2,3"), "not canonical"),
+        (("key", "2,1,3"), "not canonical"),
+        (("key", "1,1,3"), "not canonical"),
+        (("key", "1,2,4"), "repeated key"),  # the second cell's key
     ],
 )
 def test_malformed_input_file_is_an_input_error(capsys, tmp_path, command, doc, problem):
     fields = doc if isinstance(doc, dict) else {}
-    if not isinstance(doc, (list, dict)):
-        doc = _input_doc(command, doc)  # a bad first component in a good file
+    key = doc[1] if isinstance(doc, tuple) else None
+    if key or not isinstance(doc, (list, dict)):
+        doc = _input_doc(command, 1.0 if key else doc)  # a bad first component in a good file
     elif fields:
         doc = {**_input_doc(command, 1.0), **fields}
+    text = json.dumps(doc)
+    if key:
+        text = text.replace('"1,2,3"', json.dumps(key), 1)
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(text)
     rc, out = run(capsys, command, "--cocycle", str(path))
     rep = json.loads(out)
     assert rc == 2
     assert rep["error"] == "ValueError" and problem in rep["message"]
     if problem == "not an integer":
         assert rep["message"].split()[0] in fields  # names the field
+    if key:
+        assert repr(key) in rep["message"]
+
+
+COORDS_COMMANDS = (("elliptic-f",), ("verify-pachner", "--elliptic"))
+
+
+@pytest.mark.parametrize("command", COORDS_COMMANDS)
+@pytest.mark.parametrize(
+    "key, problem",
+    [
+        ("01", "not canonical"),
+        (" 1", "not canonical"),
+        ("+1", "not canonical"),
+        ("1,6", "not one vertex"),
+        ("2", "repeated key"),
+    ],
+)
+def test_malformed_coords_key_is_an_input_error(capsys, tmp_path, command, key, problem):
+    n = 6 if command[0] == "verify-pachner" else 5
+    coords = {str(v): [0.1 * v, 0.05 * v] for v in range(1, n + 1)}
+    text = json.dumps({"modulus": [0.5, 0.1], "coords": coords}).replace('"1"', json.dumps(key), 1)
+    path = tmp_path / "coords.json"
+    path.write_text(text)
+    rc, out = run(capsys, *command, "--coords", str(path))
+    rep = json.loads(out)
+    assert rc == 2
+    assert rep["error"] == "ValueError" and problem in rep["message"] and repr(key) in rep["message"]
+
+
+def test_every_written_file_reads_back(capsys, tmp_path):
+    # each file the CLI writes, read by every command that takes its format
+    readers = {
+        "weight-from-cocycle": ("cocycle-from-weight", "edge-operators"),
+        "cocycle-from-weight": ("weight-from-cocycle",),
+        "elliptic-f": ("cocycle-from-weight", "edge-operators"),
+    }
+    for writer, commands in readers.items():
+        path = tmp_path / f"{writer}.json"
+        assert run(capsys, writer, "--seed", "3", "--out", str(path))[0] == 0
+        for command in commands:
+            assert run(capsys, command, "--cocycle", str(path))[0] == 0, (writer, command)
+    # elliptic-f's params, modulus and coordinates, as a coords file
+    params = json.loads((tmp_path / "elliptic-f.json").read_text())["params"]
+    coords = tmp_path / "coords.json"
+    coords.write_text(cli.dumps(params))
+    assert run(capsys, "elliptic-f", "--coords", str(coords))[0] == 0
 
 
 @pytest.mark.parametrize(

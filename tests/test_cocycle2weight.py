@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ import pytest
 from pachner33 import acceptance
 from pachner33.acceptance import random_elliptic_params
 from pachner33.cocycle2weight import (
+    EDGE_FLIPS,
+    FACE_FLIPS,
+    RATIO_FLIPS,
     TETRA_COBOUNDARY,
-    SqrtChoice,
     alpha_coefficients,
     build_f_t,
     calibrate_sqrt_choice,
@@ -21,7 +24,7 @@ from pachner33.cocycle2weight import (
     reconstruct_F,
     superisotropic_f,
 )
-from pachner33.edgeops import extract_w_cocycle, normalize_family
+from pachner33.edgeops import EdgeOperatorFamily, extract_w_cocycle, normalize_family
 from pachner33.errors import (
     BranchInconsistencyError,
     ConsistencyError,
@@ -29,7 +32,7 @@ from pachner33.errors import (
     Pachner33Error,
 )
 from pachner33.elliptic import elliptic_cocycle
-from pachner33.operators import partial_product, svd_rank
+from pachner33.operators import svd_rank
 from pachner33.pachner import SIMPLICES, VERTICES
 from pachner33.simplicial import (
     Cochain,
@@ -72,6 +75,11 @@ def generic_cocycle(rng, min_abs=0.05):
             return w
 
 
+def flipped(omega, roots, flip_faces):
+    """Roots in face order, negated at the given faces."""
+    return np.where([f in flip_faces for f in omega.cells()], -roots, roots)
+
+
 def forward(rng):
     wm = WeightMatrix.from_phi(SIMPLEX, random_phi(rng))
     fam = normalize_family(wm)
@@ -81,14 +89,38 @@ def forward(rng):
 
 def test_alpha_factorizations(rng):
     omega = generic_cocycle(rng)
-    s = SqrtChoice.principal(omega)
-    alpha = alpha_coefficients(omega, s)
-    assert len(alpha) == 10
-    r = lambda *f: s.root(f)
+    alpha = alpha_coefficients(omega)
+    assert alpha.shape == (10,)
+    r = lambda *f: np.sqrt(omega[f])
     a12 = r(1, 2, 3) * r(1, 2, 4) * r(1, 2, 5) * r(3, 4, 5)
     a45 = r(1, 4, 5) * r(2, 4, 5) * r(3, 4, 5) * r(1, 2, 3)
-    assert abs(alpha[(1, 2)] - a12) < 1e-14 * abs(a12)
-    assert abs(alpha[(4, 5)] - a45) < 1e-14 * abs(a45)
+    edges = faces(SIMPLEX, 1)
+    assert abs(alpha[edges.index((1, 2))] - a12) < 1e-14 * abs(a12)
+    assert abs(alpha[edges.index((4, 5))] - a45) < 1e-14 * abs(a45)
+
+
+def test_vertex_flip_negates_alpha_on_its_edges(rng):
+    # negating a root is exact, so the flipped coefficients keep every bit
+    omega = generic_cocycle(rng)
+    r = np.sqrt(omega.as_vector())
+    sign = lambda flips: np.where(flips, -1.0, 1.0)
+    for m in range(5):
+        got = alpha_coefficients(omega, r * sign(FACE_FLIPS[m]))
+        expected = alpha_coefficients(omega, r) * sign(EDGE_FLIPS[m])
+        assert got.tobytes() == expected.tobytes()
+    assert FACE_FLIPS.sum(axis=1).tolist() == [2] * 5
+    assert EDGE_FLIPS.sum(axis=1).tolist() == [4] * 5
+
+
+def test_ratio_flips_are_cut_from_edge_flips():
+    # the table as built before: per distinct pair ratio, in order of first
+    # use, whether each of its two row vertices lies on each of its edges
+    keys = []
+    for rows, cols in CANONICAL_RATIO_PAIRS:
+        keys += [(rows, c) for c in cols if (rows, c) not in keys]
+    tetra = [tuple(v for v in range(5) if v != c - 1) for _, c in keys]
+    expected = [[[k - 1 in e for e in combinations(t, 2)] for k in rows] for (rows, _), t in zip(keys, tetra)]
+    assert RATIO_FLIPS.dtype == bool and RATIO_FLIPS.tolist() == expected
 
 
 def test_alpha_rejects_zero_face(rng):
@@ -96,20 +128,19 @@ def test_alpha_rejects_zero_face(rng):
     vals[(1, 2, 3)] = 0.0
     omega = Cochain(SIMPLEX, 2, vals)
     with pytest.raises(DegenerateCocycleError):
-        alpha_coefficients(omega, SqrtChoice({s: np.sqrt(v) for s, v in vals.items()}))
+        alpha_coefficients(omega, np.sqrt(omega.as_vector()))
 
 
 def test_superisotropy(rng):
     _, fam, omega = forward(rng)
-    f = superisotropic_f(fam, omega).f
-    n2 = np.linalg.norm(f.vector) ** 2
-    for t in f.space.labels:
-        assert abs(partial_product(f, f, t)) <= 1e-10 * n2
+    f = superisotropic_f(fam, omega)
+    # f paired with itself at each tetrahedron
+    assert np.abs(2 * f[:5] * f[5:]).max() <= 1e-10 * np.linalg.norm(f) ** 2
 
 
 def test_paired_components_proportional(rng):
     _, fam, omega = forward(rng)
-    alpha = superisotropic_f(fam, omega).alpha
+    alpha = dict(zip(fam.edges, alpha_coefficients(omega)))
     t = (1, 2, 3, 4)
     pairs = (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
     comps = []
@@ -123,53 +154,97 @@ def test_paired_components_proportional(rng):
         assert abs(cross) <= 1e-10 * scale
 
 
+def crafted(fam, i, how):
+    """fam with its columns at generator i edited: the (beta, gamma) pair
+    zeroed, mixed by an invertible 2x2 map, or swapped.  Each leaves the
+    span of the rows' dependencies, and so the cocycle, as it was."""
+    m = fam.matrix.copy()
+    cols = [i, 5 + i]
+    if how == "zero":
+        m[:, cols] = 0.0
+    elif how == "mix":
+        m[:, cols] = m[:, cols] @ np.array([[1.0, 1.0], [1.0, 2.0]])
+    else:
+        m[:, cols] = m[:, cols[::-1]]
+    return EdgeOperatorFamily(fam.simplex, m)
+
+
 def test_superisotropic_f_rejects_foreign_cocycle(rng):
     _, fam, _ = forward(rng)
-    with pytest.raises(ConsistencyError):
-        superisotropic_f(fam, generic_cocycle(rng))
+    _, _, omega = forward(rng)  # another weight's cocycle
+    for call in (superisotropic_f, calibrate_sqrt_choice):
+        with pytest.raises(ConsistencyError) as err:
+            call(fam, omega)
+        assert str(err.value) == "cocycle does not belong to this operator family"
+
+
+@pytest.mark.parametrize(
+    "how, error, message",
+    [
+        ("zero", DegenerateCocycleError, "operator vanishes at (1, 2, 4, 5)"),
+        ("mix", BranchInconsistencyError, "mixed component at (1, 2, 4, 5)"),
+        ("swap", BranchInconsistencyError, "odd component-type pattern"),
+    ],
+)
+def test_calibration_errors_are_named(rng, how, error, message):
+    _, fam, omega = forward(rng)
+    calibrate_sqrt_choice(fam, omega)
+    with pytest.raises(error) as err:
+        calibrate_sqrt_choice(crafted(fam, 2, how), omega)
+    assert str(err.value) == message
+
+
+def test_uncalibrated_variant_is_named(rng):
+    _, fam, omega = forward(rng)
+    cal = calibrate_sqrt_choice(fam, omega)
+    with pytest.raises(BranchInconsistencyError) as err:
+        build_f_t(crafted(fam, 2, "swap"), omega, cal)
+    assert str(err.value) == (
+        "component at (1, 2, 4, 5) is not of the expected kind; calibrate the branch first"
+    )
 
 
 def test_calibrated_branch_differentiates_everywhere(rng):
     _, fam, omega = forward(rng)
     cal = calibrate_sqrt_choice(fam, omega)
-    f = superisotropic_f(fam, omega, cal).f
-    assert component_types(f) == frozenset()
-    top = np.abs(f.vector).max()
-    assert np.abs(f.gamma).max() <= 1e-9 * top
+    f = superisotropic_f(fam, omega, cal)
+    assert not component_types(f, fam.simplex).any()
+    assert np.abs(f[5:]).max() <= 1e-9 * np.abs(f).max()
 
 
 def test_build_f_t_component_pattern(rng):
     _, fam, omega = forward(rng)
     cal = calibrate_sqrt_choice(fam, omega)
-    for t in ((2, 3, 4, 5), (1, 2, 3, 4)):
-        ft = build_f_t(fam, omega, cal, t)
-        top = np.abs(ft.f.vector).max()
-        for t2 in ft.f.space.labels:
-            beta, gamma = ft.f.component(t2)
-            if t2 == t:
+    variants = build_f_t(fam, omega, cal)
+    assert variants.shape == (5, 10)
+    for i, ft in enumerate(variants):
+        top = np.abs(ft).max()
+        for j in range(5):
+            beta, gamma = ft[j], ft[5 + j]
+            if j == i:
                 assert abs(gamma) <= 1e-9 * top
             else:
                 assert abs(beta) <= 1e-9 * top
-        n2 = np.linalg.norm(ft.f.vector) ** 2
-        for t2 in ft.f.space.labels:
-            assert abs(partial_product(ft.f, ft.f, t2)) <= 1e-10 * n2
+        assert np.abs(2 * ft[:5] * ft[5:]).max() <= 1e-10 * np.linalg.norm(ft) ** 2
 
 
 def test_root_pair_choices_agree(rng):
     omega = generic_cocycle(rng)
-    s = SqrtChoice.principal(omega)
+    s = np.sqrt(omega.as_vector())
     patterns = []
     for pair in (((1, 2, 3), (1, 4, 5)), ((1, 2, 4), (1, 3, 5)), ((1, 2, 5), (1, 3, 4))):
-        alpha = alpha_coefficients(omega, s.flipped(pair))
-        patterns.append(np.array([alpha[b] for b in faces(SIMPLEX, 1)]))
+        patterns.append(alpha_coefficients(omega, flipped(omega, s, pair)))
     base = alpha_coefficients(omega, s)
-    base = np.array([base[b] for b in faces(SIMPLEX, 1)])
     for p in patterns:
         assert np.abs(p - patterns[0]).max() <= 1e-13 * np.abs(base).max()
     # and the common pattern negates exactly the four edges through vertex 1
     for j, b in enumerate(faces(SIMPLEX, 1)):
         expect = -base[j] if 1 in b else base[j]
         assert abs(patterns[0][j] - expect) <= 1e-13 * abs(base[j])
+
+
+def alpha_by_edge(omega, roots=None):
+    return dict(zip(faces(omega.vertices, 1), alpha_coefficients(omega, roots)))
 
 
 def flip_stack(alpha, omega, k1, k2, t0):
@@ -185,10 +260,10 @@ def pair_ratio(alpha, omega, k1, k2, t0):
     return complex(pair_ratios(flips[None], w[None], [t0])[0])
 
 
-def ratio_opposite(omega, choice, k1, k2, l):
+def ratio_opposite(omega, roots, k1, k2, l):
     """pair_ratio at the tetrahedron opposite vertex l, from scratch."""
     t0 = tuple(v for v in omega.vertices if v != l)
-    return pair_ratio(alpha_coefficients(omega, choice), omega, k1, k2, t0)
+    return pair_ratio(alpha_by_edge(omega, roots), omega, k1, k2, t0)
 
 
 def rank_complement(nu, t0):
@@ -227,7 +302,7 @@ def pair_ratio_errors(om):
     errors = []
     for u in SIMPLICES:
         omega = om.restrict(u)
-        alpha = alpha_coefficients(omega, SqrtChoice.principal(omega))
+        alpha = alpha_by_edge(omega)
         nu = cochain_primitive(omega)
         verts = omega.vertices
         for rows, cols in CANONICAL_RATIO_PAIRS:
@@ -252,7 +327,7 @@ def good_and_bad(rng, bad_alpha, t_bad, t_good):
     at t_good from a cocycle's own coefficients, then one at t_bad from
     the given coefficients."""
     omega = generic_cocycle(rng)
-    alpha = alpha_coefficients(omega, SqrtChoice.principal(omega))
+    alpha = alpha_by_edge(omega)
     stacks = [flip_stack(a, omega, 1, 2, t) for a, t in ((alpha, t_good), (bad_alpha, t_bad))]
     flips, w = (np.array(x) for x in zip(*stacks))
     return flips, w, [t_good, t_bad]
@@ -285,33 +360,43 @@ def test_pair_ratio_rank_condition(rng):
 
 # The dict-based reconstruction that the array code replaced, kept as the
 # oracle for its exact bits: every product, quotient and reduction below is
-# rounded as reconstruct_F rounds it.
+# rounded as reconstruct_F rounds it.  Its branch is a dict from each face
+# to the face's root, as Python complex numbers.
 
 
-def oracle_check_roots(omega, choice):
+def principal_roots(omega):
+    return {s: complex(np.sqrt(complex(omega[s]))) for s in omega.cells()}
+
+
+def root_array(omega, roots):
+    """A root dict as reconstruct_F takes it: an array in face order."""
+    return np.array([roots[s] for s in omega.cells()])
+
+
+def oracle_check_roots(omega, roots):
     for s in omega.cells():
         w = omega[s]
         if abs(w) == 0.0:
             raise DegenerateCocycleError(f"cocycle vanishes on face {s}")
-        if abs(choice.root(s) ** 2 - w) > 1e-12 * abs(w):
+        if abs(roots[s] ** 2 - w) > 1e-12 * abs(w):
             raise ConsistencyError(f"root at face {s} does not square to the value")
 
 
-def oracle_alpha(omega, choice):
+def oracle_alpha(omega, roots):
     verts = omega.vertices
     out = {}
     for b in faces(verts, 1):
-        val = choice.root(tuple(v for v in verts if v not in b))
+        val = roots[tuple(v for v in verts if v not in b)]
         for s in faces(verts, 2):
             if set(b) <= set(s):
-                val *= choice.root(s)
+                val *= roots[s]
         out[b] = val
     return out
 
 
-def oracle_kappa_probe(omega, choice):
+def oracle_kappa_probe(omega, roots):
     v1, v2, v3, v4, v5 = omega.vertices
-    r = lambda *f: choice.root(f)
+    r = lambda *f: roots[f]
     w = lambda *f: omega[tuple(f)]
     terms = [
         w(v1, v2, v4) * r(v1, v2, v5) * r(v3, v4, v5),
@@ -340,18 +425,18 @@ def oracle_pair_ratio(alpha, omega, k1, k2, t0):
     return complex(rho)
 
 
-def oracle_reconstruct_F(omega, choice=None):
-    if choice is None:
-        choice = SqrtChoice.principal(omega)
+def oracle_reconstruct_F(omega, roots=None):
+    if roots is None:
+        roots = principal_roots(omega)
     k = math.frexp(omega.max_abs())[1] // 2
     omega = omega.scaled(2.0**-k).scaled(2.0**-k)
-    choice = SqrtChoice({f: r * 2.0**-k for f, r in choice.roots.items()})
-    oracle_check_roots(omega, choice)
-    oracle_kappa_probe(omega, choice)
+    roots = {f: r * 2.0**-k for f, r in roots.items()}
+    oracle_check_roots(omega, roots)
+    oracle_kappa_probe(omega, roots)
     delta = cocycle_defect(omega)
     if math.hypot(*abs(delta)) / math.sqrt(5) > 1e-9 * math.hypot(*abs(omega.as_vector())):
         raise ValueError("cochain has no primitive: not a cocycle")
-    alpha = oracle_alpha(omega, choice)
+    alpha = oracle_alpha(omega, roots)
     verts = omega.vertices
     ratios = []
     for rows, cols in CANONICAL_RATIO_PAIRS:
@@ -386,9 +471,10 @@ def test_reconstruct_matches_dict_oracle_bits(kind):
             omega = om.restrict(u)
             assert same_outcome(outcome(reconstruct_F, omega), outcome(oracle_reconstruct_F, omega))
             if seed < 10:
-                choice = SqrtChoice.principal(omega).flipped(faces(u, 2)[seed::3])
-                got = outcome(reconstruct_F, omega, choice)
-                assert same_outcome(got, outcome(oracle_reconstruct_F, omega, choice))
+                flips = faces(u, 2)[seed::3]
+                roots = {f: (-r if f in flips else r) for f, r in principal_roots(omega).items()}
+                got = outcome(reconstruct_F, omega, root_array(omega, roots))
+                assert same_outcome(got, outcome(oracle_reconstruct_F, omega, roots))
 
 
 @pytest.mark.filterwarnings("error")
@@ -408,10 +494,10 @@ def test_reconstruct_errors_match_dict_oracle(rng, change, error):
         vals[f] = v * vals[f]
     omega = Cochain(SIMPLEX, 2, vals)
     assert outcome(reconstruct_F, omega) == outcome(oracle_reconstruct_F, omega) == error
-    bad_root = SqrtChoice({**SqrtChoice.principal(omega).roots, (1, 2, 5): 2.0})
+    bad_root = {**principal_roots(omega), (1, 2, 5): 2.0}
     if error[0] is ValueError:  # every value is nonzero: the root check speaks
         expected = (ConsistencyError, "root at face (1, 2, 5) does not square to the value")
-        assert outcome(reconstruct_F, omega, bad_root) == expected
+        assert outcome(reconstruct_F, omega, root_array(omega, bad_root)) == expected
         assert outcome(oracle_reconstruct_F, omega, bad_root) == expected
 
 
@@ -429,10 +515,9 @@ def test_cocycle_defect_is_primitive_residual(rng):
 def test_kappa_matches_component_ratio(rng):
     _, fam, omega = forward(rng)
     cal = calibrate_sqrt_choice(fam, omega)
-    f1345 = build_f_t(fam, omega, cal, (1, 3, 4, 5)).f
-    f2345 = build_f_t(fam, omega, cal, (2, 3, 4, 5)).f
-    t = (1, 2, 3, 4)
-    direct = f1345.component(t)[1] / f2345.component(t)[1]
+    f = build_f_t(fam, omega, cal)
+    # gamma at (1, 2, 3, 4) of the variants differentiating at (1, 3, 4, 5) and (2, 3, 4, 5)
+    direct = f[3, 5] / f[4, 5]
     k = kappa(omega, cal)
     assert abs(k - direct) <= 1e-9 * abs(direct)
     assert abs(ratio_opposite(omega, cal, 2, 1, 5) - direct) <= 1e-9 * abs(direct)
@@ -440,10 +525,10 @@ def test_kappa_matches_component_ratio(rng):
 
 def test_kappa_branch_stability(rng):
     omega = generic_cocycle(rng)
-    s = SqrtChoice.principal(omega)
+    s = np.sqrt(omega.as_vector())
     k0 = kappa(omega, s)
-    assert abs(kappa(omega, s.flipped(TRIVIAL_FLIP)) - k0) <= 1e-12 * abs(k0)
-    assert abs(kappa(omega, s.flipped(GLOBAL_FLIP)) - k0) <= 1e-12 * abs(k0)
+    assert abs(kappa(omega, flipped(omega, s, TRIVIAL_FLIP)) - k0) <= 1e-12 * abs(k0)
+    assert abs(kappa(omega, flipped(omega, s, GLOBAL_FLIP)) - k0) <= 1e-12 * abs(k0)
 
 
 def test_kappa_all_ones_degenerate():
@@ -459,11 +544,10 @@ def test_component_ratio_recovers_double_ratio(rng):
     expected = double_ratio(wm, (1, 2), (4, 5))
     got = ratio_opposite(omega, cal, 1, 2, 4) / ratio_opposite(omega, cal, 1, 2, 5)
     assert abs(got - expected) <= 1e-8 * abs(expected)
-    f1345 = build_f_t(fam, omega, cal, (1, 3, 4, 5)).f
-    f2345 = build_f_t(fam, omega, cal, (2, 3, 4, 5)).f
-    g = lambda f, t: f.component(t)[1]
-    t4, t5 = (1, 2, 3, 5), (1, 2, 3, 4)
-    by_components = (g(f2345, t4) * g(f1345, t5)) / (g(f1345, t4) * g(f2345, t5))
+    f = build_f_t(fam, omega, cal)
+    # gamma at t4 = (1, 2, 3, 5) and t5 = (1, 2, 3, 4), generators 1 and 0, of
+    # the variants differentiating at (1, 3, 4, 5) and (2, 3, 4, 5), rows 3 and 4
+    by_components = (f[4, 6] * f[3, 5]) / (f[3, 6] * f[4, 5])
     assert abs(by_components - expected) <= 1e-8 * abs(expected)
 
 
@@ -489,10 +573,10 @@ def test_reconstruct_self_consistent(rng):
 
 def test_reconstruct_branch_kernel_invariance(rng):
     omega = generic_cocycle(rng)
-    s = SqrtChoice.principal(omega)
+    s = np.sqrt(omega.as_vector())
     base = canonical_ratios(reconstruct_F(omega, s))
     for flip in (TRIVIAL_FLIP, GLOBAL_FLIP):
-        other = canonical_ratios(reconstruct_F(omega, s.flipped(flip)))
+        other = canonical_ratios(reconstruct_F(omega, flipped(omega, s, flip)))
         worst = max(abs(x - y) / abs(y) for x, y in zip(other, base))
         assert worst <= 1e-9
 

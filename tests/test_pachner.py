@@ -9,7 +9,8 @@ import pytest
 
 from pachner33.acceptance import elliptic_scene_cocycle, generic_cocycle, random_elliptic_params
 from pachner33.elliptic import elliptic_cocycle
-from pachner33.errors import ConsistencyError, Pachner33Error
+from pachner33 import pachner
+from pachner33.errors import ConsistencyError, DegenerateWeightError, Pachner33Error
 from pachner33.grassmann import GeneratorSpace, GrassmannElement, _pfaffian_levels, berezin_integral
 from pachner33.operators import LinearOperator
 from pachner33.pachner import (
@@ -175,6 +176,37 @@ def test_reconcile_rejects_non_cocycle(rng):
     with pytest.raises(ValueError) as err:
         reconcile(Cochain(VERTICES, 2, vals))
     assert str(err.value) == "cochain has no primitive: not a cocycle"
+
+
+def _reconcile_with(monkeypatch, omega, edit):
+    """reconcile with edit(families) applied to its six normalized families."""
+    normalize = pachner.normalize_families
+    monkeypatch.setattr(pachner, "normalize_families", lambda wms: edit(normalize(wms)))
+    return reconcile(omega)
+
+
+def test_reconcile_names_a_singular_transition(rng, monkeypatch):
+    om = generic_cocycle(rng, VERTICES)
+    u = 3  # a leaf of the spanning tree, joined to SIMPLICES[0] at (1, 2, 4, 5)
+    scale = np.where(np.arange(6) == u, 1e-7, 1.0)[:, None, None]
+    with pytest.raises(DegenerateWeightError) as err:
+        _reconcile_with(monkeypatch, om, lambda fams: fams * scale)
+    assert str(err.value) == "singular transition on (1, 2, 4, 5)"
+
+
+def test_reconcile_names_a_tetrahedron_without_a_2x2_map(rng, monkeypatch):
+    om = generic_cocycle(rng, VERTICES)
+    k = 7  # one owner's first edge row at this tetrahedron, both components
+    u, slot, row = OWNER[k, 1], SLOT[k, 1], EDGE_ROWS[k, 1, 0]
+
+    def perturb(fams):
+        fams = fams.copy()
+        fams[u, row, [slot, slot + 5]] *= 1.5
+        return fams
+
+    with pytest.raises(ConsistencyError) as err:
+        _reconcile_with(monkeypatch, om, perturb)
+    assert str(err.value).startswith(f"components on {SHARED[k]} are not related by a 2x2 map (residual ")
 
 
 def test_side_weights_are_odd(rng):
