@@ -31,7 +31,7 @@ from .simplicial import Cochain, coboundary, cochain_primitive, is_cocycle, rand
 from .operators import LinearOperator, annihilator_of, principal_angles
 from .weights import (
     WeightMatrix,
-    double_ratio,
+    double_ratios,
     gaussian_weight,
     solve_F_from_ratios,
     weight_operators,
@@ -64,7 +64,7 @@ __all__ = [
     "annihilator_of",
     "principal_angles",
     "WeightMatrix",
-    "double_ratio",
+    "double_ratios",
     "gaussian_weight",
     "solve_F_from_ratios",
     "weight_operators",

@@ -33,14 +33,7 @@ from .elliptic import (
 )
 from .errors import DegenerateCocycleError, NumericsError, Pachner33Error
 from .grassmann import bit_matrix, gaussian_coefficients
-from .operators import (
-    LinearOperator,
-    action_matrix,
-    nullspace,
-    operator_matrix,
-    partial_product,
-    principal_angles,
-)
+from .operators import action_matrix, nullspace, principal_angles
 from .simplicial import Cochain, coboundary, faces, is_cocycle, random_cocycle, roundtrip_residual
 from .weights import WeightMatrix, apply_gauge_to_F, canonical_ratios, weight_operators
 from . import pachner
@@ -170,7 +163,7 @@ def criterion_2(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
         # exp(-1/2 x.F.x), F's rows reversed from opposite-vertex into generator order
         W = gaussian_coefficients(-wm.entries[::-1, ::-1])
         M = action_matrix(W)
-        ops = operator_matrix(weight_operators(wm))
+        ops = weight_operators(wm)
         resid = np.abs(M @ ops.T).max(axis=0) / np.linalg.norm(ops, axis=1)
         worst = max(worst, resid.max() / np.abs(W).max())
         ann = nullspace(M)
@@ -228,11 +221,11 @@ def criterion_3(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
     for _ in range(100):
         phi = random_phi(rng)
         wm = WeightMatrix.from_phi(SIMPLEX, phi)
-        d12 = LinearOperator.from_vector(wm.space(), raw_edge_operator(wm)[0])
+        d12 = raw_edge_operator(wm)[0]
         mine, ref = [], []
         for t, (eb, eg) in _edge12_reference(phi).items():
-            beta, gamma = d12.component(t)
-            mine += [beta, gamma]
+            i = faces(SIMPLEX, 3).index(t)  # beta at generator i, gamma at 5 + i
+            mine += [d12[i], d12[5 + i]]
             ref += [eb, eg]
         mine, ref = np.array(mine), np.array(ref)
         j = int(np.argmax(np.abs(ref)))
@@ -270,8 +263,8 @@ def criterion_4(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
         omega2 = extract_w_cocycle(normalize_family(gauged))
         worst = max(worst, roundtrip_residual(omega, omega2))
 
-        t = (1, 2, 3, 4)
-        comp = lambda e: np.array(fam.operator(e).component(t))
+        # beta and gamma of an edge's row at (1, 2, 3, 4), generator 0
+        comp = lambda e: fam.matrix[fam.edges.index(e)][[0, 5]]
         denom = omega[(1, 3, 4)] - omega[(2, 3, 4)]
         pred13 = -(omega[(1, 2, 4)] * comp((1, 2)) + omega[(2, 3, 4)] * comp((3, 4))) / denom
         pred24 = -(omega[(1, 2, 3)] * comp((1, 2)) + omega[(1, 3, 4)] * comp((3, 4))) / denom
@@ -279,9 +272,10 @@ def criterion_4(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
         worst = max(worst, np.abs(comp((1, 3)) - pred13).max() / scale)
         worst = max(worst, np.abs(comp((2, 4)) - pred24).max() / scale)
 
-        d12, d34 = fam.operator((1, 2)), fam.operator((3, 4))
-        t1 = omega[(1, 2, 3)] * omega[(1, 2, 4)] * partial_product(d12, d12, t)
-        t2 = omega[(1, 3, 4)] * omega[(2, 3, 4)] * partial_product(d34, d34, t)
+        # each paired with itself there: beta gamma + gamma beta
+        (b12, g12), (b34, g34) = comp((1, 2)), comp((3, 4))
+        t1 = omega[(1, 2, 3)] * omega[(1, 2, 4)] * (2 * b12 * g12)
+        t2 = omega[(1, 3, 4)] * omega[(2, 3, 4)] * (2 * b34 * g34)
         worst = max(worst, abs(t1 + t2) / max(abs(t1), abs(t2), 1e-30))
     ok = cocycle_ok and worst <= tol
     return CriterionResult(

@@ -176,13 +176,11 @@ def weight_matrix_from_json(d: dict) -> WeightMatrix:
 
 
 def family_to_json(fam: EdgeOperatorFamily) -> dict:
+    # row j is edge j's (beta, gamma) vector, generator i at columns i and 5 + i
+    tets = [_cell_key(t) for t in faces(fam.simplex, 3)]
     edges = {}
-    for e in fam.edges:
-        d = fam.operator(e)
-        terms = {}
-        for t in d.space.labels:
-            beta, gamma = d.component(t)
-            terms[_cell_key(t)] = {"beta": complex(beta), "gamma": complex(gamma)}
+    for e, row in zip(fam.edges, fam.matrix):
+        terms = {t: {"beta": complex(row[i]), "gamma": complex(row[5 + i])} for i, t in enumerate(tets)}
         edges[_cell_key(e)] = {"terms": terms}
     return {"edges": edges, "normalized": True}
 

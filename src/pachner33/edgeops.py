@@ -16,9 +16,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateWeightError
-from .operators import RANK_RTOL, LinearOperator, nullspace, svd_rank
+from .operators import RANK_RTOL, nullspace, svd_rank
 from .simplicial import Cochain, coboundary_matrix, faces
-from .weights import WeightMatrix, tetra_space
+from .weights import WeightMatrix
 
 # vertex positions of the ten edges in edge-lex order; position k also names
 # the tetrahedron omitting vertex k, so these are each edge's non-star rows
@@ -40,10 +40,6 @@ class EdgeOperatorFamily:
     @property
     def edges(self) -> list:
         return faces(self.simplex, 1)
-
-    def operator(self, edge) -> LinearOperator:
-        row = self.matrix[self.edges.index(tuple(sorted(edge)))]
-        return LinearOperator.from_vector(tetra_space(self.simplex), row)
 
 
 def _raw_edge_operators(E: np.ndarray) -> tuple:

@@ -5,6 +5,7 @@ weight matrix built from half-argument ratios.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,18 @@ def jacobi_sn_cn_dn(u: complex, modulus: complex) -> tuple[complex, complex, com
     The modulus is descended through Landen steps until negligible, the
     trigonometric values are taken there, and the steps are unwound.  The
     principal square root keeps every descended modulus inside the unit disc.
+    Values that would not be finite, as from an argument or modulus that
+    overflows a step, raise NumericsError.
     """
-    u, k = complex(u), complex(modulus)
+    scd = _sn_cn_dn(complex(u), complex(modulus))
+    if not all(map(cmath.isfinite, scd)):
+        raise NumericsError("sn, cn or dn is not finite at this argument and modulus")
+    return scd
+
+
+@np.errstate(all="ignore")  # an overflow shows as a value that is not finite
+def _sn_cn_dn(u: complex, k: complex) -> tuple:
+    """sn, cn, dn as in jacobi_sn_cn_dn, finite or not."""
     if abs(k) < _MODULUS_FLOOR:
         return np.sin(u), np.cos(u), 1.0 + 0.0j
     if abs(1.0 - k * k) < _MODULUS_FLOOR:

@@ -1,8 +1,9 @@
 """First-order operators b.d + c.x on a Grassmann algebra.
 
-An operator is stored as two coefficient vectors indexed like the space's
-generators.  The coefficient vector layout used throughout is (beta, gamma)
-stacked into a single vector of length 2n, beta first.
+An operator is one (beta, gamma) row of length 2n, beta first, each half
+indexed like the space's generators; a family of operators is a stack of
+such rows.  LinearOperator ties one row to its space, to apply it to a
+sparse element.
 """
 
 from __future__ import annotations
@@ -32,46 +33,14 @@ class LinearOperator:
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "gamma", g)
 
-    @staticmethod
-    def from_vector(space: GeneratorSpace, vec: np.ndarray) -> "LinearOperator":
-        vec = np.asarray(vec, dtype=complex).reshape(2 * space.n)
-        return LinearOperator(space, vec[: space.n], vec[space.n :])
-
     @property
     def vector(self) -> np.ndarray:
         return np.concatenate([self.beta, self.gamma])
-
-    def component(self, label) -> tuple[complex, complex]:
-        i = self.space.index[tuple(label)]
-        return self.beta[i], self.gamma[i]
 
     def apply(self, f: GrassmannElement) -> GrassmannElement:
         if f.space != self.space:
             raise SpaceMismatchError("operator and element live on different spaces")
         return GrassmannElement(self.space, dict(enumerate(action_matrix(f.dense()) @ self.vector)))
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        if other.space != self.space:
-            raise SpaceMismatchError("operators live on different spaces")
-        return LinearOperator(self.space, self.beta + other.beta, self.gamma + other.gamma)
-
-    def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar: complex) -> "LinearOperator":
-        return LinearOperator(self.space, complex(scalar) * self.beta, complex(scalar) * self.gamma)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
-
-
-def partial_product(d1: LinearOperator, d2: LinearOperator, label) -> complex:
-    """Term beta1*gamma2 + beta2*gamma1 at one generator; summed over all of
-    them it is the anticommutator pairing."""
-    if d1.space != d2.space:
-        raise SpaceMismatchError("operators live on different spaces")
-    i = d1.space.index[tuple(label)]
-    return complex(d1.beta[i] * d2.gamma[i] + d2.beta[i] * d1.gamma[i])
 
 
 def svd_rank(s: np.ndarray, rtol: float = RANK_RTOL):
@@ -114,14 +83,6 @@ def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     resid = qb - qa @ (qa.conj().T @ qb)
     sins = np.sort(np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0))[:k]
     return np.where(coss**2 > 0.5, np.arcsin(sins), np.arccos(coss))
-
-
-def operator_matrix(ops) -> np.ndarray:
-    """Stack operator coefficient vectors as rows."""
-    ops = list(ops)
-    if not ops:
-        raise ValueError("empty operator list")
-    return np.array([d.vector for d in ops])
 
 
 @cache

@@ -9,12 +9,12 @@ simplex 12345 the order is 2345, 1345, 1245, 1235, 1234.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateWeightError
 from .grassmann import GeneratorSpace, GrassmannElement, exp_even
-from .operators import LinearOperator
 from .simplicial import Cochain, faces, permutation_sign
 
 SKEW_TOL = 1e-12
@@ -31,6 +31,21 @@ CANONICAL_RATIO_PAIRS = (
     ((1, 3), (2, 4)),
     ((2, 4), (3, 5)),
 )
+
+
+def ratio_positions(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns, 0-based and (N, 4), of the entries in the double
+    ratios of N (rows, cols) pairs given 1-based: (r1, c1) and (r2, c2),
+    the numerator, then (r1, c2) and (r2, c1), the denominator."""
+    p = np.asarray(pairs).reshape(-1, 2, 2) - 1
+    return p[:, 0, [0, 1, 0, 1]], p[:, 1, [0, 1, 1, 0]]
+
+
+CANONICAL_POSITIONS = ratio_positions(CANONICAL_RATIO_PAIRS)
+# the 2-face at lex index f misses the vertex positions FACE_POS[f] = (k, l),
+# k < l; its value sits at (k, l) of the matrix with sign (-1)^(k+l)
+FACE_POS = np.array([[k for k in range(5) if k not in f] for f in combinations(range(5), 3)])
+FACE_SIGN = (-1.0) ** FACE_POS.sum(axis=1)
 
 
 def opposite_tetrahedra(simplex) -> list[tuple[int, ...]]:
@@ -67,34 +82,24 @@ class WeightMatrix:
     def tetrahedra(self) -> list[tuple[int, ...]]:
         return opposite_tetrahedra(self.simplex)
 
-    def space(self) -> GeneratorSpace:
-        return tetra_space(self.simplex)
-
     @staticmethod
     def from_phi(simplex, phi: Cochain) -> "WeightMatrix":
         """Place the ten 2-face values with alternating signs.
 
         The entry at (k, l), k < l, is (-1)^(k+l) times the value on the
-        2-face complementary to the k-th and l-th vertices.
+        2-face complementary to the k-th and l-th vertices (see FACE_POS).
         """
         verts = tuple(sorted(simplex))
+        upper = FACE_SIGN * np.array([phi[f] for f in faces(verts, 2)], dtype=complex)
         E = np.zeros((5, 5), dtype=complex)
-        for k in range(5):
-            for l in range(k + 1, 5):
-                comp = tuple(v for v in verts if v not in (verts[k], verts[l]))
-                E[k, l] = (-1) ** (k + l) * phi[comp]
-                E[l, k] = -E[k, l]
+        E[FACE_POS[:, 0], FACE_POS[:, 1]] = upper
+        E[FACE_POS[:, 1], FACE_POS[:, 0]] = -upper
         return WeightMatrix(verts, E)
 
     def phi(self) -> Cochain:
         """The ten 2-face values read back from the matrix."""
-        verts = self.simplex
-        vals = {}
-        for k in range(5):
-            for l in range(k + 1, 5):
-                comp = tuple(v for v in verts if v not in (verts[k], verts[l]))
-                vals[comp] = (-1) ** (k + l) * self.entries[k, l]
-        return Cochain(verts, 2, vals)
+        vals = FACE_SIGN * self.entries[FACE_POS[:, 0], FACE_POS[:, 1]]
+        return Cochain(self.simplex, 2, dict(zip(faces(self.simplex, 2), vals)))
 
     def max_abs(self) -> float:
         return float(np.abs(self.entries).max())
@@ -120,19 +125,11 @@ def gaussian_weight(wm: WeightMatrix) -> GrassmannElement:
     return exp_even(quadratic_form(wm))
 
 
-def weight_operators(wm: WeightMatrix) -> list[LinearOperator]:
-    """The five annihilating operators, k-th row: d/dx_{t_k} + sum_l F[k,l] x_{t_l}."""
-    space = tetra_space(wm.simplex)
-    tets = wm.tetrahedra
-    ops = []
-    for k in range(5):
-        beta = np.zeros(space.n, dtype=complex)
-        gamma = np.zeros(space.n, dtype=complex)
-        beta[space.index[tets[k]]] = 1.0
-        for l in range(5):
-            gamma[space.index[tets[l]]] += wm.entries[k, l]
-        ops.append(LinearOperator(space, beta, gamma))
-    return ops
+def weight_operators(wm: WeightMatrix) -> np.ndarray:
+    """Row k, in opposite-vertex order, is d/dx_{t_k} + sum_l F[k,l] x_{t_l}
+    as a (beta, gamma) row in generator order, (5, 10): t_k, which omits
+    vertex k, is generator 4 - k, so the halves are I and F, columns reversed."""
+    return np.hstack([np.eye(5, dtype=complex)[:, ::-1], wm.entries[:, ::-1]])
 
 
 def apply_gauge_to_F(wm: WeightMatrix, scales) -> WeightMatrix:
@@ -147,27 +144,22 @@ def apply_gauge_to_F(wm: WeightMatrix, scales) -> WeightMatrix:
     return WeightMatrix(wm.simplex, A @ wm.entries @ A)
 
 
-def double_ratio(wm: WeightMatrix, rows, cols) -> complex:
-    """(F[r1,c1] F[r2,c2]) / (F[r1,c2] F[r2,c1]), indices 1-based in row order."""
-    r1, r2 = (int(r) - 1 for r in rows)
-    c1, c2 = (int(c) - 1 for c in cols)
-    vals = {
-        (r1, c1): wm.entries[r1, c1],
-        (r2, c2): wm.entries[r2, c2],
-        (r1, c2): wm.entries[r1, c2],
-        (r2, c1): wm.entries[r2, c1],
-    }
-    floor = 1e-12 * max(wm.max_abs(), 1e-300)
-    for pos, v in vals.items():
-        if abs(v) <= floor:
-            raise DegenerateWeightError(
-                f"matrix entry at {(pos[0] + 1, pos[1] + 1)} too small for a double ratio"
-            )
-    return vals[(r1, c1)] * vals[(r2, c2)] / (vals[(r1, c2)] * vals[(r2, c1)])
+def double_ratios(wm: WeightMatrix, positions) -> np.ndarray:
+    """(F[r1,c1] F[r2,c2]) / (F[r1,c2] F[r2,c1]) at each of a stack of
+    positions (see ratio_positions), gathered at once.  An entry too small
+    to divide by raises, naming the first in pair order."""
+    rows, cols = positions
+    v = wm.entries[rows, cols]
+    small = np.abs(v) <= 1e-12 * max(wm.max_abs(), 1e-300)
+    if small.any():
+        i = int(np.argmax(small))  # the first in pair order
+        at = (int(rows.flat[i]) + 1, int(cols.flat[i]) + 1)
+        raise DegenerateWeightError(f"matrix entry at {at} too small for a double ratio")
+    return v[:, 0] * v[:, 1] / (v[:, 2] * v[:, 3])
 
 
-def canonical_ratios(wm: WeightMatrix) -> list[complex]:
-    return [double_ratio(wm, rows, cols) for rows, cols in CANONICAL_RATIO_PAIRS]
+def canonical_ratios(wm: WeightMatrix) -> np.ndarray:
+    return double_ratios(wm, CANONICAL_POSITIONS)
 
 
 def solve_F_from_ratios(simplex, ratios) -> WeightMatrix:

@@ -15,6 +15,7 @@ import pytest
 import pachner33
 from pachner33 import cli
 from pachner33.acceptance import generic_cocycle
+from pachner33.edgeops import normalize_family
 from pachner33.pachner import VERTICES as SCENE_VERTICES
 from pachner33.simplicial import Cochain, is_cocycle, roundtrip_residual
 
@@ -205,9 +206,35 @@ def test_edge_operators_output(capsys, tmp_path):
     assert rc == 0
     rep = json.loads(out)
     assert rep["normalized"] is True
-    assert len(rep["edges"]) == 10
-    for op in rep["edges"].values():
-        assert len(op["terms"]) == 5
+    # edge j's beta and gamma at generator i are columns i and 5 + i of row
+    # j of the family, exactly: 17 significant digits read back every bit
+    matrix = normalize_family(cli._read(str(f_path), cli.weight_matrix_from_json)).matrix
+    keys = lambda k: [",".join(map(str, c)) for c in itertools.combinations(range(1, 6), k)]
+    assert sorted(rep["edges"]) == keys(2)
+    for e, row in zip(keys(2), matrix):
+        terms = rep["edges"][e]["terms"]
+        assert sorted(terms) == keys(4)
+        for i, t in enumerate(keys(4)):
+            assert complex(*terms[t]["beta"]) == row[i]
+            assert complex(*terms[t]["gamma"]) == row[5 + i]
+
+
+def test_degenerate_weight_names_the_entry(capsys, tmp_path):
+    # the gauge-fixed matrix solved from this cocycle's ratios has a
+    # vanishing entry, which the solve's own ratio check names
+    values = {
+        "1,2,3": [0, 1], "1,2,4": [2, -2], "1,2,5": [0, -2], "1,3,4": [0, -1], "1,3,5": [0, -1],
+        "1,4,5": [-2, -1], "2,3,4": [-2, 2], "2,3,5": [0, 2], "2,4,5": [0, -1], "3,4,5": [-2, -1],
+    }
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps({"degree": 2, "values": values}))
+    rc = cli.main(["weight-from-cocycle", "--cocycle", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err == ""
+    rep = json.loads(out)
+    assert rep["error"] == "DegenerateWeightError"
+    assert rep["message"] == "matrix entry at (1, 3) too small for a double ratio"
 
 
 def test_elliptic_f_accepts_explicit_params(capsys, tmp_path):
@@ -320,6 +347,32 @@ def test_malformed_coords_key_is_an_input_error(capsys, tmp_path, command, key, 
     rep = json.loads(out)
     assert rc == 2
     assert rep["error"] == "ValueError" and problem in rep["message"] and repr(key) in rep["message"]
+
+
+OVERFLOW_COORDS = {"1": [0.6, 0.3], "2": [1.1, 0.5], "3": [1.6, 0.2], "4": [2.0, 0.6], "5": [2.5, 0.4]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", COORDS_COMMANDS)
+@pytest.mark.parametrize("modulus, far", (("1e10,0", None), ("0.5,0.1", 1e22)))
+def test_overflowing_jacobi_values_are_a_numerics_error(capsys, tmp_path, command, modulus, far):
+    # modulus 1e10 overflows the Landen descent's argument; coordinates near
+    # 1e22 overflow the argument itself.  The data are sound at 0.5,0.1.
+    coords = {**OVERFLOW_COORDS, "6": [2.9, 0.7]} if command[0] == "verify-pachner" else OVERFLOW_COORDS
+    path = tmp_path / "coords.json"
+    path.write_text(json.dumps({"coords": coords}))
+    assert cli.main([*command, "--coords", str(path), "--modulus=0.5,0.1"]) == 0
+    if far is not None:
+        coords = {**coords, "1": [far, 0.3], "2": [-far, 0.5]}
+        path.write_text(json.dumps({"coords": coords}))
+    capsys.readouterr()
+    rc = cli.main([*command, "--coords", str(path), f"--modulus={modulus}"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err == ""
+    rep = json.loads(out)
+    assert rep["error"] == "NumericsError"
+    assert rep["message"] == "sn, cn or dn is not finite at this argument and modulus"
 
 
 def test_every_written_file_reads_back(capsys, tmp_path):

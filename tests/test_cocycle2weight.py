@@ -47,7 +47,8 @@ from pachner33.weights import (
     CANONICAL_RATIO_PAIRS,
     WeightMatrix,
     canonical_ratios,
-    double_ratio,
+    double_ratios,
+    ratio_positions,
     solve_F_from_ratios,
 )
 
@@ -140,13 +141,13 @@ def test_superisotropy(rng):
 
 def test_paired_components_proportional(rng):
     _, fam, omega = forward(rng)
-    alpha = dict(zip(fam.edges, alpha_coefficients(omega)))
-    t = (1, 2, 3, 4)
+    alpha = alpha_coefficients(omega)
     pairs = (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
     comps = []
     for a, b in pairs:
-        op = alpha[a] * fam.operator(a) + alpha[b] * fam.operator(b)
-        comps.append(np.array(op.component(t)))
+        i, j = fam.edges.index(a), fam.edges.index(b)
+        op = alpha[i] * fam.matrix[i] + alpha[j] * fam.matrix[j]
+        comps.append(op[[0, 5]])  # beta and gamma at (1, 2, 3, 4), generator 0
     for i in range(3):
         j = (i + 1) % 3
         cross = comps[i][0] * comps[j][1] - comps[i][1] * comps[j][0]
@@ -541,7 +542,7 @@ def test_component_ratio_recovers_double_ratio(rng):
     wm, fam, omega = forward(rng)
     cal = calibrate_sqrt_choice(fam, omega)
     # the spelled-out case: rows (1,2), columns (4,5), as matrix positions
-    expected = double_ratio(wm, (1, 2), (4, 5))
+    expected = double_ratios(wm, ratio_positions([((1, 2), (4, 5))]))[0]
     got = ratio_opposite(omega, cal, 1, 2, 4) / ratio_opposite(omega, cal, 1, 2, 5)
     assert abs(got - expected) <= 1e-8 * abs(expected)
     f = build_f_t(fam, omega, cal)

@@ -10,7 +10,6 @@ from pachner33.edgeops import (
     EDGE_POS,
     SIGNS,
     STAR_POS,
-    EdgeOperatorFamily,
     extract_w_cocycle,
     normalize_families,
     normalize_family,
@@ -19,7 +18,7 @@ from pachner33.edgeops import (
 from pachner33.cocycle2weight import reconstruct_F
 from pachner33.elliptic import elliptic_F
 from pachner33.errors import DegenerateWeightError, Pachner33Error
-from pachner33.operators import column_space, matrix_rank, nullspace, partial_product, svd_rank
+from pachner33.operators import LinearOperator, column_space, matrix_rank, nullspace, svd_rank
 from pachner33.simplicial import (
     Cochain,
     coboundary,
@@ -29,11 +28,14 @@ from pachner33.simplicial import (
     roundtrip_residual,
 )
 from pachner33.pachner import SIMPLICES
-from pachner33.weights import WeightMatrix, apply_gauge_to_F, gaussian_weight
+from pachner33.weights import WeightMatrix, apply_gauge_to_F, gaussian_weight, tetra_space
 from test_cocycle2weight import scene_cocycle
 from test_simplicial import star_tetrahedra, vertex_coboundary_sign
 
 SIMPLEX = (1, 2, 3, 4, 5)
+# generator i of an operator row is the i-th tetrahedron in lex order: beta
+# in column i, gamma in column 5 + i
+TETRAHEDRA = faces(SIMPLEX, 3)
 
 
 def random_phi(rng, min_abs=0.05):
@@ -50,9 +52,9 @@ def random_wm(rng):
     return WeightMatrix.from_phi(SIMPLEX, random_phi(rng))
 
 
-def raw_family(wm):
-    """The unscaled operators, wrapped for per-edge access."""
-    return EdgeOperatorFamily(wm.simplex, raw_edge_operator(wm))
+def pairing_at(a, b, i):
+    """The anticommutator pairing's term at generator i of two rows."""
+    return a[i] * b[5 + i] + b[i] * a[5 + i]
 
 
 def svd_edge_operator(wm):
@@ -80,15 +82,12 @@ def oracle_weight(kind, seed):
 
 def test_raw_support_exact(rng):
     wm = random_wm(rng)
-    raw = raw_family(wm)
-    for b in faces(SIMPLEX, 1):
-        d = raw.operator(b)
-        assert np.abs(d.vector).max() == pytest.approx(1.0, abs=1e-15)
+    for b, d in zip(faces(SIMPLEX, 1), raw_edge_operator(wm)):
+        assert np.abs(d).max() == pytest.approx(1.0, abs=1e-15)
         star = set(star_tetrahedra(b, SIMPLEX))
-        for t in wm.tetrahedra:
-            beta, gamma = d.component(t)
+        for i, t in enumerate(TETRAHEDRA):
             if t not in star:
-                assert beta == 0 and gamma == 0
+                assert d[i] == 0 and d[5 + i] == 0
 
 
 @pytest.mark.parametrize("kind, bound", (("random", 2e-14), ("elliptic", 1e-12)))
@@ -110,7 +109,7 @@ def test_raw_edge_operator_scale_free(rng, scale):
 def test_raw_edge12_reference_polynomials(rng):
     phi = random_phi(rng)
     wm = WeightMatrix.from_phi(SIMPLEX, phi)
-    d = raw_family(wm).operator((1, 2))
+    d = raw_edge_operator(wm)[0]  # edge (1, 2)
     p = lambda *v: phi[v]
     expected = {
         (1, 2, 4, 5): (
@@ -143,8 +142,8 @@ def test_raw_edge12_reference_polynomials(rng):
     }
     mine, ref = [], []
     for t, (eb, eg) in expected.items():
-        beta, gamma = d.component(t)
-        mine += [beta, gamma]
+        i = TETRAHEDRA.index(t)
+        mine += [d[i], d[5 + i]]
         ref += [eb, eg]
     mine, ref = np.array(mine), np.array(ref)
     j = np.argmax(np.abs(ref))
@@ -155,9 +154,8 @@ def test_raw_edge12_reference_polynomials(rng):
 def test_raw_annihilates_weight(rng):
     wm = random_wm(rng)
     W = gaussian_weight(wm)
-    raw = raw_family(wm)
-    for b in faces(SIMPLEX, 1):
-        d = raw.operator(b)
+    for row in raw_edge_operator(wm):
+        d = LinearOperator(tetra_space(SIMPLEX), row[:5], row[5:])
         assert d.apply(W).max_abs() <= 1e-11 * W.max_abs()
 
 
@@ -296,16 +294,13 @@ def test_normalized_vertex_coboundaries_vanish(rng):
 def test_family_layout(rng):
     fam = normalize_family(random_wm(rng))
     assert fam.matrix.shape == (10, 10)
-    for j, b in enumerate(fam.edges):
-        d = fam.operator(b)
-        assert d.vector.tobytes() == fam.matrix[j].tobytes()
-        assert d.space.labels == tuple(faces(SIMPLEX, 3))
-    assert fam.operator((2, 1)).vector.tobytes() == fam.matrix[0].tobytes()
-    # generator i is the i-th tetrahedron in lex order: beta in column i,
-    # gamma in column 5 + i
-    for i, t in enumerate(faces(SIMPLEX, 3)):
-        for b, beta, gamma in zip(fam.edges, fam.matrix[:, i], fam.matrix[:, 5 + i]):
-            assert (beta, gamma) == fam.operator(b).component(t)
+    assert fam.edges == faces(SIMPLEX, 1)
+    assert tetra_space(SIMPLEX).labels == tuple(TETRAHEDRA)
+    # row j is edge j; both halves vanish exactly off the edge's star
+    for b, row in zip(fam.edges, fam.matrix):
+        off = [i for i, t in enumerate(TETRAHEDRA) if not set(b) <= set(t)]
+        assert len(off) == 2
+        assert not row[off].any() and not row[[5 + i for i in off]].any()
 
 
 def test_family_spans_five_dimensions(rng):
@@ -315,12 +310,13 @@ def test_family_spans_five_dimensions(rng):
 
 def test_opposite_edges_partial_product(rng):
     fam = normalize_family(random_wm(rng))
-    for t in faces(SIMPLEX, 3):
+    row = lambda e: fam.matrix[fam.edges.index(e)]
+    for i, t in enumerate(TETRAHEDRA):
         w, x, y, z = t
         for a, b in (((w, x), (y, z)), ((w, y), (x, z)), ((w, z), (x, y))):
-            da, db = fam.operator(a), fam.operator(b)
-            val = partial_product(da, db, t)
-            assert abs(val) <= 1e-11 * max(da.norm() * db.norm(), 1.0)
+            da, db = row(a), row(b)
+            val = pairing_at(da, db, i)
+            assert abs(val) <= 1e-11 * max(np.linalg.norm(da) * np.linalg.norm(db), 1.0)
 
 
 def test_w_cocycle_basics(rng):
@@ -388,8 +384,7 @@ def test_w_cocycle_scale_free(e):
 def test_component_relations_at_1234(rng):
     fam = normalize_family(random_wm(rng))
     omega = extract_w_cocycle(fam)
-    t = (1, 2, 3, 4)
-    comp = lambda e: np.array(fam.operator(e).component(t))
+    comp = lambda e: fam.matrix[fam.edges.index(e)][[0, 5]]  # at (1, 2, 3, 4), generator 0
     denom = omega[(1, 3, 4)] - omega[(2, 3, 4)]
     lhs13 = comp((1, 3))
     rhs13 = -(omega[(1, 2, 4)] * comp((1, 2)) + omega[(2, 3, 4)] * comp((3, 4))) / denom
@@ -403,10 +398,10 @@ def test_component_relations_at_1234(rng):
 def test_norm_relation_at_1234(rng):
     fam = normalize_family(random_wm(rng))
     omega = extract_w_cocycle(fam)
-    t = (1, 2, 3, 4)
-    d12, d34 = fam.operator((1, 2)), fam.operator((3, 4))
-    t1 = omega[(1, 2, 3)] * omega[(1, 2, 4)] * partial_product(d12, d12, t)
-    t2 = omega[(1, 3, 4)] * omega[(2, 3, 4)] * partial_product(d34, d34, t)
+    d12, d34 = fam.matrix[fam.edges.index((1, 2))], fam.matrix[fam.edges.index((3, 4))]
+    # at (1, 2, 3, 4), generator 0
+    t1 = omega[(1, 2, 3)] * omega[(1, 2, 4)] * pairing_at(d12, d12, 0)
+    t2 = omega[(1, 3, 4)] * omega[(2, 3, 4)] * pairing_at(d34, d34, 0)
     assert abs(t1 + t2) <= 1e-9 * max(abs(t1), abs(t2), 1e-30)
 
 

@@ -104,6 +104,21 @@ def test_pole_raises():
         jacobi_sn_cn_dn(1j * kp, k)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "u, k",
+    [
+        (-0.5 - 0.2j, 1e10),  # the first descended modulus is near -1: 1 + k is 2e-10
+        (2e22 - 0.1j, 0.5 + 0.1j),  # the argument itself
+        (1e3j, 0.5),  # sin and cos of the descended argument overflow
+        (1e3j, 0.0),  # the trigonometric limit, at once
+    ],
+)
+def test_values_that_are_not_finite_raise(u, k):
+    with pytest.raises(NumericsError, match="not finite"):
+        jacobi_sn_cn_dn(u, k)
+
+
 def test_params_reject_pole_pair():
     k = 0.5
     kp = float(mpmath.ellipk(1 - mpmath.mpf(k) ** 2))

@@ -12,7 +12,6 @@ from pachner33.operators import (
     annihilator_of,
     matrix_rank,
     nullspace,
-    operator_matrix,
     principal_angles,
 )
 from pachner33.simplicial import Cochain, faces
@@ -21,10 +20,11 @@ from pachner33.weights import (
     WeightMatrix,
     apply_gauge_to_F,
     canonical_ratios,
-    double_ratio,
+    double_ratios,
     gaussian_weight,
     opposite_tetrahedra,
     quadratic_form,
+    ratio_positions,
     solve_F_from_ratios,
     tetra_space,
     weight_operators,
@@ -80,6 +80,32 @@ def test_phi_roundtrip(rng):
     assert max(abs(back[s] - phi[s]) for s in faces(SIMPLEX, 2)) < 1e-15
 
 
+def loop_entries(simplex, phi):
+    """from_phi as a loop over vertex pairs, the reference for its table."""
+    E = np.zeros((5, 5), dtype=complex)
+    for k in range(5):
+        for l in range(k + 1, 5):
+            comp = tuple(v for v in simplex if v not in (simplex[k], simplex[l]))
+            E[k, l] = (-1) ** (k + l) * phi[comp]
+            E[l, k] = -E[k, l]
+    return E
+
+
+def test_face_table_matches_the_loop(rng):
+    # signed zeros included: a face left out of phi is 0, and -0 prints
+    phi = random_phi(rng)
+    sparse = Cochain(SIMPLEX, 2, {(1, 2, 3): -1j, (2, 4, 5): 0.5})
+    for p in (phi, sparse):
+        wm = WeightMatrix.from_phi(SIMPLEX, p)
+        assert wm.entries.tobytes() == loop_entries(SIMPLEX, p).tobytes()
+        back = wm.phi()
+        for k in range(5):
+            for l in range(k + 1, 5):
+                comp = tuple(v for v in SIMPLEX if v not in (SIMPLEX[k], SIMPLEX[l]))
+                expected = complex((-1) ** (k + l) * wm.entries[k, l])
+                assert np.array(back[comp]).tobytes() == np.array(expected).tobytes()
+
+
 def test_quadratic_form_single_face():
     phi = Cochain(SIMPLEX, 2, {(3, 4, 5): 2.0})
     q = quadratic_form(WeightMatrix.from_phi(SIMPLEX, phi))
@@ -107,7 +133,17 @@ def test_gaussian_weight_annihilated(rng):
     wm = random_wm(rng)
     W = gaussian_weight(wm)
     assert W.constant_term() == 1.0
-    for d in weight_operators(wm):
+    rows = weight_operators(wm)
+    # row k is d/dx_{t_k} + sum_l F[k, l] x_{t_l}, columns in generator order
+    space = tetra_space(SIMPLEX)
+    expected = np.zeros((5, 10), dtype=complex)
+    for k, t in enumerate(wm.tetrahedra):
+        expected[k, space.index[t]] = 1.0
+        for l, u in enumerate(wm.tetrahedra):
+            expected[k, 5 + space.index[u]] = wm.entries[k, l]
+    assert rows.tobytes() == expected.tobytes()
+    for row in rows:
+        d = LinearOperator(space, row[:5], row[5:])
         assert d.apply(W).max_abs() <= 1e-12 * W.max_abs()
 
 
@@ -120,16 +156,16 @@ def test_gaussian_weight_is_the_dense_gaussian_of_minus_F(rng):
     assert np.abs(W.dense() - dense).max() <= 1e-14 * np.abs(dense).max()
     ann = annihilator_of(W)
     assert ann.shape == (10, 5)
-    assert principal_angles(operator_matrix(weight_operators(wm)).T, ann).max() <= 1e-8
+    assert principal_angles(weight_operators(wm).T, ann).max() <= 1e-8
 
 
 def test_gaussian_weight_spans_joint_kernel(rng):
     wm = random_wm(rng)
     space = tetra_space(SIMPLEX)
     W = gaussian_weight(wm)
-    ops = weight_operators(wm)
     blocks = []
-    for d in ops:
+    for row in weight_operators(wm):
+        d = LinearOperator(space, row[:5], row[5:])
         M = np.zeros((32, 32), dtype=complex)
         for mask in range(32):
             out = d.apply(GrassmannElement(space, {mask: 1.0}))
@@ -168,10 +204,9 @@ def test_odd_weight_properties(rng):
     # swapping the roles of derivative and variable at t annihilates the image
     space = tetra_space(SIMPLEX)
     i = space.index[t]
-    for d in weight_operators(wm):
-        beta, gamma = d.beta.copy(), d.gamma.copy()
-        beta[i], gamma[i] = gamma[i], beta[i]
-        swapped = LinearOperator(space, beta, gamma)
+    for row in weight_operators(wm):
+        row[[i, 5 + i]] = row[[5 + i, i]]
+        swapped = LinearOperator(space, row[:5], row[5:])
         assert swapped.apply(Wodd).max_abs() <= 1e-11 * Wodd.max_abs()
 
 
@@ -203,6 +238,10 @@ def test_gauge_rejects_zero_scale(rng):
         apply_gauge_to_F(wm, [0j, 1, 1, 1, 1])
 
 
+def double_ratio(wm, rows, cols):
+    return double_ratios(wm, ratio_positions([(rows, cols)]))[0]
+
+
 def test_double_ratio_explicit(rng):
     phi = random_phi(rng)
     wm = WeightMatrix.from_phi(SIMPLEX, phi)
@@ -215,10 +254,24 @@ def test_double_ratio_gauge_invariant(rng):
     wm = random_wm(rng)
     lam = np.array([complex(*rng.normal(size=2)) for _ in range(5)])
     gauged = apply_gauge_to_F(wm, lam)
-    for rows, cols in CANONICAL_RATIO_PAIRS:
-        a = double_ratio(wm, rows, cols)
-        b = double_ratio(gauged, rows, cols)
-        assert abs(a - b) <= 1e-11 * abs(a)
+    a = double_ratios(wm, ratio_positions(CANONICAL_RATIO_PAIRS))
+    assert a.tobytes() == canonical_ratios(wm).tobytes()
+    b = canonical_ratios(gauged)
+    assert (np.abs(a - b) <= 1e-11 * np.abs(a)).all()
+
+
+def test_double_ratios_match_the_scalar_loop(rng):
+    # numpy's array loops round complex * and / differently from its scalar
+    # path: half the ratios differ, by at most 3.2 eps over 100,000 of them
+    for _ in range(20):
+        wm = random_wm(rng)
+        E = wm.entries
+        expected = [
+            E[r1 - 1, c1 - 1] * E[r2 - 1, c2 - 1] / (E[r1 - 1, c2 - 1] * E[r2 - 1, c1 - 1])
+            for (r1, r2), (c1, c2) in CANONICAL_RATIO_PAIRS
+        ]
+        got = canonical_ratios(wm)
+        assert (np.abs(got - expected) <= 8 * np.finfo(float).eps * np.abs(expected)).all()
 
 
 def test_double_ratio_all_ones():
@@ -231,8 +284,20 @@ def test_double_ratio_degenerate_entry():
     phi = Cochain(SIMPLEX, 2, {s: 1.0 for s in faces(SIMPLEX, 2)})
     phi = Cochain(SIMPLEX, 2, {**phi.values, (2, 3, 5): 0.0})
     wm = WeightMatrix.from_phi(SIMPLEX, phi)
-    with pytest.raises(DegenerateWeightError):
+    with pytest.raises(DegenerateWeightError, match=r"matrix entry at \(1, 4\) too small for a double ratio"):
         double_ratio(wm, (1, 2), (4, 5))  # entry (1,4) carries the zero
+
+
+def test_double_ratio_stack_names_the_first_small_entry():
+    # (3, 5) and (1, 4) vanish; each pair holds one of them, and the first
+    # pair's is named, not the one first in row order
+    dead = {(1, 2, 4): 0.0, (2, 3, 5): 0.0}
+    phi = Cochain(SIMPLEX, 2, {**{s: 1.0 for s in faces(SIMPLEX, 2)}, **dead})
+    wm = WeightMatrix.from_phi(SIMPLEX, phi)
+    first, second = ((3, 4), (1, 5)), ((1, 2), (4, 5))
+    for pairs, named in (([first, second], r"\(3, 5\)"), ([second, first], r"\(1, 4\)")):
+        with pytest.raises(DegenerateWeightError, match=rf"^matrix entry at {named} too small"):
+            double_ratios(wm, ratio_positions(pairs))
 
 
 def test_solve_F_from_ratios_roundtrip(rng):
@@ -300,16 +365,16 @@ def test_interchange_pair(rng):
     tets = wm.tetrahedra
     sibling = interchange_F(wm, [tets[1], tets[3]])
     # the sibling's span is the original span with the two coordinate pairs swapped
-    M = operator_matrix(weight_operators(wm))
+    M = weight_operators(wm)
     i1, i3 = (tetra_space(SIMPLEX).index[tets[k]] for k in (1, 3))
     for i in (i1, i3):
         M[:, [i, 5 + i]] = M[:, [5 + i, i]]
-    sib = operator_matrix(weight_operators(sibling))
+    sib = weight_operators(sibling)
     assert matrix_rank(M.T) == matrix_rank(sib.T) == 5
     assert principal_angles(M.T, sib.T).max() <= 1e-8
     W_sib = gaussian_weight(sibling)
     for row in M:
-        d = LinearOperator.from_vector(tetra_space(SIMPLEX), row)
+        d = LinearOperator(tetra_space(SIMPLEX), row[:5], row[5:])
         assert d.apply(W_sib).max_abs() <= 1e-9 * W_sib.max_abs()
 
 
