@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -38,24 +39,24 @@ DEFAULT_TOLERANCE = 1e-8
 
 
 def _fmt(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("non-finite number in report")
     return f"{float(x):.17g}"
 
 
 def _render(obj) -> str:
+    if isinstance(obj, (float, np.floating)):
+        return _fmt(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return f"[{_fmt(obj.real)}, {_fmt(obj.imag)}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return f"[{_fmt(obj.real)}, {_fmt(obj.imag)}]"
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 
@@ -63,52 +64,56 @@ def _is_scalar(obj) -> bool:
     return not isinstance(obj, (dict, list, tuple))
 
 
-def _lines(obj, indent: int) -> list[str]:
-    pad = "  " * indent
+def _lines(obj, pad: str, head: str, tail: str, out: list) -> None:
+    """Append obj's lines to out, the first prefixed by head and the last
+    followed by tail; pad is the indent of obj's own closing bracket."""
     if isinstance(obj, dict):
         if not obj:
-            return ["{}"]
-        if len(obj) <= 6 and all(_is_scalar(v) for v in obj.values()):
-            body = ", ".join(
-                f"{json.dumps(str(k))}: {_render(v)}" for k, v in sorted(obj.items())
-            )
-            return ["{" + body + "}"]
-        out = ["{"]
-        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        for i, (k, v) in enumerate(items):
-            sub = _lines(v, indent + 1)
-            comma = "," if i + 1 < len(items) else ""
-            out.append(f"{pad}  {json.dumps(str(k))}: {sub[0]}")
-            out.extend(sub[1:])
-            out[-1] += comma
-        out.append(pad + "}")
-        return out
-    if isinstance(obj, (list, tuple)):
-        obj = list(obj)
-        if len(obj) <= 8 and all(_is_scalar(v) for v in obj):
-            return ["[" + ", ".join(_render(v) for v in obj) + "]"]
-        out = ["["]
-        for i, v in enumerate(obj):
-            sub = _lines(v, indent + 1)
-            comma = "," if i + 1 < len(obj) else ""
-            out.append(f"{pad}  {sub[0]}")
-            out.extend(sub[1:])
-            out[-1] += comma
-        out.append(pad + "]")
-        return out
-    return [_render(obj)]
+            out.append(head + "{}" + tail)
+        elif len(obj) <= 6 and all(map(_is_scalar, obj.values())):
+            body = ", ".join(f"{_quote(str(k))}: {_render(v)}" for k, v in sorted(obj.items()))
+            out.append(head + "{" + body + "}" + tail)
+        else:
+            out.append(head + "{")
+            inner = pad + "  "
+            items = sorted(obj.items(), key=lambda kv: str(kv[0]))
+            for i, (k, v) in enumerate(items, 1):
+                _lines(v, inner, f"{inner}{_quote(str(k))}: ", "," if i < len(items) else "", out)
+            out.append(pad + "}" + tail)
+    elif isinstance(obj, (list, tuple)):
+        if len(obj) <= 8 and all(map(_is_scalar, obj)):
+            out.append(head + "[" + ", ".join(map(_render, obj)) + "]" + tail)
+        else:
+            out.append(head + "[")
+            inner = pad + "  "
+            for i, v in enumerate(obj, 1):
+                _lines(v, inner, inner, "," if i < len(obj) else "", out)
+            out.append(pad + "]" + tail)
+    else:
+        out.append(head + _render(obj) + tail)
 
 
 def dumps(obj) -> str:
-    return "\n".join(_lines(obj, 0)) + "\n"
+    out: list[str] = []
+    _lines(obj, "", "", "", out)
+    return "\n".join(out) + "\n"
 
 
-def _emit(report: dict, out_path: str | None) -> None:
+def _emit(report: dict, out_path: str | None, rc: int) -> int:
+    """Print the report, after writing it to out_path if given, and return rc;
+    an unwritable file exits 2, and is the error if the command had none."""
     text = dumps(report)
-    sys.stdout.write(text)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            if "error" not in report:
+                report["error"], report["message"] = type(e).__name__, str(e)
+                text = dumps(report)
+            rc = 2
+    sys.stdout.write(text)
+    return rc
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +213,14 @@ def params_from_json(d: dict, modulus: complex | None = None) -> EllipticParams:
 
 def _members(pairs: list) -> dict:
     """A JSON object's members as a dict; a repeated key is an error."""
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise ValueError(f"repeated key {key!r}")
-        seen.add(key)
-    return dict(pairs)
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return members
 
 
 def _read(path: str, parse):
@@ -300,8 +307,7 @@ def _reporting(body):
     @functools.wraps(body)
     def cmd(args) -> int:
         report, rc = _run(args, args.seed, body)
-        _emit(report, args.out)
-        return rc
+        return _emit(report, args.out, rc)
 
     return cmd
 
@@ -417,8 +423,18 @@ def _positive(kind):
     return parse
 
 
+def _seed(text: str) -> int:
+    """argparse type: a PRNG seed, an integer >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text}")
+    return int(text)
+
+
+_seed.__name__ = "int"  # argparse names the type in "invalid int value"
+
+
 def _add_common(p: argparse.ArgumentParser, *, tolerance=True, io=True, elliptic=False, batch=False):
-    p.add_argument("--seed", type=int, default=1, help="PRNG seed (PCG64)")
+    p.add_argument("--seed", type=_seed, default=1, help="PRNG seed (PCG64)")
     if tolerance:
         p.add_argument(
             "--tolerance", type=_positive(float), default=DEFAULT_TOLERANCE, help="residual bound"
@@ -464,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_elliptic_f)
 
     p = sub.add_parser("selftest", help="run the built-in acceptance checks")
-    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED, help="PRNG seed (PCG64)")
+    p.add_argument("--seed", type=_seed, default=acceptance.DEFAULT_SEED, help="PRNG seed (PCG64)")
     p.add_argument(
         "--tolerance", type=_positive(float), default=None, help="override every residual bound"
     )

@@ -26,6 +26,7 @@ EDGE_POS = np.array(list(combinations(range(5), 2)))
 STAR_POS = np.array([[k for k in range(5) if k not in e] for e in EDGE_POS])
 # SIGNS[v, j]: coefficient of edge j in the coboundary of vertex v's indicator
 SIGNS = coboundary_matrix(range(5), 0).T
+NEXT, PREV = [1, 2, 0], [2, 0, 1]  # component i of a cross product pairs i + 1 and i + 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +61,8 @@ def _raw_edge_operators(E: np.ndarray) -> tuple:
     M = E[:, STAR_POS[:, None, :], EDGE_POS[:, :, None]]
     # a power of two per block keeps the products in range and every bit
     M = M * 2.0 ** -np.frexp(np.abs(M).max(axis=(2, 3)))[1][..., None, None]
-    kernel = np.cross(M[:, :, 0], M[:, :, 1])  # bilinear: M @ kernel = 0
+    # the cross product of the two rows, bilinear: M @ kernel = 0
+    kernel = M[..., 0, NEXT] * M[..., 1, PREV] - M[..., 0, PREV] * M[..., 1, NEXT]
     # |r1 x r2| = s1 s2 (Cauchy-Binet): dimension 2 for parallel rows or one
     # zero row, 3 for two
     n1, n2 = np.moveaxis(np.linalg.norm(M, axis=3), 2, 0)

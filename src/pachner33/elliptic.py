@@ -6,7 +6,7 @@ weight matrix built from half-argument ratios.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,12 +84,14 @@ class EllipticParams:
 
     modulus: complex
     coords: dict
+    half_ratios: dict = field(init=False, repr=False, compare=False)  # (a, b), a < b -> _half_ratio
 
     def __post_init__(self):
         object.__setattr__(self, "modulus", complex(self.modulus))
         object.__setattr__(
             self, "coords", {int(v): complex(x) for v, x in self.coords.items()}
         )
+        half_ratios = {}
         vs = self.vertices
         for i, a in enumerate(vs):
             for b in vs[i + 1 :]:
@@ -97,7 +99,8 @@ class EllipticParams:
                 s, _, _ = jacobi_sn_cn_dn(d, self.modulus)
                 if abs(s) > 1e6:
                     raise NumericsError(f"difference {a}-{b} too close to a pole")
-                _half_ratio(d, self.modulus)
+                half_ratios[a, b] = _half_ratio(d, self.modulus)
+        object.__setattr__(self, "half_ratios", half_ratios)
 
     @property
     def vertices(self) -> tuple:
@@ -148,9 +151,7 @@ def elliptic_F(params: EllipticParams, simplex) -> WeightMatrix:
     entries = np.zeros((5, 5), dtype=complex)
     for k in range(5):
         for l in range(k + 1, 5):
-            val = _half_ratio(
-                params.coords[simplex[k]] - params.coords[simplex[l]], params.modulus
-            )
+            val = params.half_ratios[simplex[k], simplex[l]]
             entries[k, l] = val
             entries[l, k] = -val
     return WeightMatrix(simplex, entries)

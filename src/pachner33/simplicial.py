@@ -45,10 +45,11 @@ class Cochain:
         verts = tuple(sorted(int(v) for v in self.vertices))
         object.__setattr__(self, "vertices", verts)
         cells = faces(verts, self.degree)
+        members = set(cells)
         vals = {}
         for cell, v in self.values.items():
             cell = tuple(sorted(int(i) for i in cell))
-            if cell not in cells:
+            if cell not in members:
                 raise ValueError(f"{cell} is not a {self.degree}-cell of {verts}")
             vals[cell] = complex(v)
         for cell in cells:

@@ -394,16 +394,72 @@ def test_every_written_file_reads_back(capsys, tmp_path):
     assert run(capsys, "elliptic-f", "--coords", str(coords))[0] == 0
 
 
+OUT_COMMANDS = ("verify-pachner", "weight-from-cocycle", "cocycle-from-weight", "edge-operators", "elliptic-f")
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+@pytest.mark.parametrize(
+    "where, error", (("missing/report.json", "FileNotFoundError"), ("", "IsADirectoryError"))
+)
+def test_unwritable_out_path_is_an_input_error(capsys, tmp_path, command, where, error):
+    path = str(tmp_path / where)
+    rc = cli.main([command, "--seed", "1", "--out", path])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err == ""
+    rep = json.loads(out)  # one report
+    assert rep.pop("error") == error and repr(path) in rep.pop("message")
+    # the rest is the report the command prints without --out
+    assert rep == json.loads(run(capsys, command, "--seed", "1")[1])
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_unwritable_out_path_keeps_the_input_error(capsys, tmp_path, command):
+    missing = str(tmp_path / "missing.json")
+    flag = "--coords" if command == "elliptic-f" else "--cocycle"
+    rc = cli.main([command, flag, missing, "--out", str(tmp_path / "d" / "x.json")])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (2, "")
+    rep = json.loads(out)  # one report, naming the input that stopped the command
+    assert rep["error"] == "FileNotFoundError" and repr(missing) in rep["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    (
+        (["verify-pachner", "--seed", "1", "--out", "{tmp}/missing/report.json"], "FileNotFoundError"),
+        (["selftest", "--seed", "-1"], ""),
+    ),
+)
+def test_bad_out_path_and_seed_exit_2_without_a_traceback(tmp_path, argv, stdout):
+    env = {**os.environ, "PYTHONPATH": str(Path(pachner33.__file__).parent.parent)}
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "pachner33.cli", *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    if stdout:
+        assert json.loads(proc.stdout)["error"] == stdout and proc.stderr == ""
+    else:  # argparse's usage line and message only
+        assert proc.stdout == "" and proc.stderr.splitlines()[-1].endswith("expected an integer >= 0, got -1")
+
+
 @pytest.mark.parametrize(
     "argv",
     [[c, f"--tolerance={v}"] for c in ("verify-pachner", "selftest") for v in ("-1", "0", "nan", "inf")]
-    + [["verify-pachner", "--batch", "0"]],
+    + [["verify-pachner", "--batch", "0"]]
+    + [[c, "--seed", "-1"] for c in (*OUT_COMMANDS, "selftest")]
+    + [["verify-pachner", "--seed=-5"], ["selftest", "--seed", "1.5"]],
 )
 def test_out_of_range_argument_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as e:
         cli.main(argv)
     assert e.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_seed_may_be_zero_or_beyond_the_float_range():
+    for seed in (0, 10**400):
+        for command in (*OUT_COMMANDS, "selftest"):
+            assert cli.build_parser().parse_args([command, "--seed", str(seed)]).seed == seed
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

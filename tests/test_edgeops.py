@@ -10,6 +10,7 @@ from pachner33.edgeops import (
     EDGE_POS,
     SIGNS,
     STAR_POS,
+    _raw_edge_operators,
     extract_w_cocycle,
     normalize_families,
     normalize_family,
@@ -18,7 +19,14 @@ from pachner33.edgeops import (
 from pachner33.cocycle2weight import reconstruct_F
 from pachner33.elliptic import elliptic_F
 from pachner33.errors import DegenerateWeightError, Pachner33Error
-from pachner33.operators import LinearOperator, column_space, matrix_rank, nullspace, svd_rank
+from pachner33.operators import (
+    RANK_RTOL,
+    LinearOperator,
+    column_space,
+    matrix_rank,
+    nullspace,
+    svd_rank,
+)
 from pachner33.simplicial import (
     Cochain,
     coboundary,
@@ -104,6 +112,36 @@ def test_raw_edge_operator_scale_free(rng, scale):
     # product, which would otherwise underflow or overflow
     wm = WeightMatrix(SIMPLEX, random_wm(rng).entries * scale)
     assert np.abs(raw_edge_operator(wm) - svd_edge_operator(wm)).max() <= 2e-14
+
+
+def cross_edge_operators(E):
+    """Oracle for _raw_edge_operators: the same steps, the kernel of each
+    star block taken by np.cross."""
+    M = E[:, STAR_POS[:, None, :], EDGE_POS[:, :, None]]
+    M = M * 2.0 ** -np.frexp(np.abs(M).max(axis=(2, 3)))[1][..., None, None]
+    kernel = np.cross(M[:, :, 0], M[:, :, 1])
+    n1, n2 = np.moveaxis(np.linalg.norm(M, axis=3), 2, 0)
+    dims = 1 + (np.linalg.norm(kernel, axis=2) <= RANK_RTOL * n1 * n2) + (n1 + n2 == 0)
+    rows = np.arange(10)[:, None]
+    C = np.zeros((len(E), 10, 5), dtype=complex)
+    C[:, rows, STAR_POS] = kernel
+    G = (E.transpose(0, 2, 1)[:, None] @ C[..., None])[..., 0]
+    raw = np.zeros((len(E), 10, 10), dtype=complex)
+    raw[:, rows, 4 - STAR_POS] = C[:, rows, STAR_POS]
+    raw[:, rows, 9 - STAR_POS] = G[:, rows, STAR_POS]
+    top = np.take_along_axis(raw, np.argmax(np.abs(raw), axis=2)[..., None], axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return raw / top, dims
+
+
+@pytest.mark.parametrize("batch", (1, 6, 40))
+def test_raw_edge_operators_match_np_cross_bits(rng, batch):
+    # entries over 60 decades, a tenth of them zero: degenerate stars too
+    E = (rng.standard_normal((batch, 5, 5)) + 1j * rng.standard_normal((batch, 5, 5)))
+    E *= 10.0 ** rng.integers(-30, 30, size=E.shape) * (rng.random(E.shape) > 0.1)
+    E -= E.transpose(0, 2, 1)
+    for mine, ref in zip(_raw_edge_operators(E), cross_edge_operators(E)):
+        assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
 
 
 def test_raw_edge12_reference_polynomials(rng):

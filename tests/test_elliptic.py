@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pachner33.cocycle2weight import calibrate_sqrt_choice, kappa
-from pachner33.edgeops import extract_w_cocycle, normalize_family
+from pachner33.edgeops import EDGE_POS, extract_w_cocycle, normalize_family
 from pachner33.elliptic import (
     EllipticParams,
     _half_ratio,
@@ -125,6 +125,17 @@ def test_params_reject_pole_pair():
     coords = {1: 0.0, 2: 1j * kp, 3: 2.0, 4: 3.0, 5: 4.0}
     with pytest.raises(NumericsError):
         EllipticParams(k, coords)
+
+
+def test_params_keep_each_half_ratio(rng):
+    for _ in range(5):
+        p = draw_params(rng)
+        assert list(p.half_ratios) == [(a, b) for a in SIMPLEX for b in SIMPLEX if a < b]
+        for (a, b), ratio in p.half_ratios.items():
+            assert ratio == _half_ratio(p.coords[a] - p.coords[b], p.modulus)
+        wm = elliptic_F(p, SIMPLEX)
+        assert all(wm.entries[k, l] == p.half_ratios[SIMPLEX[k], SIMPLEX[l]] for k, l in EDGE_POS)
+    assert "half_ratios" not in repr(p) and p == EllipticParams(p.modulus, p.coords)
 
 
 def test_cocycle_and_primitive(rng):
