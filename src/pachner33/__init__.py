@@ -16,73 +16,3 @@ import os
 # user still wins.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
-
-from .errors import (
-    BranchInconsistencyError,
-    ConsistencyError,
-    DegenerateCocycleError,
-    DegenerateWeightError,
-    NumericsError,
-    Pachner33Error,
-    SpaceMismatchError,
-)
-from .grassmann import GeneratorSpace, GrassmannElement, berezin_integral, exp_even
-from .simplicial import Cochain, coboundary, cochain_primitive, is_cocycle, random_cocycle
-from .operators import LinearOperator, annihilator_of, principal_angles
-from .weights import (
-    WeightMatrix,
-    double_ratios,
-    gaussian_weight,
-    solve_F_from_ratios,
-    weight_operators,
-)
-from .edgeops import EdgeOperatorFamily, extract_w_cocycle, normalize_family, raw_edge_operator
-from .cocycle2weight import kappa, reconstruct_F, superisotropic_f
-from .elliptic import EllipticParams, elliptic_F, elliptic_cocycle, jacobi_sn_cn_dn
-from .pachner import ReconciledWeights, Verification33, reconcile, side_weight, verify_33
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BranchInconsistencyError",
-    "ConsistencyError",
-    "DegenerateCocycleError",
-    "DegenerateWeightError",
-    "NumericsError",
-    "Pachner33Error",
-    "SpaceMismatchError",
-    "GeneratorSpace",
-    "GrassmannElement",
-    "berezin_integral",
-    "exp_even",
-    "Cochain",
-    "coboundary",
-    "cochain_primitive",
-    "is_cocycle",
-    "random_cocycle",
-    "LinearOperator",
-    "annihilator_of",
-    "principal_angles",
-    "WeightMatrix",
-    "double_ratios",
-    "gaussian_weight",
-    "solve_F_from_ratios",
-    "weight_operators",
-    "EdgeOperatorFamily",
-    "extract_w_cocycle",
-    "normalize_family",
-    "raw_edge_operator",
-    "kappa",
-    "reconstruct_F",
-    "superisotropic_f",
-    "EllipticParams",
-    "elliptic_F",
-    "elliptic_cocycle",
-    "jacobi_sn_cn_dn",
-    "ReconciledWeights",
-    "Verification33",
-    "reconcile",
-    "side_weight",
-    "verify_33",
-    "__version__",
-]

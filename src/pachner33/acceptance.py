@@ -25,7 +25,6 @@ from .cocycle2weight import (
 from .edgeops import SIGNS, extract_w_cocycle, normalize_family, raw_edge_operator
 from .elliptic import (
     EllipticParams,
-    _half_ratio,
     elliptic_F,
     elliptic_cocycle,
     elliptic_primitive,
@@ -422,9 +421,8 @@ def criterion_8(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
         ratios = [w[s] / om[s] for s in om.cells()]
         worst_prop = max(worst_prop, max(abs(r / ratios[0] - 1.0) for r in ratios))
         roots = calibrate_sqrt_choice(fam, om)
-        x = p.coords
-        fr = lambda a, b: _half_ratio(x[a] - x[b], p.modulus)
-        pred = -fr(1, 3) * fr(1, 4) / (fr(2, 3) * fr(2, 4))
+        fr = p.half_ratios
+        pred = -fr[1, 3] * fr[1, 4] / (fr[2, 3] * fr[2, 4])
         worst_kappa = max(worst_kappa, abs(kappa(om, roots) - pred) / abs(pred))
         done += 1
     ok = worst_id <= tol_id and worst_prim <= tol_prim and worst_prop <= tol and worst_kappa <= tol

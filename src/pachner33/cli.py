@@ -318,19 +318,7 @@ def _verify_one(args, report: dict) -> int:
     report["source"] = source
     rec = reconcile(omega, tol=tol)
     rep = verify_33(rec)
-    report.update(
-        {
-            "const": rep.const,
-            "max_residual": rep.max_residual,
-            "agreement": rep.agreement,
-            "annihilation_residual": rep.annihilation_residual,
-            "isotropy_residual": rep.isotropy_residual,
-            "annihilator_dimension": rep.annihilator_dimension,
-            "annihilator_angle": rep.annihilator_angle,
-            "loop_residuals": list(rep.loop_residuals),
-            "gauges": _gauges_to_json(rec.gauges),
-        }
-    )
+    report.update(vars(rep), gauges=_gauges_to_json(rec.gauges))
     passed = (
         rep.worst <= tol and rep.annihilator_dimension == 9 and abs(rep.const) > 1e-10
     )
@@ -415,9 +403,12 @@ def _positive(kind):
 
     def parse(text: str):
         x = kind(text)
-        if not (math.isfinite(x) and x > 0):
-            raise argparse.ArgumentTypeError(f"expected a finite value > 0, got {text}")
-        return x
+        try:
+            if math.isfinite(x) and x > 0:
+                return x
+        except OverflowError:  # an int beyond the float range
+            pass
+        raise argparse.ArgumentTypeError(f"expected a finite value > 0, got {text}")
 
     parse.__name__ = kind.__name__
     return parse

@@ -60,10 +60,6 @@ def _sn_cn_dn(u: complex, k: complex) -> tuple:
     return s, c, d
 
 
-def _sn(u: complex, modulus: complex) -> complex:
-    return jacobi_sn_cn_dn(u, modulus)[0]
-
-
 def _half_ratio(u: complex, modulus: complex) -> complex:
     """sn/(cn*dn) at half the given argument."""
     s, c, d = jacobi_sn_cn_dn(u / 2.0, modulus)
@@ -84,6 +80,7 @@ class EllipticParams:
 
     modulus: complex
     coords: dict
+    sn: dict = field(init=False, repr=False, compare=False)  # (a, b), a < b -> sn(x_a - x_b)
     half_ratios: dict = field(init=False, repr=False, compare=False)  # (a, b), a < b -> _half_ratio
 
     def __post_init__(self):
@@ -91,36 +88,28 @@ class EllipticParams:
         object.__setattr__(
             self, "coords", {int(v): complex(x) for v, x in self.coords.items()}
         )
-        half_ratios = {}
+        sn, half_ratios = {}, {}
         vs = self.vertices
         for i, a in enumerate(vs):
             for b in vs[i + 1 :]:
                 d = self.coords[a] - self.coords[b]
-                s, _, _ = jacobi_sn_cn_dn(d, self.modulus)
-                if abs(s) > 1e6:
+                sn[a, b], _, _ = jacobi_sn_cn_dn(d, self.modulus)
+                if abs(sn[a, b]) > 1e6:
                     raise NumericsError(f"difference {a}-{b} too close to a pole")
                 half_ratios[a, b] = _half_ratio(d, self.modulus)
+        object.__setattr__(self, "sn", sn)
         object.__setattr__(self, "half_ratios", half_ratios)
 
     @property
     def vertices(self) -> tuple:
         return tuple(sorted(self.coords))
 
-    def difference_sn(self, i, j) -> complex:
-        return _sn(self.coords[i] - self.coords[j], self.modulus)
-
 
 def elliptic_cocycle(params: EllipticParams) -> Cochain:
     """Face values sn(x_i-x_j) sn(x_i-x_k) sn(x_j-x_k) on all 2-faces."""
-    vertices = params.vertices
-    vals = {}
-    for i, j, k in faces(vertices, 2):
-        vals[(i, j, k)] = (
-            params.difference_sn(i, j)
-            * params.difference_sn(i, k)
-            * params.difference_sn(j, k)
-        )
-    return Cochain(vertices, 2, vals)
+    sn = params.sn
+    vals = {(i, j, k): sn[i, j] * sn[i, k] * sn[j, k] for i, j, k in faces(params.vertices, 2)}
+    return Cochain(params.vertices, 2, vals)
 
 
 def elliptic_primitive(params: EllipticParams) -> Cochain:
@@ -132,13 +121,11 @@ def elliptic_primitive(params: EllipticParams) -> Cochain:
         raise ValueError("modulus must be nonzero for the primitive formula")
     sn_at = {}
     for v in vertices:
-        s = _sn(params.coords[v], params.modulus)
+        s = jacobi_sn_cn_dn(params.coords[v], params.modulus)[0]
         if abs(s) < 1e-9:
             raise ValueError(f"sn vanishes at vertex {v}")
         sn_at[v] = s
-    vals = {}
-    for i, j in faces(vertices, 1):
-        vals[(i, j)] = params.difference_sn(i, j) / (m2 * sn_at[i] * sn_at[j])
+    vals = {(i, j): params.sn[i, j] / (m2 * sn_at[i] * sn_at[j]) for i, j in faces(vertices, 1)}
     return Cochain(vertices, 1, vals)
 
 

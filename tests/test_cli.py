@@ -35,20 +35,31 @@ def test_verify_pachner_deterministic(capsys):
     assert out3 != out1
 
 
+# one verify-pachner run's report: its header, the Verification33 fields,
+# the gauges and the verdict
+RUN_KEYS = {
+    "command",
+    "seed",
+    "tolerance",
+    "source",
+    "const",
+    "max_residual",
+    "agreement",
+    "annihilation_residual",
+    "isotropy_residual",
+    "annihilator_dimension",
+    "annihilator_angle",
+    "loop_residuals",
+    "gauges",
+    "within_tolerance",
+}
+
+
 def test_verify_pachner_report_contents(capsys):
     rc, out = run(capsys, "verify-pachner", "--seed", "1")
     assert rc == 0
     rep = json.loads(out)
-    for key in (
-        "seed",
-        "const",
-        "max_residual",
-        "annihilator_angle",
-        "annihilator_dimension",
-        "loop_residuals",
-        "gauges",
-    ):
-        assert key in rep
+    assert set(rep) == RUN_KEYS
     assert rep["seed"] == 1
     assert rep["annihilator_dimension"] == 9
     assert len(rep["loop_residuals"]) == 10
@@ -87,8 +98,10 @@ def test_verify_pachner_batch(capsys):
     rc, out = run(capsys, "verify-pachner", "--seed", "7", "--batch", "2")
     assert rc == 0
     rep = json.loads(out)
+    assert set(rep) == {"command", "seed", "tolerance", "batch", "all_within_tolerance", "runs"}
     assert rep["batch"] == 2
     assert [r["seed"] for r in rep["runs"]] == [7, 8]
+    assert all(set(r) == RUN_KEYS for r in rep["runs"])
     assert rep["all_within_tolerance"] is True
 
 
@@ -447,13 +460,17 @@ def test_bad_out_path_and_seed_exit_2_without_a_traceback(tmp_path, argv, stdout
     [[c, f"--tolerance={v}"] for c in ("verify-pachner", "selftest") for v in ("-1", "0", "nan", "inf")]
     + [["verify-pachner", "--batch", "0"]]
     + [[c, "--seed", "-1"] for c in (*OUT_COMMANDS, "selftest")]
-    + [["verify-pachner", "--seed=-5"], ["selftest", "--seed", "1.5"]],
+    + [["verify-pachner", "--seed=-5"], ["selftest", "--seed", "1.5"]]
+    # an integer beyond the float range is out of range, not a traceback
+    + [["verify-pachner", "--batch", "1" + "0" * 400]]
+    + [[c, "--tolerance", "1" + "0" * 400] for c in ("verify-pachner", "selftest")],
 )
 def test_out_of_range_argument_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as e:
         cli.main(argv)
     assert e.value.code == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == "" and ": error: argument --" in err.splitlines()[-1]
 
 
 def test_seed_may_be_zero_or_beyond_the_float_range():
@@ -467,11 +484,17 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 @pytest.mark.parametrize("preset", (None, "3"))
 def test_import_pins_blas_threads_unless_set(preset):
+    """The bare package import sets the BLAS variables and loads neither
+    numpy nor any of its own modules."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env["PYTHONPATH"] = str(Path(pachner33.__file__).parent.parent)
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    probe = "import os, pachner33; print(*(os.environ[k] for k in %r))" % (BLAS_VARS,)
+    probe = (
+        "import os, sys, pachner33; print(*(os.environ[k] for k in %r)); "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('pachner33.')))"
+    ) % (BLAS_VARS,)
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == [preset or "1", "1", "1"]
+    assert run.stdout.splitlines() == [f"{preset or 1} 1 1", "[]"]
+

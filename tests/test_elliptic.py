@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from pachner33 import elliptic
 from pachner33.cocycle2weight import calibrate_sqrt_choice, kappa
 from pachner33.edgeops import EDGE_POS, extract_w_cocycle, normalize_family
 from pachner33.elliptic import (
@@ -127,15 +128,34 @@ def test_params_reject_pole_pair():
         EllipticParams(k, coords)
 
 
-def test_params_keep_each_half_ratio(rng):
+def bits(z) -> tuple:
+    return float(z.real).hex(), float(z.imag).hex()
+
+
+def test_params_keep_each_half_ratio(rng, monkeypatch):
     for _ in range(5):
         p = draw_params(rng)
-        assert list(p.half_ratios) == [(a, b) for a in SIMPLEX for b in SIMPLEX if a < b]
-        for (a, b), ratio in p.half_ratios.items():
-            assert ratio == _half_ratio(p.coords[a] - p.coords[b], p.modulus)
+        pairs = [(a, b) for a in SIMPLEX for b in SIMPLEX if a < b]
+        assert list(p.sn) == list(p.half_ratios) == pairs
+        for a, b in pairs:
+            d = p.coords[a] - p.coords[b]
+            assert bits(p.sn[a, b]) == bits(jacobi_sn_cn_dn(d, p.modulus)[0])
+            assert bits(p.half_ratios[a, b]) == bits(_half_ratio(d, p.modulus))
         wm = elliptic_F(p, SIMPLEX)
         assert all(wm.entries[k, l] == p.half_ratios[SIMPLEX[k], SIMPLEX[l]] for k, l in EDGE_POS)
-    assert "half_ratios" not in repr(p) and p == EllipticParams(p.modulus, p.coords)
+    assert "sn=" not in repr(p) and "half_ratios" not in repr(p)
+    assert p == EllipticParams(p.modulus, p.coords)
+
+    # construction makes two Jacobi evaluations per pair, at the difference
+    # and at half of it; the cocycle reads the kept sn and makes none
+    calls = []
+    real = elliptic._sn_cn_dn
+    monkeypatch.setattr(elliptic, "_sn_cn_dn", lambda u, k: calls.append(u) or real(u, k))
+    q = EllipticParams(p.modulus, p.coords)
+    assert len(calls) == 2 * len(pairs)
+    om = elliptic_cocycle(q)
+    assert len(calls) == 2 * len(pairs)
+    assert all(bits(om[i, j, k]) == bits(q.sn[i, j] * q.sn[i, k] * q.sn[j, k]) for i, j, k in om.cells())
 
 
 def test_cocycle_and_primitive(rng):
