@@ -10,10 +10,12 @@ in each simplex that contains it and every fit must come out diagonal.
 
 A side's three gauged weights multiply to one Gaussian exp(1/2 x.A.x) on
 its twelve tetrahedra, so each coefficient of the product is a Pfaffian
-minor of A, and integrating over the three inner tetrahedra only reads off
-the minors that contain them, with a sign.  Both sides come out as dense
-coefficient vectors on the nine boundary tetrahedra and are compared as
-arrays.
+minor of A.  A lays out the nine boundary tetrahedra on generators 0-8 in
+lex order and the three inner ones on 9-11, innermost last, so each right
+derivative of the integral removes the last generator of every monomial it
+meets: the integral is the top 512 minors, those that hold all three inner
+generators, with no sign.  Both sides come out as dense coefficient vectors
+on the nine boundary tetrahedra and are compared as arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .cocycle2weight import reconstruct_F
 from .edgeops import normalize_families
 from .errors import ConsistencyError, DegenerateWeightError
-from .grassmann import GeneratorSpace, bit_matrix, gaussian_coefficients
+from .grassmann import gaussian_coefficients
 from .operators import action_matrix, matrix_rank, principal_angles
 from .simplicial import Cochain, faces
 from .weights import apply_gauge_to_F, opposite_tetrahedra
@@ -86,10 +88,6 @@ def _side_inner(side: str) -> tuple:
     return INNER_LHS if side == "lhs" else INNER_RHS
 
 
-def side_space(side: str) -> GeneratorSpace:
-    return GeneratorSpace(_side_inner(side) + BOUNDARY_TETRAHEDRA)
-
-
 def _components(families: np.ndarray, pick: int, rows=slice(None)) -> np.ndarray:
     """(beta, gamma) of each shared tetrahedron's six edge operators, read
     from its owner `pick` (0 for the left, 1 for the right), as an array
@@ -99,29 +97,37 @@ def _components(families: np.ndarray, pick: int, rows=slice(None)) -> np.ndarray
     return families[u[:, None, None], EDGE_ROWS[rows, pick][:, :, None], cols]
 
 
-def _transition(c1: np.ndarray, c2: np.ndarray, tetra):
-    """Least-squares 2x2 map sending the first owner's components on the
-    shared tetrahedron to the second owner's, over its six edges (a row
-    each in c1 and c2)."""
-    M = np.linalg.lstsq(c1, c2, rcond=None)[0].T
-    scale = max(np.abs(c2).max(), 1e-300)
-    resid = np.abs(M @ c1.T - c2.T).max() / scale
-    if resid > 1e-8:
+def _fit(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """The 2x2 maps M, one per tetrahedron of the stack, that send the first
+    owner's components to the second's in least squares over its six edges
+    (c1[k] @ M[k] ~ c2[k]): lstsq's cutoff and minimum-norm answer, in one
+    solve for the whole stack."""
+    return np.linalg.pinv(c1, rcond=6 * np.finfo(float).eps) @ c2
+
+
+def _check_diagonal(c1: np.ndarray, c2: np.ndarray, maps: np.ndarray):
+    """Raise unless every map fits its tetrahedron's components and is
+    diagonal, scaling beta by M[0, 0] and gamma by M[1, 1]; on principal
+    roots every transition between owners is.  The stack is indexed like
+    SHARED, each error names the first tetrahedron that fails it, and a fit
+    error outranks any diagonal one."""
+    scale = np.maximum(np.abs(c2).max(axis=(1, 2)), 1e-300)
+    resid = np.abs(c1 @ maps - c2).max(axis=(1, 2)) / scale
+    unfit = resid > 1e-8
+    if unfit.any():
+        k = np.argmax(unfit)
         raise ConsistencyError(
-            f"components on {tetra} are not related by a 2x2 map (residual {resid:.2e})"
+            f"components on {SHARED[k]} are not related by a 2x2 map (residual {resid[k]:.2e})"
         )
-    return M
-
-
-def _check_diagonal(M: np.ndarray, tetra):
-    """Raise unless the map is diagonal, scaling beta by M[0, 0] and gamma by
-    M[1, 1]; on principal roots every transition between owners is."""
-    on = max(abs(M[0, 0]), abs(M[1, 1]))
-    off = max(abs(M[0, 1]), abs(M[1, 0]))
-    if not (off <= 1e-8 * max(on, off) and on > 0):
-        ratio = off / on if on > 0 else float("inf")
+    mag = np.abs(maps)
+    on = np.maximum(mag[:, 0, 0], mag[:, 1, 1])
+    off = np.maximum(mag[:, 0, 1], mag[:, 1, 0])
+    bad = ~((off <= 1e-8 * np.maximum(on, off)) & (on > 0))
+    if bad.any():
+        k = np.argmax(bad)
+        ratio = off[k] / on[k] if on[k] > 0 else float("inf")
         raise ConsistencyError(
-            f"transition on {tetra} is not diagonal: off/on ratio {ratio:.2e} above 1e-08"
+            f"transition on {SHARED[k]} is not diagonal: off/on ratio {ratio:.2e} above 1e-08"
         )
 
 
@@ -151,11 +157,9 @@ def reconcile(omega: Cochain, tol: float = 1e-8) -> ReconciledWeights:
     matrices = tuple(reconstruct_F(omega.restrict(u)) for u in SIMPLICES)
     families = normalize_families(matrices)
 
-    # fit all 15 maps first: a fit's residual error outranks a diagonal check
-    pairs = zip(_components(families, 0), _components(families, 1), SHARED)
-    maps = np.array([_transition(c1, c2, t) for c1, c2, t in pairs])
-    for M, t in zip(maps, SHARED):
-        _check_diagonal(M, t)
+    c1, c2 = _components(families, 0), _components(families, 1)
+    maps = _fit(c1, c2)
+    _check_diagonal(c1, c2, maps)
 
     prods = maps[:, 0, 0] * maps[:, 1, 1]
     singular = TREE & (np.abs(prods) < 1e-12)
@@ -195,30 +199,19 @@ def _composed(rec: ReconciledWeights, pick: int) -> np.ndarray:
     return out
 
 
-def _side_tables(side: str) -> tuple:
-    """Each of a side's simplices, as its index in SIMPLICES and where it puts
-    its tetrahedra in the side space, and for each boundary mask S the
-    side-space mask and sign that the integral over the inner tetrahedra
-    reads S's coefficient from."""
-    space = side_space(side)
-    slots = tuple(
-        (SIMPLICES.index(u), np.array([space.index[t] for t in opposite_tetrahedra(u)]))
+def _side_slots(side: str) -> tuple:
+    """Each of a side's simplices, as its index in SIMPLICES and the generator
+    slots of its five tetrahedra in the side's 12x12 form: the nine boundary
+    tetrahedra on 0-8 in lex order, the inner ones on 9-11, innermost (the
+    first integrated) last."""
+    slot = {t: i for i, t in enumerate(BOUNDARY_TETRAHEDRA + _side_inner(side)[::-1])}
+    return tuple(
+        (SIMPLICES.index(u), np.array([slot[t] for t in opposite_tetrahedra(u)]))
         for u in side_simplices(side)
     )
-    bound = np.array([space.index[t] for t in BOUNDARY_TETRAHEDRA])
-    inner = [space.index[t] for t in _side_inner(side)]
-    masks = (bit_matrix(np.arange(1 << bound.size), bound.size) << bound).sum(axis=1)
-    masks |= sum(1 << i for i in inner)
-    # the integral is a right derivative per inner generator, innermost first,
-    # each moving its generator out past the generators above it
-    rest, moves = masks, 0
-    for i in inner:
-        moves = moves + bit_matrix(rest >> (i + 1), space.n).sum(axis=1)
-        rest = rest ^ (1 << i)
-    return slots, masks, np.where(moves % 2, -1.0, 1.0)
 
 
-_SIDE_TABLES = {side: _side_tables(side) for side in ("lhs", "rhs")}
+_SIDE_SLOTS = {side: _side_slots(side) for side in ("lhs", "rhs")}
 
 
 def side_weight(rec: ReconciledWeights, side: str) -> np.ndarray:
@@ -229,12 +222,11 @@ def side_weight(rec: ReconciledWeights, side: str) -> np.ndarray:
     is the Gaussian of the side's assembled 12x12 form.  Three integrations
     leave an odd element: entries at even masks are 0.
     """
-    slots, masks, signs = _SIDE_TABLES[side]
     A = np.zeros((12, 12), dtype=complex)
-    for i, ix in slots:
+    for i, ix in _SIDE_SLOTS[side]:
         gauged = apply_gauge_to_F(rec.matrices[i], rec.gauges[i])
         A[ix[:, None], ix] -= gauged.entries
-    return signs * gaussian_coefficients(A)[masks]
+    return gaussian_coefficients(A)[-512:]
 
 
 @dataclass(frozen=True)

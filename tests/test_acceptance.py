@@ -77,19 +77,20 @@ def test_criteria_1_and_2_check_the_dense_kernels_only(monkeypatch):
 
 
 @pytest.mark.parametrize("side", ("lhs", "rhs"))
-def test_criterion_1_fails_on_a_side_table_sign_flip(monkeypatch, side):
-    slots, masks, signs = pachner._SIDE_TABLES[side]
-    flipped = signs.copy()
-    flipped[-1] = -flipped[-1]
-    monkeypatch.setitem(pachner._SIDE_TABLES, side, (slots, masks, flipped))
+def test_criterion_1_fails_on_a_side_slot_swap(monkeypatch, side):
+    """Swap the slots of two inner tetrahedra in side_weight's table: the top
+    512 minors then read the negated integral."""
+    swap = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 9, 11])
+    swapped = tuple((i, swap[ix]) for i, ix in pachner._SIDE_SLOTS[side])
+    monkeypatch.setitem(pachner._SIDE_SLOTS, side, swapped)
     assert not acceptance.criterion_1().passed
 
 
 @pytest.mark.parametrize("columns", ("all", "multiplications"))
 def test_criterion_1_fails_on_an_action_matrix_sign_flip(monkeypatch, columns):
     """Flip the sign rule (the parity of the generators below i) in every
-    column, which the side tables see, or in the x_i columns only, which
-    the canonical relations see."""
+    column, which the side layout check sees, or in the x_i columns only,
+    which the canonical relations see."""
     sources = operators._action_sources
 
     def flipped(n):

@@ -3,6 +3,8 @@ integrated identity between the two sides."""
 
 from __future__ import annotations
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -28,13 +30,14 @@ from pachner33.pachner import (
     SLOT,
     TREE,
     VERTICES,
-    _SIDE_TABLES,
+    _SIDE_SLOTS,
     _check_diagonal,
+    _components,
     _composed,
+    _fit,
     _side_inner,
     reconcile,
     side_simplices,
-    side_space,
     side_weight,
     verify_33,
 )
@@ -60,8 +63,9 @@ def table_owners(t) -> list:
 
 def expanded_side_weight(rec, side) -> np.ndarray:
     """Oracle for side_weight: multiply the three gauged weights out in the
-    Grassmann algebra (2^12 terms), integrate term by term, restrict."""
-    space = side_space(side)
+    Grassmann algebra (2^12 terms) on the side's lex space, integrate term
+    by term, restrict."""
+    space = GeneratorSpace(_side_inner(side) + BOUNDARY_TETRAHEDRA)
     prod = GrassmannElement.scalar(space, 1.0)
     for u in side_simplices(side):
         i = SIMPLICES.index(u)
@@ -149,18 +153,91 @@ def test_reconcile_basics(rng):
         assert np.abs(g2 - sign * g1).max() <= 1e-12 * np.abs(g1).max()
 
 
-def test_check_diagonal():
-    _check_diagonal(np.array([[2.0, 2e-9], [-2e-9, 1.5 - 0.5j]]), (1, 2, 3, 4))
+def lstsq_maps(c1, c2) -> np.ndarray:
+    """Oracle for the stacked fit: np.linalg.lstsq on each tetrahedron."""
+    return np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(c1, c2)])
+
+
+def _random_components(rng):
+    """A (15, 6, 2) stack of first-owner components, one block per tetrahedron."""
+    return rng.normal(size=(15, 6, 2)) + 1j * rng.normal(size=(15, 6, 2))
+
+
+def _assert_maps_match(c1, c2):
+    """Each stacked map matches lstsq's to 1e-13 relative or, on a block whose
+    kept singular values span more than about 110 (elliptic ones reach 3e5),
+    to within the two solvers' forward error, 4 eps per unit of that span;
+    the diagonal entries, which the gauges and scales are read from, match
+    to 1e-13 in any case."""
+    eps = np.finfo(float).eps
+    got, want = _fit(c1, c2), lstsq_maps(c1, c2)
+    assert got.shape == want.shape == (len(c1), 2, 2)
+    for a, g, w in zip(c1, got, want):
+        s = np.linalg.svd(a, compute_uv=False)
+        kept = s[s > 6 * eps * s[0]]
+        span = kept[0] / kept[-1] if kept.size else 1.0
+        assert np.abs(g - w).max() <= max(1e-13, 4 * eps * span) * np.abs(w).max()
+        assert np.all(np.abs(np.diagonal(g - w)) <= 1e-13 * np.abs(np.diagonal(w)))
+
+
+@pytest.mark.parametrize("kind", ("generic", "elliptic"))
+def test_stacked_fit_matches_lstsq(kind):
+    for rec in _scenes(kind, 20):
+        _assert_maps_match(_components(rec.families, 0), _components(rec.families, 1))
+
+
+def test_stacked_fit_matches_lstsq_on_rank_deficient_blocks(rng):
+    c1 = _random_components(rng)
+    c2 = c1 @ np.diag([2.0, 0.5 + 1j])
+    c1[4, :, 1] = 2 * c1[4, :, 0]  # rank 1, with c2 in its span
+    c2[4] = c1[4] @ np.array([[1.0, 3.0], [0.5, -1j]])
+    c1[9] = c2[9] = 0
+    assert np.linalg.matrix_rank(c1[4]) == 1
+    _assert_maps_match(c1, c2)
+    assert np.all(_fit(c1, c2)[9] == 0)
+
+
+def test_check_diagonal(rng):
+    maps = np.tile(np.eye(2, dtype=complex), (15, 1, 1))
+    maps[0] = [[2.0, 2e-9], [-2e-9, 1.5 - 0.5j]]  # diagonal within 1e-8
     # swapped derivative and multiplication roles are no longer repaired
-    with pytest.raises(ConsistencyError):
-        _check_diagonal(np.array([[0.0, 1.0], [2.0, 0.0]]), (1, 2, 3, 4))
+    maps[3] = [[0.0, 1.0], [2.0, 0.0]]
+    maps[10] = [[1.0, 1.6e-7], [0.0, 0.5]]
+    maps[11] = 0
+    c1 = _random_components(rng)
+    with pytest.raises(ConsistencyError, match=r"transition on \(1, 2, 4, 5\) is not diagonal"):
+        _check_diagonal(c1, c1 @ maps, maps)
+    maps[3] = np.eye(2)
     with pytest.raises(ConsistencyError) as err:
-        _check_diagonal(np.array([[1.0, 1.6e-7], [0.0, 0.5]]), (2, 3, 4, 5))
+        _check_diagonal(c1, c1 @ maps, maps)
+    assert SHARED[10] == (2, 3, 4, 5)
     assert str(err.value) == (
         "transition on (2, 3, 4, 5) is not diagonal: off/on ratio 1.60e-07 above 1e-08"
     )
-    with pytest.raises(ConsistencyError, match="off/on ratio inf"):
-        _check_diagonal(np.zeros((2, 2)), (2, 3, 4, 5))
+    maps[10] = np.eye(2)
+    with pytest.raises(ConsistencyError, match=r"on \(2, 3, 4, 6\) is not diagonal: off/on ratio inf"):
+        _check_diagonal(c1, c1 @ maps, maps)
+    maps[11] = np.eye(2)
+    _check_diagonal(c1, c1 @ maps, maps)
+
+
+def test_check_diagonal_ranks_fit_errors_first(rng):
+    """A fit error at a later tetrahedron outranks a diagonal error at an
+    earlier one, and each kind names the first tetrahedron that fails it."""
+    maps = np.tile(np.eye(2, dtype=complex), (15, 1, 1))
+    maps[[2, 5]] = [[0.0, 1.0], [1.0, 0.0]]
+    c1 = _random_components(rng)
+    c2 = c1 @ maps
+    c2[[8, 12], 0] *= 1.5
+    with pytest.raises(ConsistencyError) as err:
+        _check_diagonal(c1, c2, maps)
+    assert str(err.value).startswith(f"components on {SHARED[8]} are not related by a 2x2 map (residual ")
+    c2[8] = c1[8] @ maps[8]
+    with pytest.raises(ConsistencyError, match=f"components on {re.escape(str(SHARED[12]))} "):
+        _check_diagonal(c1, c2, maps)
+    c2[12] = c1[12] @ maps[12]
+    with pytest.raises(ConsistencyError, match=f"transition on {re.escape(str(SHARED[2]))} is not diagonal"):
+        _check_diagonal(c1, c2, maps)
 
 
 def test_reconcile_rejects_wrong_vertex_set(rng):
@@ -253,11 +330,11 @@ def test_scenes_stop_when_nothing_reconciles(monkeypatch):
 
 def mp_side_weight(rec, side):
     """The side's coefficients as Pfaffian minors at 40 digits, by the
-    recursion gaussian_coefficients runs, and H: the same recursion in floats
-    on |A| with every sign +1, the sum of the minors' absolute terms."""
-    slots, masks, signs = _SIDE_TABLES[side]
+    recursion gaussian_coefficients runs on the form as side_weight lays it
+    out, and H: the same recursion in floats on |A| with every sign +1, the
+    sum of the minors' absolute terms.  Both are read off the top 512 masks."""
     A = np.zeros((12, 12), dtype=complex)
-    for i, ix in slots:
+    for i, ix in _SIDE_SLOTS[side]:
         gauged = apply_gauge_to_F(rec.matrices[i], rec.gauges[i])
         A[ix[:, None], ix] -= gauged.entries
     flat = A.ravel()
@@ -269,7 +346,7 @@ def mp_side_weight(rec, side):
                 terms = (a * mpmath.mpc(flat[e]) * pf[s] for a, e, s in zip(alt, es, ss))
                 pf[mask] = mpmath.fsum(terms)
             H[m] = (np.abs(flat)[entry] * H[sub]).sum(axis=1)
-        return [sign * pf[mask] for sign, mask in zip(signs, masks)], H[masks]
+        return pf[-512:], H[-512:]
 
 
 @pytest.mark.parametrize("kind", ("generic", "elliptic"))
