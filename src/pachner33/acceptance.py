@@ -22,7 +22,15 @@ from .cocycle2weight import (
     reconstruct_F,
     superisotropic_f,
 )
-from .edgeops import SIGNS, extract_w_cocycle, normalize_family, raw_edge_operator
+from .edgeops import (
+    SIGNS,
+    EdgeOperatorFamily,
+    extract_w_cocycle,
+    extract_w_cocycles,
+    normalize_families,
+    normalize_family,
+    raw_edge_operator,
+)
 from .elliptic import (
     EllipticParams,
     elliptic_F,
@@ -185,6 +193,13 @@ def criterion_2(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
     )
 
 
+def _families(wms) -> tuple:
+    """The weights' normalized families and their cocycles, each stage one
+    stacked call over the whole list."""
+    fams = [EdgeOperatorFamily(wm.simplex, m) for wm, m in zip(wms, normalize_families(wms))]
+    return fams, extract_w_cocycles(fams)
+
+
 def _edge12_reference(phi: Cochain) -> dict:
     p = lambda *v: phi[v]
     return {
@@ -221,11 +236,12 @@ def _edge12_reference(phi: Cochain) -> dict:
 def criterion_3(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> CriterionResult:
     tol = 1e-10 if tolerance is None else tolerance
     rng = np.random.default_rng(seed + 3)
+    phis = [random_phi(rng) for _ in range(100)]
+    wms = [WeightMatrix.from_phi(SIMPLEX, phi) for phi in phis]
+    families = normalize_families(wms)  # raises unless each kernel is 1-dimensional
     worst_ref = 0.0
     worst_cob = 0.0
-    for _ in range(100):
-        phi = random_phi(rng)
-        wm = WeightMatrix.from_phi(SIMPLEX, phi)
+    for phi, wm, fam in zip(phis, wms, families):
         d12 = raw_edge_operator(wm)[0]
         mine, ref = [], []
         for t, (eb, eg) in _edge12_reference(phi).items():
@@ -236,10 +252,9 @@ def criterion_3(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
         j = int(np.argmax(np.abs(ref)))
         scale = ref[j] / mine[j]
         worst_ref = max(worst_ref, np.abs(ref - scale * mine).max() / np.abs(ref).max())
-        fam = normalize_family(wm)  # raises unless the kernel is 1-dimensional
-        top = np.abs(fam.matrix).max()
+        top = np.abs(fam).max()
         for signs in SIGNS:  # each vertex's coboundary: its signed rows, in edge order
-            resid = sum(float(s) * row for s, row in zip(signs, fam.matrix) if s != 0)
+            resid = sum(float(s) * row for s, row in zip(signs, fam) if s != 0)
             worst_cob = max(worst_cob, np.abs(resid).max() / top)
     ok = worst_ref <= tol and worst_cob <= tol
     return CriterionResult(
@@ -254,18 +269,19 @@ def criterion_4(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
     tol_coc = 1e-12 if tolerance is None else tolerance
     tol = 1e-9 if tolerance is None else tolerance
     rng = np.random.default_rng(seed + 4)
-    cocycle_ok = True
-    worst = 0.0
+    wms, gauged = [], []
     for _ in range(100):
         wm = random_weight_matrix(rng)
-        fam = normalize_family(wm)
-        omega = extract_w_cocycle(fam)
-        cocycle_ok = cocycle_ok and is_cocycle(omega, rel_tol=tol_coc)
-
         # drawn in opposite-vertex order, the reverse of generator order
         scales = np.array([_disc(rng, 0.2) for _ in wm.tetrahedra])[::-1]
-        gauged = apply_gauge_to_F(wm, scales)
-        omega2 = extract_w_cocycle(normalize_family(gauged))
+        wms.append(wm)
+        gauged.append(apply_gauge_to_F(wm, scales))
+    fams, omegas = _families(wms)
+    _, omegas2 = _families(gauged)
+    cocycle_ok = True
+    worst = 0.0
+    for fam, omega, omega2 in zip(fams, omegas, omegas2):
+        cocycle_ok = cocycle_ok and is_cocycle(omega, rel_tol=tol_coc)
         worst = max(worst, roundtrip_residual(omega, omega2))
 
         # beta and gamma of an edge's row at (1, 2, 3, 4), generator 0
@@ -298,10 +314,7 @@ def criterion_5(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
     worst_iso = 0.0
     worst_pair = 0.0
     worst_pattern = 0.0
-    for _ in range(100):
-        wm = random_weight_matrix(rng)
-        fam = normalize_family(wm)
-        omega = extract_w_cocycle(fam)
+    for fam, omega in zip(*_families([random_weight_matrix(rng) for _ in range(100)])):
         f = superisotropic_f(fam, omega)
         n2 = np.linalg.norm(f) ** 2
         for beta, gamma in zip(f[:5], f[5:]):  # f paired with itself, per tetrahedron
@@ -335,10 +348,7 @@ def criterion_6(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
     tol = 1e-9 if tolerance is None else tolerance
     rng = np.random.default_rng(seed + 6)
     worst = 0.0
-    for _ in range(100):
-        wm = random_weight_matrix(rng)
-        fam = normalize_family(wm)
-        omega = extract_w_cocycle(fam)
+    for fam, omega in zip(*_families([random_weight_matrix(rng) for _ in range(100)])):
         roots = calibrate_sqrt_choice(fam, omega)
         f = build_f_t(fam, omega, roots)
         # gamma at (1, 2, 3, 4) of the variants differentiating at (1, 3, 4, 5) and (2, 3, 4, 5)
@@ -362,20 +372,20 @@ def criterion_6(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
 def criterion_7(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> CriterionResult:
     tol = 1e-8 if tolerance is None else tolerance
     rng = np.random.default_rng(seed + 7)
+    wms, cocycles = [], []
+    for _ in range(100):
+        wms.append(random_weight_matrix(rng))
+        cocycles.append(generic_cocycle(rng))
+    fams, omegas = _families(wms)
+    _, backs = _families([reconstruct_F(omega) for omega in cocycles])
     worst_fwd = 0.0
     worst_rev = 0.0
-    for _ in range(100):
-        wm = random_weight_matrix(rng)
-        fam = normalize_family(wm)
-        omega = extract_w_cocycle(fam)
+    for wm, fam, omega, cocycle, back in zip(wms, fams, omegas, cocycles, backs):
         rebuilt = reconstruct_F(omega, calibrate_sqrt_choice(fam, omega))
         target = canonical_ratios(wm)
         got = canonical_ratios(rebuilt)
         worst_fwd = max(worst_fwd, max(abs(x - y) / abs(y) for x, y in zip(got, target)))
-
-        omega = generic_cocycle(rng)
-        back = extract_w_cocycle(normalize_family(reconstruct_F(omega)))
-        worst_rev = max(worst_rev, roundtrip_residual(omega, back))
+        worst_rev = max(worst_rev, roundtrip_residual(cocycle, back))
     ok = worst_fwd <= tol and worst_rev <= tol
     return CriterionResult(
         7,
@@ -412,6 +422,8 @@ def criterion_8(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> Cri
     worst_prop = 0.0
     worst_kappa = 0.0
     done = 0
+    # per draw, unlike criteria 3-7: a draw whose computation raises is
+    # skipped and replaced, so which draws count is known only after each runs
     while done < 20:
         try:
             p = random_elliptic_params(rng)

@@ -10,13 +10,13 @@ coboundary is the weight's 2-cocycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateWeightError
-from .operators import RANK_RTOL, nullspace, svd_rank
+from .operators import RANK_RTOL, svd_rank
 from .simplicial import Cochain, coboundary_matrix, faces
 from .weights import WeightMatrix
 
@@ -33,10 +33,12 @@ NEXT, PREV = [1, 2, 0], [2, 0, 1]  # component i of a cross product pairs i + 1 
 class EdgeOperatorFamily:
     """The ten edge operators of one simplex: row j of `matrix` is the
     (beta, gamma) vector of the j-th edge in edge-lex order, its columns in
-    generator order."""
+    generator order.  The first extraction keeps the family's cocycle in
+    `cocycle` (see extract_w_cocycles)."""
 
     simplex: tuple
     matrix: np.ndarray
+    cocycle: Cochain | None = field(default=None, init=False, repr=False)
 
     @property
     def edges(self) -> list:
@@ -133,8 +135,9 @@ def normalize_family(wm: WeightMatrix) -> EdgeOperatorFamily:
     return EdgeOperatorFamily(wm.simplex, normalize_families([wm])[0])
 
 
-def extract_w_cocycle(fam: EdgeOperatorFamily) -> Cochain:
-    """The degree-2 cocycle measuring the family's one essential dependence.
+def extract_w_cocycles(fams) -> list:
+    """The degree-2 cocycle measuring each family's one essential dependence,
+    one Cochain per family; a family keeps its cocycle once extracted.
 
     The kernel K of (scalars per edge) -> (combined operator) is 5-dimensional:
     four dimensions of vertex coboundaries, which the coboundary D kills, plus
@@ -142,16 +145,32 @@ def extract_w_cocycle(fam: EdgeOperatorFamily) -> Cochain:
     Hodge Laplacian of a 4-simplex is 5), so the cocycle is DK's first left
     singular vector, scaled so its largest component is exactly 1; never 0, as
     K meets those six dimensions, where |Dv| = sqrt(5)|v|.  A power of two per
-    column of the family leaves K unchanged and makes it scale-free.
+    column of the family leaves K unchanged and makes it scale-free.  Each
+    step is one stacked SVD, whose bits are those of each SVD taken alone.
+    Errors come family by family, in order: a family's kernel dimension,
+    then its coboundary quotient.
     """
-    M = fam.matrix
-    K = nullspace((M * 2.0 ** -np.frexp(np.abs(M).max(axis=0))[1]).T)
-    if K.shape[1] != 5:
-        raise DegenerateWeightError(
-            f"edge operators have kernel dimension {K.shape[1]}, expected 5"
-        )
-    u, s, _ = np.linalg.svd(coboundary_matrix(range(5), 1) @ K)
-    if svd_rank(s, 1e-8) > 1:
-        raise ConsistencyError("coboundary quotient of the kernel is not a line")
-    omega = u[:, 0] / u[np.argmax(np.abs(u[:, 0])), 0]
-    return Cochain(fam.simplex, 2, dict(zip(faces(fam.simplex, 2), omega)))
+    todo = [fam for fam in fams if fam.cocycle is None]
+    if todo:
+        M = np.array([fam.matrix for fam in todo])
+        M = M * 2.0 ** -np.frexp(np.abs(M).max(axis=1, keepdims=True))[1]
+        _, s, vh = np.linalg.svd(M.transpose(0, 2, 1))
+        ranks = svd_rank(s).tolist()
+        # the families before the first bad kernel
+        n = next((i for i, r in enumerate(ranks) if r != 5), len(ranks))
+        K = vh[:n, 5:].conj().transpose(0, 2, 1)  # each kernel's basis, as columns
+        u, s, _ = np.linalg.svd(coboundary_matrix(range(5), 1) @ K)
+        if max(svd_rank(s, 1e-8).tolist(), default=0) > 1:
+            raise ConsistencyError("coboundary quotient of the kernel is not a line")
+        if n < len(ranks):
+            raise DegenerateWeightError(f"edge operators have kernel dimension {10 - ranks[n]}, expected 5")
+        for fam, u0 in zip(todo, u[:, :, 0]):
+            omega = u0 / u0[np.argmax(np.abs(u0))]
+            cocycle = Cochain(fam.simplex, 2, dict(zip(faces(fam.simplex, 2), omega)))
+            object.__setattr__(fam, "cocycle", cocycle)
+    return [fam.cocycle for fam in fams]
+
+
+def extract_w_cocycle(fam: EdgeOperatorFamily) -> Cochain:
+    """One family's cocycle (see extract_w_cocycles), extracted once."""
+    return extract_w_cocycles([fam])[0]

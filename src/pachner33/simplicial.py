@@ -45,13 +45,14 @@ class Cochain:
         verts = tuple(sorted(int(v) for v in self.vertices))
         object.__setattr__(self, "vertices", verts)
         cells = faces(verts, self.degree)
-        members = set(cells)
+        members = dict(zip(cells, cells))
         vals = {}
         for cell, v in self.values.items():
-            cell = tuple(sorted(int(i) for i in cell))
-            if cell not in members:
-                raise ValueError(f"{cell} is not a {self.degree}-cell of {verts}")
-            vals[cell] = complex(v)
+            if cell not in members:  # an unsorted cell, or none
+                cell = tuple(sorted(int(i) for i in cell))
+                if cell not in members:
+                    raise ValueError(f"{cell} is not a {self.degree}-cell of {verts}")
+            vals[members[cell]] = complex(v)
         for cell in cells:
             vals.setdefault(cell, 0.0 + 0.0j)
         object.__setattr__(self, "values", vals)

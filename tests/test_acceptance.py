@@ -16,6 +16,28 @@ def test_criterion(number):
     assert result.passed, result.line
 
 
+# criterion_k(seed).line for k = 3..7, recorded while each criterion still
+# drew and computed one weight at a time: drawing first and running each
+# stage as one stack must leave every line as it was
+PINNED_LINES = {
+    (1, 3): "PASS criterion 3: edge operator spaces and reference polynomials (worst reference 7.41e-16, worst coboundary 1.55e-15, bound 1e-10)",
+    (1, 4): "PASS criterion 4: extracted cocycle, gauge invariance, component relations (cocycle ok, worst relation 6.02e-14, bound 1e-09)",
+    (1, 5): "PASS criterion 5: superisotropic combinations (worst isotropy 3.22e-15, pairing 7.82e-15, pattern 5.35e-14)",
+    (1, 6): "PASS criterion 6: closed-form ratio vs direct components (worst 8.27e-14, bound 1e-09, all-ones error ok)",
+    (1, 7): "PASS criterion 7: reconstruction roundtrips (ratios 3.65e-14, cocycle 1.35e-13, bound 1e-08)",
+    (7, 3): "PASS criterion 3: edge operator spaces and reference polynomials (worst reference 4.84e-16, worst coboundary 1.37e-15, bound 1e-10)",
+    (7, 4): "PASS criterion 4: extracted cocycle, gauge invariance, component relations (cocycle ok, worst relation 8.03e-14, bound 1e-09)",
+    (7, 5): "PASS criterion 5: superisotropic combinations (worst isotropy 7.40e-15, pairing 1.36e-14, pattern 3.08e-14)",
+    (7, 6): "PASS criterion 6: closed-form ratio vs direct components (worst 9.54e-14, bound 1e-09, all-ones error ok)",
+    (7, 7): "PASS criterion 7: reconstruction roundtrips (ratios 3.39e-14, cocycle 2.90e-14, bound 1e-08)",
+}
+
+
+@pytest.mark.parametrize("seed, number", sorted(PINNED_LINES))
+def test_single_simplex_criterion_lines_are_pinned(seed, number):
+    assert acceptance.ALL_CRITERIA[number - 1](seed).line == PINNED_LINES[seed, number]
+
+
 def _report(**bad) -> Verification33:
     good = dict(
         const=1.0,

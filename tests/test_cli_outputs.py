@@ -121,3 +121,15 @@ def test_change_without_a_value_is_listed(tmp_path, capsys):
         "output changed but no value did: verify-pachner --seed 1",
         "output changed but no value did: verify-pachner --seed 2",
     ]
+
+
+def test_complex_change_is_measured_as_one_number(tmp_path, capsys):
+    """A [re, im] pair is one complex leaf: a change in its near-zero part is
+    relative to the whole number, not to that part."""
+    a = _recording()
+    a["verify-pachner --seed 1"][1] = _report(1, [1.0, 3.0], const=[1.0, 1e-20])
+    b = copy.deepcopy(a)
+    b["verify-pachner --seed 1"][1] = _report(1, [1.0, 3.0], const=[1.0, 3e-20])
+    rc, head, lines = _compare(tmp_path, a, b, capsys)
+    assert (rc, head) == (1, "4 runs in A, 4 in B, 1 differ")
+    assert lines == ["const: changed in 1 runs, largest change 2e-20 absolute, 2e-20 relative"]

@@ -24,7 +24,7 @@ from pachner33.cocycle2weight import (
     reconstruct_F,
     superisotropic_f,
 )
-from pachner33.edgeops import EdgeOperatorFamily, extract_w_cocycle, normalize_family
+from pachner33.edgeops import EdgeOperatorFamily, extract_w_cocycle, extract_w_cocycles, normalize_family
 from pachner33.errors import (
     BranchInconsistencyError,
     ConsistencyError,
@@ -168,6 +168,28 @@ def crafted(fam, i, how):
     else:
         m[:, cols] = m[:, cols[::-1]]
     return EdgeOperatorFamily(fam.simplex, m)
+
+
+def test_a_family_cocycle_is_extracted_once(rng, monkeypatch):
+    """The family keeps its cocycle: calibrating or checking against it takes
+    no second extraction, and a stacked extraction fills the same cache."""
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
+    fam = normalize_family(WeightMatrix.from_phi(SIMPLEX, random_phi(rng)))
+    shapes.clear()
+    omega = extract_w_cocycle(fam)
+    assert shapes == [(1, 10, 10), (1, 10, 5)]  # the kernel, then the coboundary quotient
+    assert extract_w_cocycle(fam) is omega
+    calibrate_sqrt_choice(fam, omega)
+    superisotropic_f(fam, omega)
+    assert len(shapes) == 2
+    fams = [normalize_family(WeightMatrix.from_phi(SIMPLEX, random_phi(rng))) for _ in range(3)]
+    shapes.clear()
+    omegas = extract_w_cocycles([fam, *fams])
+    assert shapes == [(3, 10, 10), (3, 10, 5)]  # fam's cocycle is not extracted again
+    assert all(extract_w_cocycle(f) is w for f, w in zip([fam, *fams], omegas))
+    assert len(shapes) == 2
 
 
 def test_superisotropic_f_rejects_foreign_cocycle(rng):

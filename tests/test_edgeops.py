@@ -10,15 +10,17 @@ from pachner33.edgeops import (
     EDGE_POS,
     SIGNS,
     STAR_POS,
+    EdgeOperatorFamily,
     _raw_edge_operators,
     extract_w_cocycle,
+    extract_w_cocycles,
     normalize_families,
     normalize_family,
     raw_edge_operator,
 )
 from pachner33.cocycle2weight import reconstruct_F
 from pachner33.elliptic import elliptic_F
-from pachner33.errors import DegenerateWeightError, Pachner33Error
+from pachner33.errors import ConsistencyError, DegenerateWeightError, Pachner33Error
 from pachner33.operators import (
     RANK_RTOL,
     LinearOperator,
@@ -320,6 +322,58 @@ def test_stacked_families_match_per_weight_oracle_bits(kind):
             assert same_bits(raw_edge_operator(wm), oracle_raw_edge_operator(wm))
         wm = oracle_weight("random" if kind == "generic" else kind, seed)
         assert same_bits(normalize_family(wm).matrix, oracle_family(wm))
+
+
+def oracle_w_cocycle(fam):
+    """extract_w_cocycle taken alone, as before it was stacked: the kernel by
+    nullspace, then the coboundary quotient's first left singular vector."""
+    M = fam.matrix
+    K = nullspace((M * 2.0 ** -np.frexp(np.abs(M).max(axis=0))[1]).T)
+    if K.shape[1] != 5:
+        raise DegenerateWeightError(f"edge operators have kernel dimension {K.shape[1]}, expected 5")
+    u, s, _ = np.linalg.svd(coboundary_matrix(range(5), 1) @ K)
+    if svd_rank(s, 1e-8) > 1:
+        raise ConsistencyError("coboundary quotient of the kernel is not a line")
+    return u[:, 0] / u[np.argmax(np.abs(u[:, 0])), 0]
+
+
+@pytest.mark.parametrize("kind", ("generic", "elliptic"))
+def test_stacked_cocycles_match_per_family_oracle_bits(kind):
+    # the six families of seeds 0-99, stacked as normalize_families stacks
+    # them, and single random or elliptic weights' families alone
+    for seed in range(100):
+        om = scene_cocycle(kind, seed)
+        try:
+            wms = [reconstruct_F(om.restrict(u)) for u in SIMPLICES]
+        except Pachner33Error:
+            continue
+        fams = [EdgeOperatorFamily(wm.simplex, m) for wm, m in zip(wms, normalize_families(wms))]
+        for fam, omega in zip(fams, extract_w_cocycles(fams)):
+            assert same_bits(omega.as_vector(), oracle_w_cocycle(fam))
+        fam = normalize_family(oracle_weight("random" if kind == "generic" else kind, seed))
+        assert same_bits(extract_w_cocycle(fam).as_vector(), oracle_w_cocycle(fam))
+
+
+def test_stacked_cocycle_errors_come_family_by_family(rng):
+    good = normalize_family(random_wm(rng))
+    z = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # rank 5 with a random kernel: five dimensions, but no line modulo coboundaries
+    plane = EdgeOperatorFamily(SIMPLEX, np.linalg.qr(z(10, 10))[0][:, :5] @ z(5, 10))
+    full = EdgeOperatorFamily(SIMPLEX, z(10, 10))  # kernel dimension 0
+    for fam, error in ((plane, ConsistencyError), (full, DegenerateWeightError)):
+        with pytest.raises(error) as alone:
+            oracle_w_cocycle(fam)
+        with pytest.raises(error) as stacked:
+            extract_w_cocycles([good, fam])
+        assert str(stacked.value) == str(alone.value)
+    # a later family's bad kernel does not hide an earlier one's bad quotient
+    with pytest.raises(ConsistencyError):
+        extract_w_cocycles([good, plane, full])
+    with pytest.raises(DegenerateWeightError, match="kernel dimension 0, expected 5"):
+        extract_w_cocycles([good, full, plane])
+    # a stack that raises keeps nothing; good's cocycle is extracted once after
+    assert good.cocycle is None
+    assert extract_w_cocycles([good])[0] is extract_w_cocycle(good)
 
 
 def test_normalized_vertex_coboundaries_vanish(rng):

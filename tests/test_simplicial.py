@@ -187,6 +187,17 @@ def test_random_cocycle_components_bounded(rng):
     assert 0 < omega.max_abs() < 10.0
 
 
+def test_cochain_cells_are_read_as_sorted_integer_tuples():
+    keys = [(3, 1, 2), (np.int64(1), np.int64(2), np.int64(4)), (1.0, 2.0, 5.0), (1, 3, 4)]
+    c = Cochain(SIMPLEX, 2, {k: i + 1 for i, k in enumerate(keys)})
+    assert list(c.values) == faces(SIMPLEX, 2)
+    assert all(type(v) is int for cell in c.values for v in cell)
+    assert [c[k] for k in keys] == [1, 2, 3, 4]
+    assert all(type(c[k]) is complex for k in keys)
+    with pytest.raises(ValueError, match=r"^\(1, 2, 6\) is not a 2-cell of \(1, 2, 3, 4, 5\)$"):
+        Cochain(SIMPLEX, 2, {(2, 1, 6): 1.0})
+
+
 def test_as_vector_order():
     c = Cochain(SIMPLEX, 1, {e: i for i, e in enumerate(faces(SIMPLEX, 1))})
     v = c.as_vector()

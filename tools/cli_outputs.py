@@ -18,7 +18,9 @@ same script.
 
 The second form lists every run whose exit code changed, and every field
 whose value changed, with the number of runs it changed in and its largest
-absolute and relative change.  JSON reports are compared leaf by leaf;
+absolute and relative change.  JSON reports are compared leaf by leaf; a
+complex number, which the CLI writes as [re, im], is one leaf, and its
+change is measured as a complex number, |y - x| / max(|x|, |y|);
 selftest's text is compared number by number on lines whose words agree.
 A run whose output changed in no value (spacing, an empty list) is listed
 as such.
@@ -36,6 +38,12 @@ import sys
 from pathlib import Path
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+# the reports' lists of real numbers, by field; every other two-number list is a complex [re, im]
+REAL_LISTS = (("loop_residuals",), ("simplex",))
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float, complex)) and not isinstance(v, bool)
 
 
 def run_set() -> list[list[str]]:
@@ -62,11 +70,14 @@ def record(src: Path) -> dict:
 
 def _leaves(obj, field=(), path=""):
     """(field, path, value) for each leaf.  The field drops list indices and
-    keys that name cells, so one field collects every entry of a list or map."""
+    keys that name cells, so one field collects every entry of a list or map,
+    and a complex [re, im] pair is one complex leaf."""
     if isinstance(obj, dict):
         for k, v in obj.items():
             f = field if re.fullmatch(r"[\d,]+", k) else field + (k,)
             yield from _leaves(v, f, f"{path}.{k}")
+    elif isinstance(obj, list) and len(obj) == 2 and all(map(_is_number, obj)) and field[-1:] not in REAL_LISTS:
+        yield ".".join(field), path, complex(*obj)
     elif isinstance(obj, list):
         for i, v in enumerate(obj):
             yield from _leaves(v, field, f"{path}[{i}]")
@@ -112,7 +123,7 @@ def compare(a: dict, b: dict) -> list[str]:
         for (f, p, x), (_, _, y) in zip(la, lb):
             if x == y:
                 continue
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+            if not (_is_number(x) and _is_number(y)):
                 lines.append(f"{argv}: {p} {x!r} -> {y!r}")
                 continue
             d = abs(y - x)
