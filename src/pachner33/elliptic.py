@@ -5,7 +5,6 @@ weight matrix built from half-argument ratios.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,57 +15,131 @@ from .weights import WeightMatrix
 
 LANDEN_CAP = 64
 _MODULUS_FLOOR = 1e-14
+# sn_cn_dn's per-element status codes, each the NumericsError message it stands for
+_ERRORS = (
+    None,
+    "modulus descent did not converge",
+    "argument too close to a pole",
+    "sn, cn or dn is not finite at this argument and modulus",
+)
+_CAPPED, _POLE, _NOT_FINITE = 1, 2, 3
+_CHUNK = 1000  # arguments unwound at once: bounds the temporaries, not the bits
+
+
+def _mul(a, b):
+    """a * b with the bits of the scalar complex product.  numpy's array
+    loop may fuse a multiply and an add, which moves the last bit, so an
+    array product is taken on real parts."""
+    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
+        return a * b
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    out = (ar * br - ai * bi).astype(complex)
+    out.imag = ar * bi + ai * br
+    return out
+
+
+def _abs(z):
+    """|z| with the bits of the scalar abs, which is hypot; numpy's array abs
+    of a complex is computed otherwise."""
+    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
 
 
 def jacobi_sn_cn_dn(u: complex, modulus: complex) -> tuple[complex, complex, complex]:
-    """Simultaneous sn, cn, dn at a complex argument.
+    """Simultaneous sn, cn, dn at a complex argument; sn_cn_dn at one point,
+    raising NumericsError where that reports a failure."""
+    s, c, d, err = sn_cn_dn(complex(u), complex(modulus))
+    _check(err)
+    return s[()], c[()], d[()]
 
-    The modulus is descended through Landen steps until negligible, the
-    trigonometric values are taken there, and the steps are unwound.  The
-    principal square root keeps every descended modulus inside the unit disc.
-    Values that would not be finite, as from an argument or modulus that
-    overflows a step, raise NumericsError.
-    """
-    scd = _sn_cn_dn(complex(u), complex(modulus))
-    if not all(map(cmath.isfinite, scd)):
-        raise NumericsError("sn, cn or dn is not finite at this argument and modulus")
-    return scd
+
+def _check(err) -> None:
+    if err:
+        raise NumericsError(_ERRORS[err])
 
 
 @np.errstate(all="ignore")  # an overflow shows as a value that is not finite
-def _sn_cn_dn(u: complex, k: complex) -> tuple:
-    """sn, cn, dn as in jacobi_sn_cn_dn, finite or not."""
-    if abs(k) < _MODULUS_FLOOR:
-        return np.sin(u), np.cos(u), 1.0 + 0.0j
-    if abs(1.0 - k * k) < _MODULUS_FLOOR:
-        sech = 1.0 / np.cosh(u)
-        return np.tanh(u), sech, sech
-    ladder = []
-    while abs(k) >= _MODULUS_FLOOR:
-        if len(ladder) >= LANDEN_CAP:
-            raise NumericsError("modulus descent did not converge")
-        kp = np.sqrt(1.0 - k * k)
+def sn_cn_dn(u, modulus) -> tuple:
+    """sn, cn, dn at arrays of complex arguments and moduli that broadcast
+    together, and a per-element status: 0 where the values are good, else the
+    index in _ERRORS of what went wrong (a pole, a descent that exceeds
+    LANDEN_CAP, values that are not finite).
+
+    Each modulus is descended through Landen steps until negligible, the
+    trigonometric values are taken there, and the steps are unwound.  The
+    principal square root keeps every descended modulus inside the unit disc.
+    A scalar modulus descends once for all arguments; an array of moduli
+    descends level by level, each level masked to the moduli that reach it.
+    Every element gets the bits a lone evaluation gives it.
+    """
+    u, k = np.asarray(u, dtype=complex), np.asarray(modulus, dtype=complex)
+    shape = np.broadcast_shapes(u.shape, k.shape)
+    u = np.broadcast_to(u, shape).reshape(-1)
+    if k.ndim:
+        k, ladder = np.broadcast_to(k, shape).reshape(-1), None
+    else:
+        ladder = _descend(k[()])
+    vals = np.empty((3, u.size), dtype=complex)
+    err = np.empty(u.size, dtype=np.int8)
+    for i in range(0, u.size, _CHUNK):
+        at = slice(i, i + _CHUNK)
+        vals[:, at], err[at] = _unwind(u[at], ladder or _descend(k[at]))
+    s, c, d = vals.reshape(3, *shape)
+    return s, c, d, err.reshape(shape)
+
+
+def _descend(k) -> tuple:
+    """The Landen ladder of a scalar modulus or of an array of moduli: per
+    level, the moduli there and the mask of the moduli that reach it (None
+    for a scalar); with the masks of the moduli that take the hyperbolic
+    limit and of those whose descent exceeds LANDEN_CAP.  A modulus below
+    the floor (or NaN) reaches no level and takes the trigonometric limit."""
+    on = _abs(k) >= _MODULUS_FLOOR
+    kk = _mul(k, k)
+    hyper = on & (_abs(1.0 - kk) < _MODULUS_FLOOR)
+    on = on & ~hyper
+    levels = []
+    while np.count_nonzero(on) and len(levels) < LANDEN_CAP:
+        kp = np.sqrt(1.0 - kk)
         k = (1.0 - kp) / (1.0 + kp)
-        ladder.append(k)
+        levels.append((on if np.ndim(on) else None, k))
+        kk = _mul(k, k)
+        on = on & (_abs(k) >= _MODULUS_FLOOR)
+    return levels, hyper, on
+
+
+_S_D_S = np.array([0, 2, 0])
+
+
+def _unwind(u: np.ndarray, ladder) -> tuple:
+    """sn, cn, dn (3, n) and the status (n,) at arguments u under a ladder."""
+    levels, hyper, capped = ladder
     z = u
-    for k in ladder:
-        z = z / (1.0 + k)
-    s, c, d = np.sin(z), np.cos(z), 1.0 + 0.0j
-    for k in reversed(ladder):
-        denom = 1.0 + k * s * s
-        if abs(denom) < 1e-14 * (1.0 + abs(k * s * s)):
-            raise NumericsError("argument too close to a pole")
-        s, c, d = (1.0 + k) * s / denom, c * d / denom, (1.0 - k * s * s) / denom
-    return s, c, d
-
-
-def _half_ratio(u: complex, modulus: complex) -> complex:
-    """sn/(cn*dn) at half the given argument."""
-    s, c, d = jacobi_sn_cn_dn(u / 2.0, modulus)
-    cd = c * d
-    if abs(cd) < 1e-6:
-        raise NumericsError("half-argument too close to a zero of cn*dn")
-    return s / cd
+    for on, k in levels:
+        z = z / (1.0 + k) if on is None else np.where(on, z / (1.0 + k), z)
+    scd = np.array([np.sin(z), np.cos(z), np.ones_like(z)])
+    factors = np.empty_like(scd)
+    ks2s = np.empty((len(levels), len(u)), dtype=complex)
+    for ks2, (on, k) in zip(ks2s, reversed(levels)):
+        # (1 + k) s, c d and k s as one product; then (k s) s
+        factors[0], factors[1], factors[2] = 1.0 + k, scd[1], k
+        num = _mul(factors, scd.take(_S_D_S, axis=0))
+        ks2[:] = _mul(num[2], scd[0])
+        num[2] = 1.0 - ks2
+        new = num / (1.0 + ks2)  # (1 + k) s, c d, 1 - k s s over 1 + k s s
+        scd = new if on is None else np.where(on, new, scd)
+    # a pole where a denominator nearly cancels, at any level an argument reaches
+    pole = _abs(1.0 + ks2s) < 1e-14 * (1.0 + _abs(ks2s))
+    if levels and levels[0][0] is not None:
+        pole &= np.array([on for on, _ in reversed(levels)])
+    err = np.zeros(u.shape, dtype=np.int8)
+    err[pole.any(axis=0)] = _POLE
+    if np.count_nonzero(capped):
+        err[np.broadcast_to(capped, u.shape)] = _CAPPED
+    if np.count_nonzero(hyper):
+        sech = 1.0 / np.cosh(u)
+        scd = np.where(hyper, [np.tanh(u), sech, sech], scd)
+    err[~np.isfinite(scd).all(axis=0) & (err == 0)] = _NOT_FINITE
+    return scd, err
 
 
 @dataclass(frozen=True)
@@ -81,24 +154,34 @@ class EllipticParams:
     modulus: complex
     coords: dict
     sn: dict = field(init=False, repr=False, compare=False)  # (a, b), a < b -> sn(x_a - x_b)
-    half_ratios: dict = field(init=False, repr=False, compare=False)  # (a, b), a < b -> _half_ratio
+    # (a, b), a < b -> sn/(cn*dn) at (x_a - x_b)/2
+    half_ratios: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "modulus", complex(self.modulus))
         object.__setattr__(
             self, "coords", {int(v): complex(x) for v, x in self.coords.items()}
         )
-        sn, half_ratios = {}, {}
         vs = self.vertices
-        for i, a in enumerate(vs):
-            for b in vs[i + 1 :]:
-                d = self.coords[a] - self.coords[b]
-                sn[a, b], _, _ = jacobi_sn_cn_dn(d, self.modulus)
-                if abs(sn[a, b]) > 1e6:
-                    raise NumericsError(f"difference {a}-{b} too close to a pole")
-                half_ratios[a, b] = _half_ratio(d, self.modulus)
-        object.__setattr__(self, "sn", sn)
-        object.__setattr__(self, "half_ratios", half_ratios)
+        pairs = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :]]
+        diffs = [self.coords[a] - self.coords[b] for a, b in pairs]
+        s, c, d, err = sn_cn_dn(diffs + [x / 2.0 for x in diffs], self.modulus)
+        n = len(pairs)
+        sn, err_half = s[:n], err[n:]
+        with np.errstate(all="ignore"):  # cn*dn at a failed argument, never read
+            cd = _mul(c[n:], d[n:])
+        pole, zero = _abs(sn) > 1e6, _abs(cd) < 1e-6
+        bad = (err[:n] != 0) | pole | (err_half != 0) | zero
+        if bad.any():  # the first bad pair's first failure, in the order they are checked
+            i = int(np.argmax(bad))
+            a, b = pairs[i]
+            _check(err[i])
+            if pole[i]:
+                raise NumericsError(f"difference {a}-{b} too close to a pole")
+            _check(err_half[i])
+            raise NumericsError("half-argument too close to a zero of cn*dn")
+        object.__setattr__(self, "sn", dict(zip(pairs, sn)))
+        object.__setattr__(self, "half_ratios", dict(zip(pairs, s[n:] / cd)))
 
     @property
     def vertices(self) -> tuple:
@@ -119,12 +202,13 @@ def elliptic_primitive(params: EllipticParams) -> Cochain:
     m2 = params.modulus * params.modulus
     if m2 == 0:
         raise ValueError("modulus must be nonzero for the primitive formula")
-    sn_at = {}
-    for v in vertices:
-        s = jacobi_sn_cn_dn(params.coords[v], params.modulus)[0]
-        if abs(s) < 1e-9:
-            raise ValueError(f"sn vanishes at vertex {v}")
-        sn_at[v] = s
+    sn_at, _, _, err = sn_cn_dn([params.coords[v] for v in vertices], params.modulus)
+    bad = (err != 0) | (_abs(sn_at) < 1e-9)
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check(err[i])
+        raise ValueError(f"sn vanishes at vertex {vertices[i]}")
+    sn_at = dict(zip(vertices, sn_at))
     vals = {(i, j): params.sn[i, j] / (m2 * sn_at[i] * sn_at[j]) for i, j in faces(vertices, 1)}
     return Cochain(vertices, 1, vals)
 

@@ -58,7 +58,10 @@ class Cochain:
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, cell) -> complex:
-        return self.values[tuple(sorted(cell))]
+        try:  # most keys are cells as the table holds them
+            return self.values[cell]
+        except (KeyError, TypeError):  # unsorted, or a list
+            return self.values[tuple(sorted(cell))]
 
     def cells(self):
         return faces(self.vertices, self.degree)

@@ -133,3 +133,11 @@ def test_complex_change_is_measured_as_one_number(tmp_path, capsys):
     rc, head, lines = _compare(tmp_path, a, b, capsys)
     assert (rc, head) == (1, "4 runs in A, 4 in B, 1 differ")
     assert lines == ["const: changed in 1 runs, largest change 2e-20 absolute, 2e-20 relative"]
+
+
+def test_run_set_checks_selftest_across_seeds():
+    runs = [" ".join(argv) for argv in cli_outputs.run_set()]
+    assert len(runs) == len(set(runs)) == 464
+    assert [r for r in runs if r.startswith("selftest")] == ["selftest"] + [
+        f"selftest --seed {s}" for s in range(12)
+    ]

@@ -196,6 +196,11 @@ def test_cochain_cells_are_read_as_sorted_integer_tuples():
     assert all(type(c[k]) is complex for k in keys)
     with pytest.raises(ValueError, match=r"^\(1, 2, 6\) is not a 2-cell of \(1, 2, 3, 4, 5\)$"):
         Cochain(SIMPLEX, 2, {(2, 1, 6): 1.0})
+    # a lookup takes the cell as given first, then sorted: unsorted, list
+    # and array keys read the same value; a key that is no cell is a KeyError
+    assert c[3, 2, 1] == c[[2, 1, 3]] == c[np.array([1, 3, 2])] == c[1, 2, 3] == 1
+    with pytest.raises(KeyError):
+        c[1, 2, 6]
 
 
 def test_as_vector_order():

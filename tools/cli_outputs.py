@@ -3,14 +3,15 @@
     python3 tools/cli_outputs.py OUT.json [--src DIR]
     python3 tools/cli_outputs.py --compare A.json B.json
 
-The first form runs 452 commands in-process and writes
+The first form runs 464 commands in-process and writes
 {argv: [exit code, stdout]} as JSON:
 
 - verify-pachner --elliptic --seed 0..149;
 - verify-pachner, weight-from-cocycle, cocycle-from-weight, edge-operators
   and elliptic-f with --seed 0..59;
 - verify-pachner --seed 3 --batch 5;
-- selftest.
+- selftest, at its default seed and with --seed 0..11 (seed 5 fails
+  criterion 10 and exits 1).
 
 --src names the directory that holds the pachner33 package to run (default:
 the src/ next to this script), so a second checkout can be recorded with the
@@ -52,6 +53,7 @@ def run_set() -> list[list[str]]:
         runs += [[cmd, "--seed", str(s)] for s in range(60)]
     runs.append(["verify-pachner", "--seed", "3", "--batch", "5"])
     runs.append(["selftest"])
+    runs += [["selftest", "--seed", str(s)] for s in range(12)]
     return runs
 
 
