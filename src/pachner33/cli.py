@@ -246,7 +246,15 @@ def _gauges_to_json(gauges: np.ndarray) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Scene sources.
+# Command inputs.
+
+
+def _input(args, seed: int, parse, draw):
+    """The command's input and its source: the --cocycle file read through
+    parse, or else draw applied to the generator seeded with seed."""
+    if args.cocycle:
+        return _read(args.cocycle, parse), "file"
+    return draw(np.random.default_rng(seed)), "random"
 
 
 def _parse_modulus(text: str) -> complex:
@@ -256,34 +264,33 @@ def _parse_modulus(text: str) -> complex:
     return _parse_pair([float(p) for p in parts])
 
 
-def _elliptic_params_from_args(args, rng, vertices) -> EllipticParams:
+def _elliptic_params(args, seed: int, vertices) -> EllipticParams:
     if args.coords:
         mod = _parse_modulus(args.modulus) if args.modulus else None
         return _read(args.coords, lambda d: params_from_json(d, mod))
     if args.modulus:
         raise ValueError("--modulus requires --coords")
-    return acceptance.random_elliptic_params(rng, vertices)
+    return acceptance.random_elliptic_params(np.random.default_rng(seed), vertices)
 
 
 def _scene_cocycle(args, seed: int) -> tuple[Cochain, str]:
-    if args.cocycle:
-        return _read(args.cocycle, cochain_from_json), "file"
-    rng = np.random.default_rng(seed)
-    if args.elliptic:
-        params = _elliptic_params_from_args(args, rng, SCENE_VERTICES)
-        return elliptic_cocycle(params), "elliptic"
-    return acceptance.generic_cocycle(rng, SCENE_VERTICES), "random"
-
-
-def _input_weight_matrix(args, seed: int) -> tuple[WeightMatrix, str]:
-    if args.cocycle:
-        return _read(args.cocycle, weight_matrix_from_json), "file"
-    rng = np.random.default_rng(seed)
-    return acceptance.random_weight_matrix(rng), "random"
+    """A scene's cocycle and its source; the draw flags are refused where
+    they would draw nothing."""
+    drawn = [f"--{f}" for f in ("elliptic", "coords", "modulus") if getattr(args, f)]
+    if drawn and args.cocycle:
+        raise ValueError(f"{drawn[0]} cannot be used with --cocycle")
+    if drawn and not args.elliptic:
+        raise ValueError(f"{drawn[0]} requires --elliptic")
+    if not args.elliptic:
+        return _input(args, seed, cochain_from_json, lambda rng: acceptance.generic_cocycle(rng, SCENE_VERTICES))
+    params = _elliptic_params(args, seed, SCENE_VERTICES)
+    if params.vertices != SCENE_VERTICES:
+        raise ValueError("verify-pachner expects coordinates on vertices 1..6")
+    return elliptic_cocycle(params), "elliptic"
 
 
 # ---------------------------------------------------------------------------
-# Commands.
+# Commands: each fills in the report it is given and returns the exit code.
 
 
 def _run(args, seed: int, body) -> tuple[dict, int]:
@@ -301,21 +308,9 @@ def _run(args, seed: int, body) -> tuple[dict, int]:
         return report, 2
 
 
-def _reporting(body):
-    """A command that emits the one report body(args, report) fills in."""
-
-    @functools.wraps(body)
-    def cmd(args) -> int:
-        report, rc = _run(args, args.seed, body)
-        return _emit(report, args.out, rc)
-
-    return cmd
-
-
 def _verify_one(args, report: dict) -> int:
     tol = args.tolerance
-    omega, source = _scene_cocycle(args, report["seed"])
-    report["source"] = source
+    omega, report["source"] = _scene_cocycle(args, report["seed"])
     rec = reconcile(omega, tol=tol)
     rep = verify_33(rec)
     report.update(vars(rep), gauges=_gauges_to_json(rec.gauges))
@@ -326,7 +321,6 @@ def _verify_one(args, report: dict) -> int:
     return 0 if passed else 1
 
 
-@_reporting
 def cmd_verify_pachner(args, report: dict) -> int:
     runs = [_run(args, seed, _verify_one) for seed in range(args.seed, args.seed + args.batch)]
     if args.batch == 1:
@@ -338,15 +332,8 @@ def cmd_verify_pachner(args, report: dict) -> int:
     return max(rc for _, rc in runs)  # 2 on any error, else 1 on any excess
 
 
-@_reporting
 def cmd_weight_from_cocycle(args, report: dict) -> int:
-    if args.cocycle:
-        omega = _read(args.cocycle, cochain_from_json)
-        report["source"] = "file"
-    else:
-        rng = np.random.default_rng(args.seed)
-        omega = acceptance.generic_cocycle(rng)
-        report["source"] = "random"
+    omega, report["source"] = _input(args, args.seed, cochain_from_json, acceptance.generic_cocycle)
     wm = reconstruct_F(omega)
     resid = roundtrip_residual(omega, extract_w_cocycle(normalize_family(wm)))
     report.update(weight_matrix_to_json(wm))
@@ -355,9 +342,8 @@ def cmd_weight_from_cocycle(args, report: dict) -> int:
     return 0 if resid <= args.tolerance else 1
 
 
-@_reporting
 def cmd_cocycle_from_weight(args, report: dict) -> int:
-    wm, report["source"] = _input_weight_matrix(args, args.seed)
+    wm, report["source"] = _input(args, args.seed, weight_matrix_from_json, acceptance.random_weight_matrix)
     omega = extract_w_cocycle(normalize_family(wm))
     closed = is_cocycle(omega, rel_tol=args.tolerance)
     report.update(cochain_to_json(omega))
@@ -365,17 +351,14 @@ def cmd_cocycle_from_weight(args, report: dict) -> int:
     return 0 if closed else 1
 
 
-@_reporting
 def cmd_edge_operators(args, report: dict) -> int:
-    wm, report["source"] = _input_weight_matrix(args, args.seed)
+    wm, report["source"] = _input(args, args.seed, weight_matrix_from_json, acceptance.random_weight_matrix)
     report.update(family_to_json(normalize_family(wm)))
     return 0
 
 
-@_reporting
 def cmd_elliptic_f(args, report: dict) -> int:
-    rng = np.random.default_rng(args.seed)
-    params = _elliptic_params_from_args(args, rng, acceptance.SIMPLEX)
+    params = _elliptic_params(args, args.seed, acceptance.SIMPLEX)
     simplex = params.vertices
     if len(simplex) != 5:
         raise ValueError("elliptic-f expects coordinates on five vertices")
@@ -423,22 +406,31 @@ def _seed(text: str) -> int:
 
 _seed.__name__ = "int"  # argparse names the type in "invalid int value"
 
+FLAGS = {
+    "--seed": dict(type=_seed, default=1, help="PRNG seed (PCG64)"),
+    "--tolerance": dict(type=_positive(float), default=DEFAULT_TOLERANCE, help="residual bound"),
+    "--cocycle": dict(metavar="FILE", help="input JSON file"),
+    "--out": dict(metavar="FILE", help="write the report here as well"),
+    "--elliptic": dict(action="store_true", help="draw elliptic scene data"),
+    "--modulus": dict(metavar="RE,IM", help="elliptic modulus"),
+    "--coords": dict(metavar="FILE", help="vertex coordinates JSON"),
+    "--batch": dict(type=_positive(int), default=1, help="run seeds seed..seed+n-1"),
+}
 
-def _add_common(p: argparse.ArgumentParser, *, tolerance=True, io=True, elliptic=False, batch=False):
-    p.add_argument("--seed", type=_seed, default=1, help="PRNG seed (PCG64)")
-    if tolerance:
-        p.add_argument(
-            "--tolerance", type=_positive(float), default=DEFAULT_TOLERANCE, help="residual bound"
-        )
-    if io:
-        p.add_argument("--cocycle", metavar="FILE", help="input JSON file")
-        p.add_argument("--out", metavar="FILE", help="write the report here as well")
-    if elliptic:
-        p.add_argument("--elliptic", action="store_true", help="draw elliptic scene data")
-        p.add_argument("--modulus", metavar="RE,IM", help="elliptic modulus")
-        p.add_argument("--coords", metavar="FILE", help="vertex coordinates JSON")
-    if batch:
-        p.add_argument("--batch", type=_positive(int), default=1, help="run seeds seed..seed+n-1")
+# command -> (help line, body, flags in help order); selftest prints text
+# rather than a report, and build_parser adds it on its own
+COMMANDS = {
+    "verify-pachner": ("reconcile a scene and compare both sides", cmd_verify_pachner, (
+        "--seed", "--tolerance", "--cocycle", "--out", "--elliptic", "--modulus", "--coords", "--batch")),
+    "weight-from-cocycle": ("rebuild a weight matrix from a cocycle", cmd_weight_from_cocycle, (
+        "--seed", "--tolerance", "--cocycle", "--out")),
+    "cocycle-from-weight": ("extract the cocycle of a weight matrix", cmd_cocycle_from_weight, (
+        "--seed", "--tolerance", "--cocycle", "--out")),
+    "edge-operators": ("normalized edge operator family of a weight", cmd_edge_operators, (
+        "--seed", "--cocycle", "--out")),
+    "elliptic-f": ("weight matrix from elliptic data", cmd_elliptic_f, (
+        "--seed", "--modulus", "--coords", "--out")),
+}
 
 
 @functools.cache
@@ -448,41 +440,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gaussian Grassmann weights on the three-for-three trade",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-pachner", help="reconcile a scene and compare both sides")
-    _add_common(p, elliptic=True, batch=True)
-    p.set_defaults(func=cmd_verify_pachner)
-
-    p = sub.add_parser("weight-from-cocycle", help="rebuild a weight matrix from a cocycle")
-    _add_common(p)
-    p.set_defaults(func=cmd_weight_from_cocycle)
-
-    p = sub.add_parser("cocycle-from-weight", help="extract the cocycle of a weight matrix")
-    _add_common(p)
-    p.set_defaults(func=cmd_cocycle_from_weight)
-
-    p = sub.add_parser("edge-operators", help="normalized edge operator family of a weight")
-    _add_common(p, tolerance=False)
-    p.set_defaults(func=cmd_edge_operators)
-
-    p = sub.add_parser("elliptic-f", help="weight matrix from elliptic data")
-    _add_common(p, tolerance=False, io=False, elliptic=True)
-    p.add_argument("--out", metavar="FILE", help="write the report here as well")
-    p.set_defaults(func=cmd_elliptic_f)
+    for name, (help_line, _, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
 
     p = sub.add_parser("selftest", help="run the built-in acceptance checks")
     p.add_argument("--seed", type=_seed, default=acceptance.DEFAULT_SEED, help="PRNG seed (PCG64)")
     p.add_argument(
         "--tolerance", type=_positive(float), default=None, help="override every residual bound"
     )
-    p.set_defaults(func=cmd_selftest)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    if args.command == "selftest":
+        return cmd_selftest(args)
+    report, rc = _run(args, args.seed, COMMANDS[args.command][1])
+    return _emit(report, args.out, rc)
 
 
 if __name__ == "__main__":

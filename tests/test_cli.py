@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import itertools
 import json
@@ -386,6 +387,58 @@ def test_overflowing_jacobi_values_are_a_numerics_error(capsys, tmp_path, comman
     rep = json.loads(out)
     assert rep["error"] == "NumericsError"
     assert rep["message"] == "sn, cn or dn is not finite at this argument and modulus"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--coords", "{six}"], "--coords requires --elliptic"),
+        (["--modulus=0.5,0.1"], "--modulus requires --elliptic"),
+        (["--coords", "{six}", "--modulus=0.5,0.1"], "--coords requires --elliptic"),
+        (["--cocycle", "{scene}", "--elliptic"], "--elliptic cannot be used with --cocycle"),
+        (["--cocycle", "{scene}", "--coords", "{six}"], "--coords cannot be used with --cocycle"),
+        (["--cocycle", "{scene}", "--modulus=0.5,0.1"], "--modulus cannot be used with --cocycle"),
+        (["--elliptic", "--coords", "{five}"], "verify-pachner expects coordinates on vertices 1..6"),
+    ],
+)
+def test_draw_flag_that_draws_nothing_is_an_input_error(capsys, tmp_path, argv, message):
+    files = {
+        "six": {"modulus": [0.5, 0.1], "coords": {**OVERFLOW_COORDS, "6": [2.9, 0.7]}},
+        "five": {"modulus": [0.5, 0.1], "coords": OVERFLOW_COORDS},
+        "scene": cli.cochain_to_json(generic_cocycle(np.random.default_rng(1), SCENE_VERTICES)),
+    }
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(cli.dumps(doc))
+    argv = [a.format(**{name: tmp_path / f"{name}.json" for name in files}) for a in argv]
+    rc = cli.main(["verify-pachner", *argv])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (2, "")
+    rep = json.loads(out)
+    assert (rep["error"], rep["message"]) == ("ValueError", message)
+
+
+def test_each_command_takes_exactly_its_flags():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    taken = {name: {s for a in p._actions for s in a.option_strings} for name, p in sub.choices.items()}
+    common = {"-h", "--help", "--seed"}
+    draw = {"--elliptic", "--modulus", "--coords"}
+    assert taken == {
+        "verify-pachner": common | {"--tolerance", "--cocycle", "--out", "--batch"} | draw,
+        "weight-from-cocycle": common | {"--tolerance", "--cocycle", "--out"},
+        "cocycle-from-weight": common | {"--tolerance", "--cocycle", "--out"},
+        "edge-operators": common | {"--cocycle", "--out"},
+        "elliptic-f": common | {"--modulus", "--coords", "--out"},
+        "selftest": common | {"--tolerance"},
+    }
+
+
+def test_elliptic_f_refuses_the_elliptic_flag(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["elliptic-f", "--elliptic"])
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1].endswith("unrecognized arguments: --elliptic")
 
 
 def test_every_written_file_reads_back(capsys, tmp_path):
