@@ -103,7 +103,7 @@ def _emit(report: dict, out_path: str | None, rc: int) -> int:
     """Print the report, after writing it to out_path if given, and return rc;
     an unwritable file exits 2, and is the error if the command had none."""
     text = dumps(report)
-    if out_path:
+    if out_path is not None:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -252,7 +252,7 @@ def _gauges_to_json(gauges: np.ndarray) -> dict:
 def _input(args, seed: int, parse, draw):
     """The command's input and its source: the --cocycle file read through
     parse, or else draw applied to the generator seeded with seed."""
-    if args.cocycle:
+    if args.cocycle is not None:
         return _read(args.cocycle, parse), "file"
     return draw(np.random.default_rng(seed)), "random"
 
@@ -265,10 +265,10 @@ def _parse_modulus(text: str) -> complex:
 
 
 def _elliptic_params(args, seed: int, vertices) -> EllipticParams:
-    if args.coords:
-        mod = _parse_modulus(args.modulus) if args.modulus else None
+    if args.coords is not None:
+        mod = None if args.modulus is None else _parse_modulus(args.modulus)
         return _read(args.coords, lambda d: params_from_json(d, mod))
-    if args.modulus:
+    if args.modulus is not None:
         raise ValueError("--modulus requires --coords")
     return acceptance.random_elliptic_params(np.random.default_rng(seed), vertices)
 
@@ -276,8 +276,8 @@ def _elliptic_params(args, seed: int, vertices) -> EllipticParams:
 def _scene_cocycle(args, seed: int) -> tuple[Cochain, str]:
     """A scene's cocycle and its source; the draw flags are refused where
     they would draw nothing."""
-    drawn = [f"--{f}" for f in ("elliptic", "coords", "modulus") if getattr(args, f)]
-    if drawn and args.cocycle:
+    drawn = [f"--{f}" for f in ("elliptic", "coords", "modulus") if getattr(args, f) not in (None, False)]
+    if drawn and args.cocycle is not None:
         raise ValueError(f"{drawn[0]} cannot be used with --cocycle")
     if drawn and not args.elliptic:
         raise ValueError(f"{drawn[0]} requires --elliptic")
@@ -309,19 +309,18 @@ def _run(args, seed: int, body) -> tuple[dict, int]:
 
 
 def _verify_one(args, report: dict) -> int:
-    tol = args.tolerance
     omega, report["source"] = _scene_cocycle(args, report["seed"])
-    rec = reconcile(omega, tol=tol)
+    rec = reconcile(omega)
     rep = verify_33(rec)
     report.update(vars(rep), gauges=_gauges_to_json(rec.gauges))
-    passed = (
-        rep.worst <= tol and rep.annihilator_dimension == 9 and abs(rep.const) > 1e-10
-    )
+    passed = rep.worst <= args.tolerance and rep.annihilator_dimension == 9 and abs(rep.const) > 1e-10
     report["within_tolerance"] = passed
     return 0 if passed else 1
 
 
 def cmd_verify_pachner(args, report: dict) -> int:
+    if args.batch > 1 and args.cocycle is not None:  # every run would read the same file
+        raise ValueError("--batch cannot be used with --cocycle")
     runs = [_run(args, seed, _verify_one) for seed in range(args.seed, args.seed + args.batch)]
     if args.batch == 1:
         report.update(runs[0][0])

@@ -4,7 +4,7 @@ for the three around the opposite one.
 Every 4-simplex pair shares exactly one tetrahedron (15 in all: 3 inner per
 side and 9 boundary), so reconciling the six independently reconstructed
 weights is a matter of 2x2 transition fits on shared components and one
-scale per simplex propagated along a spanning tree with ten loop checks.
+scale per simplex propagated along a spanning tree, with ten loop residuals.
 Every simplex is rebuilt on principal roots, so a 2-face has the same root
 in each simplex that contains it and every fit must come out diagonal.
 
@@ -145,12 +145,12 @@ class ReconciledWeights:
     loop_residuals: tuple
 
 
-def reconcile(omega: Cochain, tol: float = 1e-8) -> ReconciledWeights:
+def reconcile(omega: Cochain) -> ReconciledWeights:
     """Glue the six per-simplex reconstructions into one consistent scene.
 
-    Raises ConsistencyError when a loop check fails, which is the typed
-    signal that the six restrictions do not come from one global weight
-    system at this tolerance.
+    The ten loop residuals are measured, not judged: they are returned
+    with the scene, and Verification33.worst bounds them with the other
+    figures.
     """
     if tuple(omega.vertices) != VERTICES or omega.degree != 2:
         raise ValueError("expected a degree-2 cochain on vertices 1..6")
@@ -173,11 +173,6 @@ def reconcile(omega: Cochain, tol: float = 1e-8) -> ReconciledWeights:
     a = rho_sq[OWNER[loop, 1]] * maps[loop, 0, 0] * maps[loop, 1, 1]
     b = SIGN[loop] * rho_sq[OWNER[loop, 0]]
     loops = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
-    if loops.max() > tol:
-        raise ConsistencyError(
-            f"loop residuals up to {loops.max():.2e} exceed {tol:.2e}; "
-            "the six restrictions are not jointly consistent"
-        )
 
     # the left owner of each tetrahedron keeps gauge one there
     gauges = np.ones((len(SIMPLICES), 5), dtype=complex)

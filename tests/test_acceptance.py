@@ -14,12 +14,12 @@ from test_elliptic import oracle_sn_cn_dn
 
 @pytest.mark.parametrize("number", range(1, 11))
 def test_criterion(number):
-    result = acceptance.ALL_CRITERIA[number - 1]()
+    result = acceptance.run(number)
     print(result.line)
     assert result.passed, result.line
 
 
-# criterion_k(seed).line for k = 3..8, recorded while each criterion still
+# run(k, seed).line for k = 3..8, recorded while each criterion still
 # drew and computed one weight, or one Jacobi argument, at a time: drawing
 # first and running each stage as one stack must leave every line as it was
 PINNED_LINES = {
@@ -40,7 +40,7 @@ PINNED_LINES = {
 
 @pytest.mark.parametrize("seed, number", sorted(PINNED_LINES))
 def test_single_simplex_criterion_lines_are_pinned(seed, number):
-    assert acceptance.ALL_CRITERIA[number - 1](seed).line == PINNED_LINES[seed, number]
+    assert acceptance.run(number, seed).line == PINNED_LINES[seed, number]
 
 
 @pytest.mark.parametrize(
@@ -126,9 +126,9 @@ def test_criterion_9_bounds_every_figure(monkeypatch, bad):
     within_tolerance: one bad figure fails it."""
     rep = _report(**bad)
     assert rep.worst == 1.0
-    monkeypatch.setattr(acceptance, "reconcile", lambda om, tol: None)
+    monkeypatch.setattr(acceptance, "reconcile", lambda om: None)
     monkeypatch.setattr(acceptance, "verify_33", lambda rec: rep)
-    result = acceptance.criterion_9()
+    result = acceptance.run(9)
     assert not result.passed
     assert "worst residual 1.00e+00" in result.line
 
@@ -150,8 +150,8 @@ def test_criteria_1_and_2_check_the_dense_kernels_only(monkeypatch):
     ):
         monkeypatch.setattr(owner, name, _boom)
         assert name not in vars(acceptance)  # no copy imported past the patch
-    for crit in (acceptance.criterion_1, acceptance.criterion_2):
-        result = crit()
+    for number in (1, 2):
+        result = acceptance.run(number)
         assert result.passed, result.line
 
 
@@ -162,7 +162,8 @@ def test_criterion_1_fails_on_a_side_slot_swap(monkeypatch, side):
     swap = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 9, 11])
     swapped = tuple((i, swap[ix]) for i, ix in pachner._SIDE_SLOTS[side])
     monkeypatch.setitem(pachner._SIDE_SLOTS, side, swapped)
-    assert not acceptance.criterion_1().passed
+    passed, detail = acceptance.criterion_1()  # a crash errors the test
+    assert not passed, detail
 
 
 @pytest.mark.parametrize("columns", ("all", "multiplications"))
@@ -180,4 +181,28 @@ def test_criterion_1_fails_on_an_action_matrix_sign_flip(monkeypatch, columns):
         return src
 
     monkeypatch.setattr(operators, "_action_sources", flipped)
-    assert not acceptance.criterion_1().passed
+    passed, detail = acceptance.criterion_1()  # a crash errors the test
+    assert not passed, detail
+
+
+def test_a_crashing_criterion_fails_under_its_title(monkeypatch):
+    """run() names a criterion by its title, a crash included, and a crash
+    leaves the other criteria running."""
+    calls = []
+
+    def stub(number):
+        def criterion(seed, tolerance):
+            calls.append(number)
+            if number == 3:
+                raise RuntimeError("boom")
+            return True, "stub"
+
+        return criterion
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", tuple(stub(k) for k in range(1, 11)))
+    lines = [r.line for r in acceptance.run_all()]
+    assert calls == list(range(1, 11))
+    assert lines[2] == "FAIL criterion 3: edge operator spaces and reference polynomials (RuntimeError: boom)"
+    assert lines[:2] + lines[3:] == [
+        f"PASS criterion {k}: {title} (stub)" for k, title in enumerate(acceptance.TITLES, 1) if k != 3
+    ]

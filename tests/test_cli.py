@@ -87,6 +87,18 @@ def test_verify_pachner_bounds_isotropy(capsys, monkeypatch):
     assert json.loads(out)["within_tolerance"] is False
 
 
+def test_tolerance_below_the_loop_residuals_exits_1(capsys):
+    """The loop residuals are judged with the other figures: a tolerance
+    below them is a residual excess, exit 1, and the report has every
+    figure and no error."""
+    rc, out = run(capsys, "verify-pachner", "--seed", "1", "--tolerance", "1e-15")
+    assert rc == 1
+    rep = json.loads(out)
+    assert set(rep) == RUN_KEYS
+    assert rep["within_tolerance"] is False
+    assert max(rep["loop_residuals"]) > 1e-15
+
+
 def test_verify_pachner_elliptic(capsys):
     rc, out = run(capsys, "verify-pachner", "--elliptic", "--seed", "2")
     assert rc == 0
@@ -415,6 +427,50 @@ def test_draw_flag_that_draws_nothing_is_an_input_error(capsys, tmp_path, argv, 
     assert (rc, err) == (2, "")
     rep = json.loads(out)
     assert (rep["error"], rep["message"]) == ("ValueError", message)
+
+
+@pytest.mark.parametrize(
+    "argv, error, message",
+    [
+        (["verify-pachner", "--cocycle="], "FileNotFoundError", None),
+        (["verify-pachner", "--coords="], "ValueError", "--coords requires --elliptic"),
+        (["verify-pachner", "--modulus="], "ValueError", "--modulus requires --elliptic"),
+        (["verify-pachner", "--elliptic", "--coords="], "FileNotFoundError", None),
+        (["verify-pachner", "--elliptic", "--modulus="], "ValueError", "--modulus requires --coords"),
+        (["cocycle-from-weight", "--cocycle="], "FileNotFoundError", None),
+        (["elliptic-f", "--coords="], "FileNotFoundError", None),
+        (["elliptic-f", "--coords=", "--modulus="], "ValueError", "--modulus expects re,im"),
+        (["weight-from-cocycle", "--out="], "FileNotFoundError", None),
+        (["edge-operators", "--out="], "FileNotFoundError", None),
+    ],
+)
+def test_an_empty_path_is_a_path(capsys, argv, error, message):
+    """An empty --cocycle, --coords, --modulus or --out is read, parsed or
+    written like any other, and fails as such; none is ignored."""
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (rc, err) == (2, "")
+    rep = json.loads(out)
+    assert rep["error"] == error
+    if message is None:  # the OSError names the empty path
+        assert rep["message"].endswith(": ''")
+    else:
+        assert rep["message"] == message
+
+
+def test_batch_with_cocycle_is_refused(capsys, tmp_path):
+    """--batch N > 1 would verify the one file N times as N seeds."""
+    path = tmp_path / "scene.json"
+    path.write_text(cli.dumps(cli.cochain_to_json(generic_cocycle(np.random.default_rng(1), SCENE_VERTICES))))
+    rc = cli.main(["verify-pachner", "--cocycle", str(path), "--batch", "3"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (2, "")
+    rep = json.loads(out)
+    assert set(rep) == {"command", "seed", "tolerance", "error", "message"}
+    assert (rep["error"], rep["message"]) == ("ValueError", "--batch cannot be used with --cocycle")
+    rc, out = run(capsys, "verify-pachner", "--cocycle", str(path), "--batch", "1")
+    assert rc == 0
+    assert json.loads(out)["source"] == "file"
 
 
 def test_each_command_takes_exactly_its_flags():

@@ -3,6 +3,7 @@ integrated identity between the two sides."""
 
 from __future__ import annotations
 
+import inspect
 import re
 
 import mpmath
@@ -284,6 +285,25 @@ def test_reconcile_names_a_tetrahedron_without_a_2x2_map(rng, monkeypatch):
     with pytest.raises(ConsistencyError) as err:
         _reconcile_with(monkeypatch, om, perturb)
     assert str(err.value).startswith(f"components on {SHARED[k]} are not related by a 2x2 map (residual ")
+
+
+def test_reconcile_measures_loop_residuals_without_judging_them(rng, monkeypatch):
+    """Scaling both components of one loop tetrahedron's owner keeps its
+    transition diagonal and moves the loop through it by 1 - 1/1.5^2; the
+    residual comes back in the scene, for the verdict to judge."""
+    assert list(inspect.signature(reconcile).parameters) == ["omega"]
+    om = generic_cocycle(rng, VERTICES)
+    k = int(np.flatnonzero(~TREE)[0])
+    u, slot = OWNER[k, 1], SLOT[k, 1]
+
+    def scale(fams):
+        fams = fams.copy()
+        fams[u, :, [slot, slot + 5]] *= 1.5
+        return fams
+
+    loops = _reconcile_with(monkeypatch, om, scale).loop_residuals
+    assert max(loops) == pytest.approx(1 - 1 / 1.5**2, rel=1e-9)
+    assert sorted(loops)[-2] < 1e-9  # the other nine loops close
 
 
 def test_side_weights_are_odd(rng):
