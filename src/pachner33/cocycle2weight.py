@@ -10,33 +10,55 @@ pair ratios are read off coboundaries, with no SVD or least squares.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
 
 import numpy as np
 
-from .edgeops import EdgeOperatorFamily, extract_w_cocycle
+from .edgeops import extract_w_cocycles
 from .errors import BranchInconsistencyError, ConsistencyError, DegenerateCocycleError
 from .simplicial import Cochain, coboundary_matrix, coboundary_terms, faces
-from .weights import CANONICAL_RATIO_PAIRS, WeightMatrix, solve_F_from_ratios
+from .weights import CANONICAL_RATIO_PAIRS, solve_F_from_ratios
 
 COMPONENT_TOL = 1e-8
 
 
-def _values(omega: Cochain, roots=None) -> tuple:
-    """Face values and roots (principal unless given) as arrays in face order."""
-    w = omega.as_vector()
+def _by_row(stacked):
+    """A closed form on stacks of rows (cochains, families, roots) that raises
+    what its first failing row raises alone: on an error, the rows run again
+    one at a time, in order.  Its `one` is its B = 1 call: each argument one
+    row (None stays None), and the result's one row."""
+
+    @functools.wraps(stacked)
+    def run(*stacks):
+        try:
+            return stacked(*stacks)
+        except Exception:
+            if len(stacks[0]) > 1:  # a single row's error is already its own
+                for i in range(len(stacks[0])):
+                    stacked(*(s if s is None else s[i : i + 1] for s in stacks))
+            raise
+
+    run.one = lambda *row: run(*[x if x is None else [x] for x in row])[0]
+    return run
+
+
+def _values(omegas, roots=None) -> tuple:
+    """Face values and roots (principal unless given), (B, 10), in face order."""
+    w = np.array([[om.values[c] for c in om.cells()] for om in omegas], dtype=complex)
     return w, np.sqrt(w) if roots is None else np.asarray(roots, dtype=complex)
 
 
-def _check_roots(cells, w: np.ndarray, r: np.ndarray):
+def _check_roots(omegas, w: np.ndarray, r: np.ndarray):
     mag = np.abs(w)
     bad = (mag == 0.0) | (np.abs(r * r - w) > 1e-12 * mag)
     if bad.any():
-        i = int(np.argmax(bad))  # the first bad face in face order
-        if mag[i] == 0.0:
-            raise DegenerateCocycleError(f"cocycle vanishes on face {cells[i]}")
-        raise ConsistencyError(f"root at face {cells[i]} does not square to the value")
+        k, i = np.argwhere(bad)[0]  # the first bad row's first bad face
+        cell = omegas[k].cells()[i]
+        if mag[k, i] == 0.0:
+            raise DegenerateCocycleError(f"cocycle vanishes on face {cell}")
+        raise ConsistencyError(f"root at face {cell} does not square to the value")
 
 
 # a simplex's edges and faces as vertex positions, to their lex indices
@@ -65,22 +87,23 @@ def _alpha(r: list) -> list:
     return [r[a] * r[b] * r[c] * r[d] for a, b, c, d in ALPHA_ROOTS]
 
 
-def alpha_coefficients(omega: Cochain, roots=None) -> np.ndarray:
-    """Edge coefficients in edge (lex) order: the product of the four roots
-    at faces that either contain the edge or are disjoint from it."""
-    w, r = _values(omega, roots)
-    _check_roots(omega.cells(), w, r)
-    return np.array(_alpha(r.tolist()))
+@_by_row
+def alpha_stack(omegas, roots=None) -> np.ndarray:
+    """Edge coefficients in edge (lex) order, (B, 10): the product of the
+    four roots at faces that either contain the edge or are disjoint from it."""
+    w, r = _values(omegas, roots)
+    _check_roots(omegas, w, r)
+    return np.array([_alpha(row) for row in r.tolist()])
 
 
-def _combine(fam: EdgeOperatorFamily, alpha: np.ndarray) -> np.ndarray:
-    """The (beta, gamma) vector of sum_j alpha[..., j] times edge j's row,
-    summed left to right, for one coefficient row or a stack of them."""
-    return sum(a * row for a, row in zip(alpha.T[..., None], fam.matrix))
+def _combine(fams, alpha: np.ndarray) -> np.ndarray:
+    """The (beta, gamma) vectors of sum_j alpha[b, ..., j] times family b's
+    row j, summed left to right, for alpha (B, 10) or (B, n, 10)."""
+    rows = np.array([fam.matrix for fam in fams]).reshape(len(fams), *[1] * (alpha.ndim - 2), 10, 10)
+    return sum(alpha[..., j, None] * rows[..., j, :] for j in range(10))
 
 
-def _check_matches_family(fam: EdgeOperatorFamily, omega: Cochain):
-    ref = extract_w_cocycle(fam)
+def _check_matches_family(omega: Cochain, ref: Cochain):
     top = max(ref.cells(), key=lambda s: abs(ref[s]))
     scale = omega[top] / ref[top]
     worst = max(abs(omega[s] - scale * ref[s]) for s in ref.cells())
@@ -88,53 +111,62 @@ def _check_matches_family(fam: EdgeOperatorFamily, omega: Cochain):
         raise ConsistencyError("cocycle does not belong to this operator family")
 
 
-def superisotropic_f(fam: EdgeOperatorFamily, omega: Cochain, roots=None) -> np.ndarray:
-    """f = sum of alpha_b d_b as a (beta, gamma) vector in generator order;
-    every tetrahedron pairs it to zero with itself."""
-    _check_matches_family(fam, omega)
-    return _combine(fam, alpha_coefficients(omega, roots))
+@_by_row
+def superisotropic_fs(fams, omegas, roots=None) -> np.ndarray:
+    """f = sum of alpha_b d_b per family as (beta, gamma) rows in generator
+    order, (B, 10); every tetrahedron pairs it to zero with itself."""
+    for omega, ref in zip(omegas, extract_w_cocycles(fams)):
+        _check_matches_family(omega, ref)
+    return _combine(fams, alpha_stack(omegas, roots))
 
 
-def component_types(f: np.ndarray, simplex) -> np.ndarray:
-    """Whether f multiplies at each tetrahedron, in generator order, rather
-    than differentiates; a mixed or vanishing component is an error."""
-    small = np.abs(f.reshape(2, 5)) <= COMPONENT_TOL * np.abs(f).max()
-    for t, (small_b, small_g) in zip(faces(simplex, 3), small.T):
-        if small_b and small_g:
+def component_types(f: np.ndarray, simplices) -> np.ndarray:
+    """Whether each row of f (B, 10) multiplies at each tetrahedron of its
+    simplex, in generator order, rather than differentiates, (B, 5); a mixed
+    or vanishing component is an error, the first in row-major order."""
+    small = np.abs(f.reshape(-1, 2, 5)) <= COMPONENT_TOL * np.abs(f).max(axis=1)[:, None, None]
+    bad = small[:, 0] == small[:, 1]
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
+        t = faces(simplices[k], 3)[i]
+        if small[k, 0, i]:
             raise DegenerateCocycleError(f"operator vanishes at {t}")
-        if not small_b and not small_g:
-            raise BranchInconsistencyError(f"mixed component at {t}")
-    return small[0]
+        raise BranchInconsistencyError(f"mixed component at {t}")
+    return small[:, 0]
 
 
-def calibrate_sqrt_choice(fam: EdgeOperatorFamily, omega: Cochain) -> np.ndarray:
-    """Principal roots with their signs flipped so that every component of f
-    differentiates."""
-    roots = np.sqrt(omega.as_vector())
+@_by_row
+def calibrate_sqrt_choices(fams, omegas) -> np.ndarray:
+    """Principal roots, (B, 10), with their signs flipped so that every
+    component of each family's f differentiates."""
+    _, roots = _values(omegas)
+    f = superisotropic_fs(fams, omegas, roots)
     # generator i is the tetrahedron opposite vertex position 4 - i
-    flips = component_types(superisotropic_f(fam, omega, roots), fam.simplex)[::-1]
-    if flips.sum() % 2 != 0:
+    flips = component_types(f, [fam.simplex for fam in fams])[:, ::-1]
+    if (flips.sum(axis=1) % 2 != 0).any():
         raise BranchInconsistencyError("odd component-type pattern")
-    return np.where(np.logical_xor.reduce(FACE_FLIPS[flips]), -roots, roots)
+    return np.where(np.logical_xor.reduce(flips[:, :, None] & FACE_FLIPS, axis=1), -roots, roots)
 
 
-def build_f_t(fam: EdgeOperatorFamily, omega: Cochain, roots) -> np.ndarray:
-    """The five variants of f as a (5, 10) array: row i differentiates only
-    at generator i.
+@_by_row
+def build_f_ts(fams, omegas, roots) -> np.ndarray:
+    """The five variants of each family's f as a (B, 5, 10) array: row i
+    differentiates only at generator i.
 
     Row i flips the roots at the vertex opposite generator i, which negates
     the coefficients at the four edges through it and turns every other
     component into multiplication.
     """
-    alpha = alpha_coefficients(omega, roots)
-    f = _combine(fam, np.where(EDGE_FLIPS[::-1], -alpha, alpha))
+    alpha = alpha_stack(omegas, roots)[:, None]
+    f = _combine(fams, np.where(EDGE_FLIPS[::-1], -alpha, alpha))
     # row i's stray parts: gamma at generator i, beta elsewhere
-    stray = np.abs(np.where(np.eye(5, dtype=bool), f[:, 5:], f[:, :5]))
-    bad = stray > COMPONENT_TOL * np.abs(f).max(axis=1, keepdims=True)
+    stray = np.abs(np.where(np.eye(5, dtype=bool), f[..., 5:], f[..., :5]))
+    bad = stray > COMPONENT_TOL * np.abs(f).max(axis=2, keepdims=True)
     if bad.any():
-        t = faces(fam.simplex, 3)[np.argwhere(bad)[0, 1]]  # the first in row-major order
+        k, _, i = np.argwhere(bad)[0]  # the first in row-major order
         raise BranchInconsistencyError(
-            f"component at {t} is not of the expected kind; calibrate the branch first"
+            f"component at {faces(fams[k].simplex, 3)[i]} is not of the expected kind; "
+            "calibrate the branch first"
         )
     return f
 
@@ -159,16 +191,18 @@ def _kappa(w: list, r: list) -> complex:
     return lam_plus / lam_minus
 
 
-def kappa(omega: Cochain, roots=None) -> complex:
+@_by_row
+def kappas(omegas, roots=None) -> list:
     """The ratio tying together the two variants that multiply at the last
-    tetrahedron, in closed form."""
-    w, r = _values(omega, roots)
-    _check_roots(omega.cells(), w, r)
-    return _kappa(w.tolist(), r.tolist())
+    tetrahedron, in closed form, per cochain."""
+    w, r = _values(omegas, roots)
+    _check_roots(omegas, w, r)
+    return [_kappa(*row) for row in zip(w.tolist(), r.tolist())]
 
 
 # coboundary from a tetrahedron's six edges to its four faces, both in lex order
 TETRA_COBOUNDARY = coboundary_matrix(range(4), 1)
+_TETRA_COBOUNDARY_T = TETRA_COBOUNDARY.T.astype(complex)  # as pair_ratios multiplies by it
 # the defect's four-term sums on a simplex's five tetrahedra, by face index
 DEFECT_TERMS = coboundary_terms(tuple(range(5)), 2)
 
@@ -198,6 +232,12 @@ def _ratio_tables() -> tuple:
 RATIO_TETRA, RATIO_EDGES, RATIO_FACES, RATIO_FLIPS, RATIO_QUOTIENTS = _ratio_tables()
 
 
+@functools.cache
+def _ratio_tetrahedra(vertices) -> tuple:
+    """RATIO_TETRA on a simplex's own vertices, for the messages."""
+    return tuple(tuple(vertices[v] for v in t) for t in RATIO_TETRA)
+
+
 def pair_ratios(flips: np.ndarray, w: np.ndarray, tetrahedra) -> np.ndarray:
     """Ratios rho[n] with flips[n, 0] - rho[n] * flips[n, 1] in the span of
     the exact cochains and a primitive of omega, on the six edges of
@@ -212,7 +252,7 @@ def pair_ratios(flips: np.ndarray, w: np.ndarray, tetrahedra) -> np.ndarray:
     """
     # an indeterminate ratio divides by zero here, before its check raises
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = flips @ TETRA_COBOUNDARY.T
+        d = flips @ _TETRA_COBOUNDARY_T
         wc = w.conj()
         ww = (wc[:, None, :] @ w[:, :, None]).real
         ab = d - (d @ wc[:, :, None]) * w[:, None, :] / ww
@@ -220,40 +260,61 @@ def pair_ratios(flips: np.ndarray, w: np.ndarray, tetrahedra) -> np.ndarray:
         bc = b.conj()[:, None, :]
         rho = (bc @ a[:, :, None])[:, 0, 0] / (bc @ b[:, :, None])[:, 0, 0]
         resid = a - rho[:, None] * b
-    norms = [[math.hypot(*row) for row in np.abs(x).tolist()] for x in (a, b, flips[:, 1], resid)]
-    for t, na, nb, nf, nr in zip(tetrahedra, *norms):
-        if nb <= 2e-10 * nf:
-            raise DegenerateCocycleError(f"ratio at {t} is indeterminate")
-        if nr > 1e-8 * max(na, nb):
-            raise BranchInconsistencyError(f"rank condition fails at {t}")
+    # the norms of a, b, the residual and the second flip, per tetrahedron
+    parts = np.concatenate((ab.reshape(-1, 8), resid, flips[:, 1]), axis=1)
+    na, nb, nr, nf = np.sqrt(np.add.reduceat(np.square(np.abs(parts)), [0, 4, 8, 12], axis=1)).T
+    indeterminate = nb <= 2e-10 * nf
+    bad = indeterminate | (nr > 1e-8 * np.maximum(na, nb))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if indeterminate[k]:
+            raise DegenerateCocycleError(f"ratio at {tetrahedra[k]} is indeterminate")
+        raise BranchInconsistencyError(f"rank condition fails at {tetrahedra[k]}")
     return rho
 
 
-def reconstruct_F(omega: Cochain, roots=None) -> WeightMatrix:
-    """Gauge-fixed weight matrix whose double ratios match the cocycle's.
+@_by_row
+def reconstruct_Fs(omegas, roots=None) -> list:
+    """Gauge-fixed weight matrices whose double ratios match the cocycles'.
 
-    The branch, roots in face order, determines which of the finitely many compatible
-    matrices is produced; all of them yield this cocycle back.
+    The branch, roots in face order, determines which of the finitely many
+    compatible matrices is produced; all of them yield the cocycle back.
+    The checks run on the stack, stage by stage; products and quotients of
+    Python scalars, which fix the bits, run per cochain.
     """
-    if len(omega.vertices) != 5 or omega.degree != 2:
-        raise ValueError("expected a degree-2 cochain on five vertices")
-    verts, cells = omega.vertices, omega.cells()
-    w, r = _values(omega, roots)
+    for omega in omegas:
+        if len(omega.vertices) != 5 or omega.degree != 2:
+            raise ValueError("expected a degree-2 cochain on five vertices")
+    w, r = _values(omegas, roots)
     # F depends on ratios only.  Scaling omega by 4^-k and the roots by 2^-k
     # brings max|omega| near 1 exactly, so products of four roots stay in range.
-    scale = 2.0 ** -(math.frexp(omega.max_abs())[1] // 2)
+    scale = np.array([[2.0 ** -(math.frexp(om.max_abs())[1] // 2)] for om in omegas])
     w, r = w * scale * scale, r * scale
-    _check_roots(cells, w, r)
-    roots = r.tolist()
-    _kappa(w.tolist(), roots)  # probe the common degeneracies early, by name
+    _check_roots(omegas, w, r)
+    ws, rs = w.tolist(), r.tolist()
+    for row in zip(ws, rs):
+        _kappa(*row)  # probe the common degeneracies early, by name
     # a primitive's least-squares residual: the Hodge Laplacian here is 5
-    x = w[DEFECT_TERMS]
-    delta = x[:, 0] - x[:, 1] + x[:, 2] - x[:, 3]
-    if math.hypot(*abs(delta)) / math.sqrt(5) > 1e-9 * math.hypot(*abs(w)):
-        raise ValueError("cochain has no primitive: not a cocycle")
-    alpha = np.array(_alpha(roots))[RATIO_EDGES][:, None]
-    flips = np.where(RATIO_FLIPS, -alpha, alpha)
-    tetra = [tuple(verts[v] for v in t) for t in RATIO_TETRA]
-    rho = pair_ratios(flips, w[RATIO_FACES], tetra).tolist()
+    x = w[:, DEFECT_TERMS]
+    delta = x[..., 0] - x[..., 1] + x[..., 2] - x[..., 3]
+    for d, v in zip(abs(delta).tolist(), abs(w).tolist()):
+        if math.hypot(*d) / math.sqrt(5) > 1e-9 * math.hypot(*v):
+            raise ValueError("cochain has no primitive: not a cocycle")
+    alpha = np.array([_alpha(row) for row in rs])[:, RATIO_EDGES][:, :, None]
+    flips = np.where(RATIO_FLIPS, -alpha, alpha).reshape(-1, 2, 6)
+    tetra = [t for om in omegas for t in _ratio_tetrahedra(om.vertices)]
+    rho = pair_ratios(flips, w[:, RATIO_FACES].reshape(-1, 4), tetra).reshape(-1, 9).tolist()
     # Python quotients: numpy's array division rounds some differently
-    return solve_F_from_ratios(verts, [rho[i] / rho[j] for i, j in RATIO_QUOTIENTS])
+    return [
+        solve_F_from_ratios(om.vertices, [r[i] / r[j] for i, j in RATIO_QUOTIENTS])
+        for om, r in zip(omegas, rho)
+    ]
+
+
+# each single-row name is the B = 1 call of its stacked closed form
+alpha_coefficients = alpha_stack.one
+superisotropic_f = superisotropic_fs.one
+calibrate_sqrt_choice = calibrate_sqrt_choices.one
+build_f_t = build_f_ts.one
+kappa = kappas.one
+reconstruct_F = reconstruct_Fs.one

@@ -100,9 +100,9 @@ def raw_edge_operator(wm: WeightMatrix) -> np.ndarray:
     return raw[0]
 
 
-def normalize_families(wms) -> np.ndarray:
+def normalize_families(wms, raw=None) -> np.ndarray:
     """The normalized edge operator families of a sequence of weights, as a
-    (B, 10, 10) array.
+    (B, 10, 10) array; `raw` is the weights' _raw_edge_operators, if built.
 
     Each weight's raw operators are scaled so all five vertex coboundaries
     vanish.  The scales solve a homogeneous linear system, one block of
@@ -112,7 +112,7 @@ def normalize_families(wms) -> np.ndarray:
     those of each SVD taken alone.  Errors come weight by weight, in order:
     a weight's star dimensions, then its kernel dimension.
     """
-    raw, dims = _raw_edge_operators(np.array([wm.entries for wm in wms]))
+    raw, dims = _raw_edge_operators(np.array([wm.entries for wm in wms])) if raw is None else raw
     whole = (dims == 1).all(axis=1)
     n = len(wms) if whole.all() else int(np.argmin(whole))  # weights before the first bad star
     signs = SIGNS[:, None, :]

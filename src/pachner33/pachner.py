@@ -224,9 +224,12 @@ def side_weight(rec: ReconciledWeights, side: str) -> np.ndarray:
     return gaussian_coefficients(A)[-512:]
 
 
+CONST_FLOOR = 1e-10  # a |const| at or below this reads as a vanishing integral
+
+
 @dataclass(frozen=True)
 class Verification33:
-    """Measured outcome of one three-for-three trade."""
+    """Measured outcome of one three-for-three trade, and its verdict."""
 
     const: complex
     max_residual: float
@@ -248,6 +251,11 @@ class Verification33:
             self.annihilator_angle,
             max(self.loop_residuals),
         )
+
+    def verdict(self, tol: float) -> tuple:
+        """The verdict's three parts, all true for a trade that holds: every
+        figure within tol, a nonzero constant, a 9-dimensional annihilator."""
+        return self.worst <= tol, abs(self.const) > CONST_FLOOR, self.annihilator_dimension == 9
 
 
 def verify_33(rec: ReconciledWeights) -> Verification33:

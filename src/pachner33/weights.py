@@ -177,15 +177,16 @@ def solve_F_from_ratios(simplex, ratios) -> WeightMatrix:
     a = 1.0 / (c * d3)
     b = -1.0 / d4
     d = -1.0 / d5
-    E = np.zeros((5, 5), dtype=complex)
-    fixed = {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0, (0, 4): -1.0}
-    free = {(0, 2): a, (0, 3): b, (1, 3): c, (1, 4): d, (2, 4): e}
-    for (i, j), v in {**fixed, **free}.items():
-        E[i, j] = v
-        E[j, i] = -v
-    wm = WeightMatrix(simplex, E)
-    derived = canonical_ratios(wm)
-    worst = max(abs(x - y) / max(abs(y), 1e-300) for x, y in zip(derived, ratios))
+    E = [
+        [0.0, 1.0, a, b, -1.0],
+        [-1.0, 0.0, 1.0, c, d],
+        [-a, -1.0, 0.0, 1.0, e],
+        [-b, -c, -1.0, 0.0, 1.0],
+        [1.0, -d, -e, -1.0, 0.0],
+    ]
+    wm = WeightMatrix(simplex, np.array(E, dtype=complex))
+    r = np.array(ratios, dtype=complex)
+    worst = max((np.abs(canonical_ratios(wm) - r) / np.maximum(np.abs(r), 1e-300)).tolist())
     if worst > 1e-9:
         raise ConsistencyError("triangular ratio solve failed to reproduce its inputs")
     return wm

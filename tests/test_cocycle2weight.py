@@ -17,12 +17,17 @@ from pachner33.cocycle2weight import (
     TETRA_COBOUNDARY,
     alpha_coefficients,
     build_f_t,
+    build_f_ts,
     calibrate_sqrt_choice,
+    calibrate_sqrt_choices,
     component_types,
     kappa,
+    kappas,
     pair_ratios,
     reconstruct_F,
+    reconstruct_Fs,
     superisotropic_f,
+    superisotropic_fs,
 )
 from pachner33.edgeops import EdgeOperatorFamily, extract_w_cocycle, extract_w_cocycles, normalize_family
 from pachner33.errors import (
@@ -31,7 +36,7 @@ from pachner33.errors import (
     DegenerateCocycleError,
     Pachner33Error,
 )
-from pachner33.elliptic import elliptic_cocycle
+from pachner33.elliptic import elliptic_F, elliptic_cocycle
 from pachner33.operators import svd_rank
 from pachner33.pachner import SIMPLICES, VERTICES
 from pachner33.simplicial import (
@@ -231,7 +236,7 @@ def test_calibrated_branch_differentiates_everywhere(rng):
     _, fam, omega = forward(rng)
     cal = calibrate_sqrt_choice(fam, omega)
     f = superisotropic_f(fam, omega, cal)
-    assert not component_types(f, fam.simplex).any()
+    assert not component_types(f[None], [fam.simplex]).any()
     assert np.abs(f[5:]).max() <= 1e-9 * np.abs(f).max()
 
 
@@ -485,19 +490,44 @@ def same_outcome(x, y):
     return x == y
 
 
+def stack_outcome(omegas, roots=None):
+    """reconstruct_Fs' matrices' entries, or the error it raises instead."""
+    try:
+        return [wm.entries for wm in reconstruct_Fs(omegas, roots)]
+    except (ValueError, Pachner33Error) as err:
+        return type(err), str(err)
+
+
+def same_stack_outcome(got, rows):
+    """got, a stack's outcome, against the rows' own: their entries, or the
+    first failing row's error."""
+    errors = [row for row in rows if isinstance(row, tuple)]
+    if errors:
+        return got == errors[0]
+    return isinstance(got, list) and len(got) == len(rows) and all(map(same_outcome, got, rows))
+
+
 @pytest.mark.parametrize("kind", ("generic", "elliptic"))
 def test_reconstruct_matches_dict_oracle_bits(kind):
-    # on every simplex of seeds 0-99, and on branch-flipped roots for a few
+    # on every simplex of seeds 0-99, one at a time and as the scene's stack
+    # of six, and on branch-flipped roots for a few
     for seed in range(100):
         om = scene_cocycle(kind, seed)
-        for u in SIMPLICES:
-            omega = om.restrict(u)
-            assert same_outcome(outcome(reconstruct_F, omega), outcome(oracle_reconstruct_F, omega))
-            if seed < 10:
+        omegas = [om.restrict(u) for u in SIMPLICES]
+        expected = [outcome(oracle_reconstruct_F, omega) for omega in omegas]
+        for omega, row in zip(omegas, expected):
+            assert same_outcome(outcome(reconstruct_F, omega), row)
+        assert same_stack_outcome(stack_outcome(omegas), expected)
+        if seed < 10:
+            branches = []
+            for u, omega in zip(SIMPLICES, omegas):
                 flips = faces(u, 2)[seed::3]
-                roots = {f: (-r if f in flips else r) for f, r in principal_roots(omega).items()}
-                got = outcome(reconstruct_F, omega, root_array(omega, roots))
-                assert same_outcome(got, outcome(oracle_reconstruct_F, omega, roots))
+                branches.append({f: (-r if f in flips else r) for f, r in principal_roots(omega).items()})
+            expected = [outcome(oracle_reconstruct_F, omega, b) for omega, b in zip(omegas, branches)]
+            roots = [root_array(omega, b) for omega, b in zip(omegas, branches)]
+            for omega, r, row in zip(omegas, roots, expected):
+                assert same_outcome(outcome(reconstruct_F, omega, r), row)
+            assert same_stack_outcome(stack_outcome(omegas, np.array(roots)), expected)
 
 
 @pytest.mark.filterwarnings("error")
@@ -517,11 +547,62 @@ def test_reconstruct_errors_match_dict_oracle(rng, change, error):
         vals[f] = v * vals[f]
     omega = Cochain(SIMPLEX, 2, vals)
     assert outcome(reconstruct_F, omega) == outcome(oracle_reconstruct_F, omega) == error
+    # in the middle of a stack, the row raises what it raises alone
+    good = generic_cocycle(rng)
+    assert stack_outcome([good, omega, good]) == error
     bad_root = {**principal_roots(omega), (1, 2, 5): 2.0}
     if error[0] is ValueError:  # every value is nonzero: the root check speaks
         expected = (ConsistencyError, "root at face (1, 2, 5) does not square to the value")
         assert outcome(reconstruct_F, omega, root_array(omega, bad_root)) == expected
         assert outcome(oracle_reconstruct_F, omega, bad_root) == expected
+        roots = [root_array(om, r) for om, r in ((good, principal_roots(good)), (omega, bad_root))]
+        assert stack_outcome([good, omega, good], np.array([roots[0], roots[1], roots[0]])) == expected
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_stack_raises_its_first_failing_rows_error(rng):
+    """Rows fail in stack order, whatever the stage: an open cochain, which
+    fails after the root check, ahead of a vanishing face, which fails it."""
+    good = generic_cocycle(rng)
+    vals = dict(good.values)
+    open_ = Cochain(SIMPLEX, 2, {**vals, (2, 4, 5): 0.5 * vals[(2, 4, 5)]})
+    zero = Cochain(SIMPLEX, 2, {**vals, (1, 3, 4): 0.0})
+    assert stack_outcome([good, open_, zero]) == (ValueError, "cochain has no primitive: not a cocycle")
+    assert stack_outcome([good, zero, open_]) == (DegenerateCocycleError, "cocycle vanishes on face (1, 3, 4)")
+
+
+def elliptic_forward(seed, count):
+    """Families and cocycles of count elliptic weights that normalize."""
+    rng = np.random.default_rng(seed)
+    fams, omegas = [], []
+    while len(fams) < count:
+        p = random_elliptic_params(rng)
+        try:
+            fam = normalize_family(elliptic_F(p, SIMPLEX))
+        except Pachner33Error:
+            continue
+        fams.append(fam)
+        omegas.append(elliptic_cocycle(p))
+    return fams, omegas
+
+
+@pytest.mark.parametrize("kind, count", (("generic", 100), ("elliptic", 20)))
+def test_stacks_match_their_single_rows_bits(kind, count):
+    """Each stacked closed form gives, row by row, the bits of its B = 1 call."""
+    if kind == "generic":
+        fams, omegas = (list(x) for x in zip(*(forward(np.random.default_rng(s))[1:] for s in range(count))))
+    else:
+        fams, omegas = elliptic_forward(7, count)
+    roots = calibrate_sqrt_choices(fams, omegas)
+    single = np.array([calibrate_sqrt_choice(fam, om) for fam, om in zip(fams, omegas)])
+    assert roots.tobytes() == single.tobytes()
+    variants = build_f_ts(fams, omegas, roots)
+    single = np.array([build_f_t(fam, om, r) for fam, om, r in zip(fams, omegas, roots)])
+    assert variants.shape == (count, 5, 10) and variants.tobytes() == single.tobytes()
+    f = superisotropic_fs(fams, omegas, roots)
+    single = np.array([superisotropic_f(fam, om, r) for fam, om, r in zip(fams, omegas, roots)])
+    assert f.tobytes() == single.tobytes()
+    assert kappas(omegas, roots) == [kappa(om, r) for om, r in zip(omegas, roots)]
 
 
 def test_cocycle_defect_is_primitive_residual(rng):

@@ -1,5 +1,6 @@
 """perfbench/tracer.py wraps program names by module and attribute path; a
-renamed or removed one breaks every traced benchmark run."""
+renamed or removed one breaks every traced benchmark run, and a name the
+benchmark reads per call must keep being called once per item."""
 
 from __future__ import annotations
 
@@ -7,9 +8,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pachner33 import acceptance
+from pachner33 import acceptance, pachner
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 _spec = importlib.util.spec_from_file_location("tracer", TRACER)
@@ -48,3 +50,34 @@ def test_rebound_criteria_are_the_ones_selftest_runs():
             setattr(owner, attr, value)
     assert calls == {f"criterion_{k}": 1 for k in range(1, 11)}
     assert lines == [f"PASS criterion {k}: {title} (stub)" for k, title in enumerate(acceptance.TITLES, 1)]
+
+
+def _counted(modname, path, run):
+    """How many times `run()` calls modname.path, through tracer.rebind."""
+    calls = []
+
+    def make(fn):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    undo = tracer.rebind(modname, path, make)
+    try:
+        run()
+    finally:
+        for owner, attr, value in reversed(undo):
+            setattr(owner, attr, value)
+    return len(calls)
+
+
+def test_the_benchmark_reads_one_call_per_simplex_and_per_scene():
+    """The tracer keeps each reconstruct_F call's cochain and matrix for
+    roundtrip_digits, and the benchmark paces criterion 9 by its verify_33
+    calls, so one reconcile rebuilds its six simplices by six reconstruct_F
+    calls and criterion 9 verifies its 60 scenes by 60 verify_33 calls.
+    These hold until the tracer reads the stacked kernels (ROADMAP item 11)."""
+    om = acceptance.generic_cocycle(np.random.default_rng(1), pachner.VERTICES)
+    assert _counted("pachner33.cocycle2weight", "reconstruct_F", lambda: pachner.reconcile(om)) == 6
+    assert _counted("pachner33.pachner", "verify_33", lambda: acceptance.run(9)) == 60
