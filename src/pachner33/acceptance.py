@@ -41,19 +41,20 @@ from .elliptic import (
     elliptic_F,
     elliptic_cocycle,
     elliptic_primitive,
+    random_elliptic_params,
     sn_cn_dn,
 )
 from .errors import DegenerateCocycleError, Pachner33Error
 from .grassmann import bit_matrix, gaussian_coefficients
 from .operators import action_matrix, nullspace, principal_angles
-from .simplicial import Cochain, coboundary, faces, is_cocycle, random_cocycle, roundtrip_residual
+from .simplicial import SIMPLEX, Cochain, coboundary, faces, generic_cocycle, is_cocycle, roundtrip_residual
 from .weights import WeightMatrix, apply_gauge_to_F, canonical_ratios, opposite_tetrahedra, weight_operators
+from .weights import random_disc, random_phi, random_weight_matrix
 from . import pachner
 from .pachner import BOUNDARY_TETRAHEDRA, INNER_LHS, INNER_RHS, SIMPLICES, reconcile, verify_33
 from .pachner import VERTICES as SCENE_VERTICES
 
 DEFAULT_SEED = 20260814
-SIMPLEX = (1, 2, 3, 4, 5)
 
 
 @dataclass(frozen=True)
@@ -67,41 +68,6 @@ class CriterionResult:
     def line(self) -> str:
         word = "PASS" if self.passed else "FAIL"
         return f"{word} criterion {self.number}: {self.name} ({self.detail})"
-
-
-def _disc(rng: np.random.Generator, min_abs: float = 0.05) -> complex:
-    while True:
-        z = np.sqrt(rng.uniform(0.0, 1.0)) * np.exp(2j * np.pi * rng.uniform())
-        if abs(z) >= min_abs:
-            return z
-
-
-def random_phi(rng: np.random.Generator) -> Cochain:
-    return Cochain(SIMPLEX, 2, {s: _disc(rng) for s in faces(SIMPLEX, 2)})
-
-
-def random_weight_matrix(rng: np.random.Generator) -> WeightMatrix:
-    return WeightMatrix.from_phi(SIMPLEX, random_phi(rng))
-
-
-def generic_cocycle(rng: np.random.Generator, vertices=SIMPLEX) -> Cochain:
-    while True:
-        w = random_cocycle(vertices, rng)
-        if min(abs(w[s]) for s in w.cells()) >= 0.05:
-            return w
-
-
-def random_elliptic_params(rng: np.random.Generator, vertices=SIMPLEX) -> EllipticParams:
-    while True:
-        mod = (0.2 + 0.6 * rng.random()) * np.exp(2j * np.pi * rng.random())
-        coords = {
-            v: complex(rng.uniform(0.3, 1.6), rng.uniform(0.1, 0.9)) + 0.35 * v
-            for v in vertices
-        }
-        try:
-            return EllipticParams(mod, coords)
-        except Pachner33Error:
-            continue
 
 
 def elliptic_scene_cocycle(rng: np.random.Generator) -> Cochain:
@@ -267,7 +233,7 @@ def criterion_4(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
     for _ in range(100):
         wm = random_weight_matrix(rng)
         # drawn in opposite-vertex order, the reverse of generator order
-        scales = np.array([_disc(rng, 0.2) for _ in wm.tetrahedra])[::-1]
+        scales = np.array([random_disc(rng, 0.2) for _ in wm.tetrahedra])[::-1]
         wms.append(wm)
         gauged.append(apply_gauge_to_F(wm, scales))
     fams, omegas = _families(wms)

@@ -21,15 +21,14 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from . import acceptance
 from .cocycle2weight import reconstruct_F
 from .edgeops import EdgeOperatorFamily, extract_w_cocycle, normalize_family
-from .elliptic import EllipticParams, elliptic_F, elliptic_cocycle
+from .elliptic import EllipticParams, elliptic_F, elliptic_cocycle, random_elliptic_params
 from .errors import Pachner33Error
 from .pachner import VERTICES as SCENE_VERTICES
 from .pachner import SIMPLICES, reconcile, verify_33
-from .simplicial import Cochain, faces, is_cocycle, roundtrip_residual
-from .weights import WeightMatrix
+from .simplicial import Cochain, faces, generic_cocycle, is_cocycle, roundtrip_residual
+from .weights import WeightMatrix, random_weight_matrix
 
 DEFAULT_TOLERANCE = 1e-8
 
@@ -264,13 +263,14 @@ def _parse_modulus(text: str) -> complex:
     return _parse_pair([float(p) for p in parts])
 
 
-def _elliptic_params(args, seed: int, vertices) -> EllipticParams:
+def _elliptic_params(args, seed: int, *vertices) -> EllipticParams:
+    """--coords' parameters, or else a draw on vertices (by default random_elliptic_params')."""
     if args.coords is not None:
         mod = None if args.modulus is None else _parse_modulus(args.modulus)
         return _read(args.coords, lambda d: params_from_json(d, mod))
     if args.modulus is not None:
         raise ValueError("--modulus requires --coords")
-    return acceptance.random_elliptic_params(np.random.default_rng(seed), vertices)
+    return random_elliptic_params(np.random.default_rng(seed), *vertices)
 
 
 def _scene_cocycle(args, seed: int) -> tuple[Cochain, str]:
@@ -282,7 +282,7 @@ def _scene_cocycle(args, seed: int) -> tuple[Cochain, str]:
     if drawn and not args.elliptic:
         raise ValueError(f"{drawn[0]} requires --elliptic")
     if not args.elliptic:
-        return _input(args, seed, cochain_from_json, lambda rng: acceptance.generic_cocycle(rng, SCENE_VERTICES))
+        return _input(args, seed, cochain_from_json, lambda rng: generic_cocycle(rng, SCENE_VERTICES))
     params = _elliptic_params(args, seed, SCENE_VERTICES)
     if params.vertices != SCENE_VERTICES:
         raise ValueError("verify-pachner expects coordinates on vertices 1..6")
@@ -332,7 +332,7 @@ def cmd_verify_pachner(args, report: dict) -> int:
 
 
 def cmd_weight_from_cocycle(args, report: dict) -> int:
-    omega, report["source"] = _input(args, args.seed, cochain_from_json, acceptance.generic_cocycle)
+    omega, report["source"] = _input(args, args.seed, cochain_from_json, generic_cocycle)
     wm = reconstruct_F(omega)
     resid = roundtrip_residual(omega, extract_w_cocycle(normalize_family(wm)))
     report.update(weight_matrix_to_json(wm))
@@ -342,7 +342,7 @@ def cmd_weight_from_cocycle(args, report: dict) -> int:
 
 
 def cmd_cocycle_from_weight(args, report: dict) -> int:
-    wm, report["source"] = _input(args, args.seed, weight_matrix_from_json, acceptance.random_weight_matrix)
+    wm, report["source"] = _input(args, args.seed, weight_matrix_from_json, random_weight_matrix)
     omega = extract_w_cocycle(normalize_family(wm))
     closed = is_cocycle(omega, rel_tol=args.tolerance)
     report.update(cochain_to_json(omega))
@@ -351,28 +351,29 @@ def cmd_cocycle_from_weight(args, report: dict) -> int:
 
 
 def cmd_edge_operators(args, report: dict) -> int:
-    wm, report["source"] = _input(args, args.seed, weight_matrix_from_json, acceptance.random_weight_matrix)
+    wm, report["source"] = _input(args, args.seed, weight_matrix_from_json, random_weight_matrix)
     report.update(family_to_json(normalize_family(wm)))
     return 0
 
 
 def cmd_elliptic_f(args, report: dict) -> int:
-    params = _elliptic_params(args, args.seed, acceptance.SIMPLEX)
-    simplex = params.vertices
-    if len(simplex) != 5:
+    params = _elliptic_params(args, args.seed)
+    if len(params.vertices) != 5:
         raise ValueError("elliptic-f expects coordinates on five vertices")
-    wm = elliptic_F(params, simplex)
+    wm = elliptic_F(params, params.vertices)
     report["params"] = params_to_json(params)
     report.update(weight_matrix_to_json(wm))
     return 0
 
 
 def cmd_selftest(args) -> int:
-    results = acceptance.run_all(seed=args.seed, tolerance=args.tolerance)
+    from . import acceptance  # the suite loads only where it runs
+    seed = acceptance.DEFAULT_SEED if args.seed is None else args.seed
+    results = acceptance.run_all(seed=seed, tolerance=args.tolerance)
     for r in results:
         sys.stdout.write(r.line + "\n")
     ok = all(r.passed for r in results)
-    sys.stdout.write(f"{'all criteria pass' if ok else 'FAILURES present'} (seed {args.seed})\n")
+    sys.stdout.write(f"{'all criteria pass' if ok else 'FAILURES present'} (seed {seed})\n")
     return 0 if ok else 1
 
 
@@ -445,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **FLAGS[flag])
 
     p = sub.add_parser("selftest", help="run the built-in acceptance checks")
-    p.add_argument("--seed", type=_seed, default=acceptance.DEFAULT_SEED, help="PRNG seed (PCG64)")
+    p.add_argument("--seed", type=_seed, help="PRNG seed (PCG64)")  # None: acceptance.DEFAULT_SEED
     p.add_argument(
         "--tolerance", type=_positive(float), default=None, help="override every residual bound"
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .edgeops import extract_w_cocycles
 from .errors import BranchInconsistencyError, ConsistencyError, DegenerateCocycleError
-from .simplicial import Cochain, coboundary_matrix, coboundary_terms, faces
+from .simplicial import coboundary_matrix, coboundary_terms, faces, roundtrip_residual
 from .weights import CANONICAL_RATIO_PAIRS, solve_F_from_ratios
 
 COMPONENT_TOL = 1e-8
@@ -103,21 +103,15 @@ def _combine(fams, alpha: np.ndarray) -> np.ndarray:
     return sum(alpha[..., j, None] * rows[..., j, :] for j in range(10))
 
 
-def _check_matches_family(omega: Cochain, ref: Cochain):
-    top = max(ref.cells(), key=lambda s: abs(ref[s]))
-    scale = omega[top] / ref[top]
-    worst = max(abs(omega[s] - scale * ref[s]) for s in ref.cells())
-    if worst > 1e-8 * abs(scale):
-        raise ConsistencyError("cocycle does not belong to this operator family")
-
-
 @_by_row
 def superisotropic_fs(fams, omegas, roots=None) -> np.ndarray:
     """f = sum of alpha_b d_b per family as (beta, gamma) rows in generator
     order, (B, 10); every tetrahedron pairs it to zero with itself."""
+    alpha = alpha_stack(omegas, roots)  # a vanishing face raises here, before the comparison divides by it
     for omega, ref in zip(omegas, extract_w_cocycles(fams)):
-        _check_matches_family(omega, ref)
-    return _combine(fams, alpha_stack(omegas, roots))
+        if roundtrip_residual(ref, omega) > 1e-8:  # ref's largest value is 1
+            raise ConsistencyError("cocycle does not belong to this operator family")
+    return _combine(fams, alpha)
 
 
 def component_types(f: np.ndarray, simplices) -> np.ndarray:

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericsError
-from .simplicial import Cochain, faces
+from .errors import NumericsError, Pachner33Error
+from .simplicial import SIMPLEX, Cochain, faces
 from .weights import WeightMatrix
 
 LANDEN_CAP = 64
@@ -24,6 +24,7 @@ _ERRORS = (
 )
 _CAPPED, _POLE, _NOT_FINITE = 1, 2, 3
 _CHUNK = 1000  # arguments unwound at once: bounds the temporaries, not the bits
+_UPPER = np.triu_indices(5, 1)  # a weight matrix's upper triangle, its vertex pairs in lex order
 
 
 def _mul(a, b):
@@ -162,8 +163,7 @@ class EllipticParams:
         object.__setattr__(
             self, "coords", {int(v): complex(x) for v, x in self.coords.items()}
         )
-        vs = self.vertices
-        pairs = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :]]
+        pairs = faces(self.vertices, 1)
         diffs = [self.coords[a] - self.coords[b] for a, b in pairs]
         s, c, d, err = sn_cn_dn(diffs + [x / 2.0 for x in diffs], self.modulus)
         n = len(pairs)
@@ -186,6 +186,16 @@ class EllipticParams:
     @property
     def vertices(self) -> tuple:
         return tuple(sorted(self.coords))
+
+
+def random_elliptic_params(rng: np.random.Generator, vertices=SIMPLEX) -> EllipticParams:
+    while True:
+        mod = (0.2 + 0.6 * rng.random()) * np.exp(2j * np.pi * rng.random())
+        coords = {v: complex(rng.uniform(0.3, 1.6), rng.uniform(0.1, 0.9)) + 0.35 * v for v in vertices}
+        try:
+            return EllipticParams(mod, coords)
+        except Pachner33Error:
+            continue
 
 
 def elliptic_cocycle(params: EllipticParams) -> Cochain:
@@ -220,9 +230,6 @@ def elliptic_F(params: EllipticParams, simplex) -> WeightMatrix:
     """
     simplex = tuple(sorted(simplex))
     entries = np.zeros((5, 5), dtype=complex)
-    for k in range(5):
-        for l in range(k + 1, 5):
-            val = params.half_ratios[simplex[k], simplex[l]]
-            entries[k, l] = val
-            entries[l, k] = -val
+    entries[_UPPER] = [params.half_ratios[pair] for pair in faces(simplex, 1)]
+    entries.T[_UPPER] = -entries[_UPPER]
     return WeightMatrix(simplex, entries)

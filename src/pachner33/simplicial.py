@@ -135,6 +135,9 @@ def roundtrip_residual(omega: Cochain, back: Cochain) -> float:
     return max(abs(omega[s] - scale * back[s]) for s in back.cells()) / omega.max_abs()
 
 
+SIMPLEX = (1, 2, 3, 4, 5)  # the vertices a single 4-simplex draw defaults to
+
+
 def random_annulus(rng: np.random.Generator) -> complex:
     """Point of the annulus 0.5 <= |z| <= 1.5, uniform in area."""
     r = np.sqrt(rng.uniform(0.25, 2.25))
@@ -152,6 +155,13 @@ def random_cocycle(vertices, rng: np.random.Generator) -> Cochain:
         vertices, 1, {e: random_annulus(rng) for e in faces(tuple(vertices), 1)}
     )
     return coboundary(nu)
+
+
+def generic_cocycle(rng: np.random.Generator, vertices=SIMPLEX) -> Cochain:
+    while True:
+        w = random_cocycle(vertices, rng)
+        if min(abs(w[s]) for s in w.cells()) >= 0.05:
+            return w
 
 
 def cochain_primitive(omega: Cochain, rel_tol: float = 1e-9) -> Cochain:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DegenerateWeightError
 from .grassmann import GeneratorSpace, GrassmannElement, exp_even
-from .simplicial import Cochain, faces, permutation_sign
+from .simplicial import SIMPLEX, Cochain, faces, permutation_sign
 
 SKEW_TOL = 1e-12
 
@@ -103,6 +103,22 @@ class WeightMatrix:
 
     def max_abs(self) -> float:
         return float(np.abs(self.entries).max())
+
+
+def random_disc(rng: np.random.Generator, min_abs: float = 0.05) -> complex:
+    """A point of the unit disc, uniform in area, at least min_abs from 0."""
+    while True:
+        z = np.sqrt(rng.uniform(0.0, 1.0)) * np.exp(2j * np.pi * rng.uniform())
+        if abs(z) >= min_abs:
+            return z
+
+
+def random_phi(rng: np.random.Generator) -> Cochain:
+    return Cochain(SIMPLEX, 2, {s: random_disc(rng) for s in faces(SIMPLEX, 2)})
+
+
+def random_weight_matrix(rng: np.random.Generator) -> WeightMatrix:
+    return WeightMatrix.from_phi(SIMPLEX, random_phi(rng))
 
 
 def quadratic_form(wm: WeightMatrix) -> GrassmannElement:

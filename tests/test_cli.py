@@ -15,10 +15,9 @@ import pytest
 
 import pachner33
 from pachner33 import cli
-from pachner33.acceptance import generic_cocycle
 from pachner33.edgeops import normalize_family
 from pachner33.pachner import VERTICES as SCENE_VERTICES
-from pachner33.simplicial import Cochain, is_cocycle, roundtrip_residual
+from pachner33.simplicial import Cochain, generic_cocycle, is_cocycle, roundtrip_residual
 
 
 def run(capsys, *argv):
@@ -586,6 +585,29 @@ def test_seed_may_be_zero_or_beyond_the_float_range():
     for seed in (0, 10**400):
         for command in (*OUT_COMMANDS, "selftest"):
             assert cli.build_parser().parse_args([command, "--seed", str(seed)]).seed == seed
+
+
+def test_only_selftest_loads_the_acceptance_suite(tmp_path):
+    """Every other command, file input or drawn, runs without importing
+    pachner33.acceptance; selftest imports it."""
+    scene = tmp_path / "scene.json"
+    scene.write_text(cli.dumps(cli.cochain_to_json(generic_cocycle(np.random.default_rng(1), SCENE_VERTICES))))
+    runs = [["verify-pachner", "--cocycle", str(scene)], ["verify-pachner", "--elliptic"]]
+    runs += [[c] for c in ("weight-from-cocycle", "cocycle-from-weight", "edge-operators", "elliptic-f")]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from pachner33 import cli\n"
+        "loaded = lambda: 'pachner33.acceptance' in sys.modules\n"
+        "print(loaded())\n"
+        "for argv in %r + [['selftest']]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = cli.main(argv)\n"
+        "    print(argv[0], rc, loaded())\n"
+    ) % (runs,)
+    env = {**os.environ, "PYTHONPATH": str(Path(pachner33.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False"] + [f"{r[0]} 0 False" for r in runs] + ["selftest 0 True"]
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -8,8 +8,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pachner33 import acceptance
-from pachner33.acceptance import random_elliptic_params
 from pachner33.cocycle2weight import (
     EDGE_FLIPS,
     FACE_FLIPS,
@@ -36,8 +34,9 @@ from pachner33.errors import (
     DegenerateCocycleError,
     Pachner33Error,
 )
-from pachner33.elliptic import elliptic_F, elliptic_cocycle
+from pachner33.elliptic import elliptic_F, elliptic_cocycle, random_elliptic_params
 from pachner33.operators import svd_rank
+from pachner33 import simplicial
 from pachner33.pachner import SIMPLICES, VERTICES
 from pachner33.simplicial import (
     Cochain,
@@ -47,7 +46,6 @@ from pachner33.simplicial import (
     faces,
     random_cocycle,
 )
-from test_simplicial import vertex_coboundary_sign
 from pachner33.weights import (
     CANONICAL_RATIO_PAIRS,
     WeightMatrix,
@@ -56,22 +54,14 @@ from pachner33.weights import (
     ratio_positions,
     solve_F_from_ratios,
 )
+from draws import random_phi
+from test_simplicial import vertex_coboundary_sign
 
 SIMPLEX = (1, 2, 3, 4, 5)
 
 # root flips with no effect on any edge coefficient / negating all of them
 TRIVIAL_FLIP = ((1, 2, 3), (1, 2, 5), (2, 3, 4), (2, 4, 5))
 GLOBAL_FLIP = ((1, 2, 3), (1, 2, 4), (1, 2, 5))
-
-
-def random_phi(rng, min_abs=0.05):
-    vals = {}
-    for s in faces(SIMPLEX, 2):
-        z = 0.0
-        while abs(z) < min_abs:
-            z = complex(*rng.uniform(-1, 1, size=2))
-        vals[s] = z
-    return Cochain(SIMPLEX, 2, vals)
 
 
 def generic_cocycle(rng, min_abs=0.05):
@@ -206,6 +196,19 @@ def test_superisotropic_f_rejects_foreign_cocycle(rng):
         assert str(err.value) == "cocycle does not belong to this operator family"
 
 
+def test_a_vanishing_face_is_degenerate_where_the_family_peaks(rng):
+    """The comparison with the family's cocycle divides by the value at that
+    cocycle's largest face, so a 0 there is a degenerate cocycle, never a
+    division by zero."""
+    _, fam, omega = forward(rng)
+    top = max(omega.cells(), key=lambda s: abs(omega[s]))
+    zero = Cochain(SIMPLEX, 2, {**omega.values, top: 0.0})
+    for call in (superisotropic_f, calibrate_sqrt_choice):
+        with pytest.raises(DegenerateCocycleError) as err:
+            call(fam, zero)
+        assert str(err.value) == f"cocycle vanishes on face {top}"
+
+
 @pytest.mark.parametrize(
     "how, error, message",
     [
@@ -321,7 +324,7 @@ def scene_cocycle(kind, seed):
     rng = np.random.default_rng(seed)
     if kind == "elliptic":
         return elliptic_cocycle(random_elliptic_params(rng, VERTICES))
-    return acceptance.generic_cocycle(rng, VERTICES)
+    return simplicial.generic_cocycle(rng, VERTICES)
 
 
 def pair_ratio_errors(om):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pachner33.acceptance import random_elliptic_params, random_weight_matrix
 from pachner33.edgeops import (
     EDGE_POS,
     SIGNS,
@@ -19,7 +18,7 @@ from pachner33.edgeops import (
     raw_edge_operator,
 )
 from pachner33.cocycle2weight import reconstruct_F
-from pachner33.elliptic import elliptic_F
+from pachner33.elliptic import elliptic_F, random_elliptic_params
 from pachner33.errors import ConsistencyError, DegenerateWeightError, Pachner33Error
 from pachner33.operators import (
     RANK_RTOL,
@@ -38,7 +37,8 @@ from pachner33.simplicial import (
     roundtrip_residual,
 )
 from pachner33.pachner import SIMPLICES
-from pachner33.weights import WeightMatrix, apply_gauge_to_F, gaussian_weight, tetra_space
+from pachner33.weights import WeightMatrix, apply_gauge_to_F, gaussian_weight, random_weight_matrix, tetra_space
+from draws import random_phi, random_wm
 from test_cocycle2weight import scene_cocycle
 from test_simplicial import star_tetrahedra, vertex_coboundary_sign
 
@@ -46,20 +46,6 @@ SIMPLEX = (1, 2, 3, 4, 5)
 # generator i of an operator row is the i-th tetrahedron in lex order: beta
 # in column i, gamma in column 5 + i
 TETRAHEDRA = faces(SIMPLEX, 3)
-
-
-def random_phi(rng, min_abs=0.05):
-    vals = {}
-    for s in faces(SIMPLEX, 2):
-        z = 0.0
-        while abs(z) < min_abs:
-            z = complex(*rng.uniform(-1, 1, size=2))
-        vals[s] = z
-    return Cochain(SIMPLEX, 2, vals)
-
-
-def random_wm(rng):
-    return WeightMatrix.from_phi(SIMPLEX, random_phi(rng))
 
 
 def pairing_at(a, b, i):

@@ -10,8 +10,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from pachner33.acceptance import elliptic_scene_cocycle, generic_cocycle, random_elliptic_params
-from pachner33.elliptic import elliptic_cocycle
+from pachner33.acceptance import elliptic_scene_cocycle
+from pachner33.elliptic import elliptic_cocycle, random_elliptic_params
 from pachner33 import pachner
 from pachner33.errors import ConsistencyError, DegenerateWeightError, Pachner33Error
 from pachner33.grassmann import GeneratorSpace, GrassmannElement, _pfaffian_levels, berezin_integral
@@ -42,7 +42,7 @@ from pachner33.pachner import (
     side_weight,
     verify_33,
 )
-from pachner33.simplicial import Cochain, faces, random_cocycle
+from pachner33.simplicial import Cochain, faces, generic_cocycle, random_cocycle
 from pachner33.weights import apply_gauge_to_F, gaussian_weight
 
 BOUNDARY_SPACE = GeneratorSpace(BOUNDARY_TETRAHEDRA)

@@ -1,19 +1,24 @@
 """perfbench/tracer.py wraps program names by module and attribute path; a
 renamed or removed one breaks every traced benchmark run, and a name the
-benchmark reads per call must keep being called once per item."""
+benchmark reads per call must keep being called once per item.  The
+benchmark's workloads draw their inputs through acceptance's names for the
+draws, so those names and the draws themselves are pinned here too."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pachner33 import acceptance, pachner
+from pachner33 import acceptance, elliptic, pachner, simplicial, weights
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 _spec = importlib.util.spec_from_file_location("tracer", TRACER)
 tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer)
@@ -78,6 +83,51 @@ def test_the_benchmark_reads_one_call_per_simplex_and_per_scene():
     calls, so one reconcile rebuilds its six simplices by six reconstruct_F
     calls and criterion 9 verifies its 60 scenes by 60 verify_33 calls.
     These hold until the tracer reads the stacked kernels (ROADMAP item 11)."""
-    om = acceptance.generic_cocycle(np.random.default_rng(1), pachner.VERTICES)
+    om = simplicial.generic_cocycle(np.random.default_rng(1), pachner.VERTICES)
     assert _counted("pachner33.cocycle2weight", "reconstruct_F", lambda: pachner.reconcile(om)) == 6
     assert _counted("pachner33.pachner", "verify_33", lambda: acceptance.run(9)) == 60
+
+
+def test_the_workloads_draw_through_the_modules_that_define_the_draws():
+    """perfbench/workloads.py calls acceptance.<draw>; each such name is the
+    function of the module where the draw lives, so the benchmark draws what
+    the CLI draws."""
+    used = set(re.findall(r"acceptance\.(\w+)\(", (PERFBENCH / "workloads.py").read_text()))
+    owners = {"generic_cocycle": simplicial, "random_weight_matrix": weights, "random_elliptic_params": elliptic}
+    assert used == set(owners)
+    for name, owner in owners.items():
+        assert getattr(acceptance, name) is getattr(owner, name)
+
+
+def _values(draw):
+    """A draw's numbers, as one complex array."""
+    if isinstance(draw, elliptic.EllipticParams):
+        return np.array([draw.modulus, *draw.coords.values()])
+    if isinstance(draw, weights.WeightMatrix):
+        return draw.entries
+    if isinstance(draw, simplicial.Cochain):
+        return np.array(list(draw.values.values()))
+    return np.array([draw], dtype=complex)
+
+
+# each draw's first value at seed 34, as sha256(tobytes()); a change to a draw
+# changes every benchmark input, so it has to change one of these on purpose
+FIRST_DRAWS = {
+    "random_disc": (weights.random_disc, "db7ff0e7ee193b4c"),
+    "random_disc-0.2": (lambda rng: weights.random_disc(rng, 0.2), "b4cf05bbe2e499c0"),
+    "random_phi": (weights.random_phi, "64907c3d3eb53b02"),
+    "random_weight_matrix": (weights.random_weight_matrix, "cfa58867c8f14531"),
+    "generic_cocycle": (simplicial.generic_cocycle, "16fee8a5ca4354bd"),
+    "generic_cocycle-scene": (lambda rng: simplicial.generic_cocycle(rng, pachner.VERTICES), "efce740316f29488"),
+    "random_elliptic_params": (elliptic.random_elliptic_params, "c795f55e5be3566f"),
+    "random_elliptic_params-scene": (
+        lambda rng: elliptic.random_elliptic_params(rng, pachner.VERTICES), "0d30c23881a6f667"),
+}
+
+
+@pytest.mark.parametrize("name", FIRST_DRAWS)
+def test_first_draws_are_pinned(name):
+    draw, digest = FIRST_DRAWS[name]
+    values = _values(draw(np.random.default_rng(34)))
+    assert values.dtype == complex
+    assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == digest

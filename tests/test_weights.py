@@ -29,22 +29,9 @@ from pachner33.weights import (
     tetra_space,
     weight_operators,
 )
+from draws import random_phi, random_wm
 
 SIMPLEX = (1, 2, 3, 4, 5)
-
-
-def random_phi(rng, min_abs=0.05):
-    vals = {}
-    for s in faces(SIMPLEX, 2):
-        z = 0.0
-        while abs(z) < min_abs:
-            z = complex(*rng.uniform(-1, 1, size=2))
-        vals[s] = z
-    return Cochain(SIMPLEX, 2, vals)
-
-
-def random_wm(rng):
-    return WeightMatrix.from_phi(SIMPLEX, random_phi(rng))
 
 
 def test_opposite_order():
