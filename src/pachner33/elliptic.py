@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError, Pachner33Error
-from .simplicial import SIMPLEX, Cochain, faces
+from .simplicial import SIMPLEX, Cochain, faces, uniform
 from .weights import WeightMatrix
 
 LANDEN_CAP = 64
@@ -191,7 +191,7 @@ class EllipticParams:
 def random_elliptic_params(rng: np.random.Generator, vertices=SIMPLEX) -> EllipticParams:
     while True:
         mod = (0.2 + 0.6 * rng.random()) * np.exp(2j * np.pi * rng.random())
-        coords = {v: complex(rng.uniform(0.3, 1.6), rng.uniform(0.1, 0.9)) + 0.35 * v for v in vertices}
+        coords = {v: complex(uniform(rng, 0.3, 1.6), uniform(rng, 0.1, 0.9)) + 0.35 * v for v in vertices}
         try:
             return EllipticParams(mod, coords)
         except Pachner33Error:
@@ -229,6 +229,11 @@ def elliptic_F(params: EllipticParams, simplex) -> WeightMatrix:
     The vertex-pair value (i, j) sits at (row omitting i, column omitting j).
     """
     simplex = tuple(sorted(simplex))
+    if len(simplex) != 5 or len(set(simplex)) != 5:
+        raise ValueError(f"elliptic_F needs 5 distinct vertices, not {simplex}")
+    for v in simplex:
+        if v not in params.coords:
+            raise ValueError(f"vertex {v} has no coordinate")
     entries = np.zeros((5, 5), dtype=complex)
     entries[_UPPER] = [params.half_ratios[pair] for pair in faces(simplex, 1)]
     entries.T[_UPPER] = -entries[_UPPER]

@@ -56,10 +56,14 @@ def nullspace(A: np.ndarray) -> np.ndarray:
 
 
 def column_space(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column space, as columns."""
+    """Orthonormal basis of the column space, as columns; of a stack of
+    matrices that share one rank, a stack of bases."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     u, s, _ = np.linalg.svd(A)
-    return u[:, : svd_rank(s)]
+    ranks = set(np.ravel(svd_rank(s)).tolist())
+    if len(ranks) > 1:
+        raise ValueError(f"a stack of bases needs one rank, not {sorted(ranks)}")
+    return u[..., : max(ranks, default=0)]
 
 
 def matrix_rank(A: np.ndarray) -> int:
@@ -68,20 +72,26 @@ def matrix_rank(A: np.ndarray) -> int:
 
 
 def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Principal angles between the column spans, ascending, in radians.
+    """Principal angles between the column spans, ascending, in radians;
+    stacks pair slice by slice (see column_space)."""
+    return basis_angles(column_space(A), column_space(B))
+
+
+def basis_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Principal angles between the spans of two orthonormal bases (or
+    stacks of them), ascending, in radians.
 
     Small angles come from the sine of the projection residual; arccos alone
     loses half the working precision near zero.
     """
-    qa = column_space(A)
-    qb = column_space(B)
-    k = min(qa.shape[1], qb.shape[1])
+    k = min(qa.shape[-1], qb.shape[-1])
     if k == 0:
-        return np.zeros(0)
-    coss = np.linalg.svd(qa.conj().T @ qb, compute_uv=False)
-    coss = np.clip(coss, 0.0, 1.0)[:k]  # descending cosine = ascending angle
-    resid = qb - qa @ (qa.conj().T @ qb)
-    sins = np.sort(np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0))[:k]
+        return np.zeros((*qa.shape[:-2], 0))
+    overlap = qa.conj().swapaxes(-1, -2) @ qb
+    coss = np.linalg.svd(overlap, compute_uv=False)
+    coss = np.clip(coss, 0.0, 1.0)[..., :k]  # descending cosine = ascending angle
+    resid = qb - qa @ overlap
+    sins = np.sort(np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0), axis=-1)[..., :k]
     return np.where(coss**2 > 0.5, np.arcsin(sins), np.arccos(coss))
 
 
@@ -105,13 +115,15 @@ def action_matrix(c: np.ndarray) -> np.ndarray:
     """The (2^n x 2n) matrix taking an operator's (beta, gamma) vector to the
     operator applied to the element with dense coefficients c (see
     GrassmannElement.dense): column i holds d_i f and column n+i holds x_i f.
+    A stack of coefficient vectors gives the stack of their matrices.
 
     On a monomial without x_i, x_i moves in past the generators below it; on
     one with x_i, d_i moves x_i out past the same generators.  Either way the
     sign is the parity of the generators below i.
     """
     c = np.asarray(c, dtype=complex)
-    return np.concatenate([c, -c, [0]])[_action_sources(c.size.bit_length() - 1)]
+    table = np.concatenate([c, -c, np.zeros_like(c[..., :1])], axis=-1)
+    return table.take(_action_sources(c.shape[-1].bit_length() - 1), axis=-1)
 
 
 def annihilator_of(f: GrassmannElement) -> np.ndarray:

@@ -29,7 +29,7 @@ from .cocycle2weight import reconstruct_F
 from .edgeops import normalize_families
 from .errors import ConsistencyError, DegenerateWeightError
 from .grassmann import gaussian_coefficients
-from .operators import action_matrix, matrix_rank, principal_angles
+from .operators import action_matrix, basis_angles, column_space
 from .simplicial import Cochain, faces
 from .weights import apply_gauge_to_F, opposite_tetrahedra
 
@@ -287,15 +287,16 @@ def verify_33(rec: ReconciledWeights) -> Verification33:
     n = len(BOUNDARY_TETRAHEDRA)
     cross = lhs_mat[:, :n] @ lhs_mat[:, n:].T
     iso = (np.abs(cross + cross.T) / np.outer(norms, norms)).max()
-    dim = matrix_rank(lhs_mat.T)
-    angles = principal_angles(lhs_mat.T, rhs_mat.T)
+    # the annihilator's dimension is the rank the angle step's basis is cut at
+    basis = column_space(lhs_mat.T)
+    angles = basis_angles(basis, column_space(rhs_mat.T))
     return Verification33(
         const=complex(const),
         max_residual=float(max_residual),
         agreement=float(agreement),
         annihilation_residual=float(anni),
         isotropy_residual=float(iso),
-        annihilator_dimension=int(dim),
+        annihilator_dimension=basis.shape[1],
         annihilator_angle=float(angles.max()) if angles.size else 0.0,
         loop_residuals=rec.loop_residuals,
     )

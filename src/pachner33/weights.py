@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DegenerateWeightError
 from .grassmann import GeneratorSpace, GrassmannElement, exp_even
-from .simplicial import SIMPLEX, Cochain, faces, permutation_sign
+from .simplicial import SIMPLEX, Cochain, faces, permutation_sign, uniform
 
 SKEW_TOL = 1e-12
 
@@ -108,7 +108,7 @@ class WeightMatrix:
 def random_disc(rng: np.random.Generator, min_abs: float = 0.05) -> complex:
     """A point of the unit disc, uniform in area, at least min_abs from 0."""
     while True:
-        z = np.sqrt(rng.uniform(0.0, 1.0)) * np.exp(2j * np.pi * rng.uniform())
+        z = np.sqrt(uniform(rng, 0.0, 1.0)) * np.exp(2j * np.pi * uniform(rng, 0.0, 1.0))
         if abs(z) >= min_abs:
             return z
 

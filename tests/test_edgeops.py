@@ -310,6 +310,15 @@ def test_stacked_families_match_per_weight_oracle_bits(kind):
         assert same_bits(normalize_family(wm).matrix, oracle_family(wm))
 
 
+def test_a_hundred_weight_stack_matches_per_weight_oracle_bits():
+    # selftest's criteria normalize 100 random weights in one call; the
+    # stacked SVD must give each system its own s and vh there too
+    rng = np.random.default_rng(2)
+    wms = [random_weight_matrix(rng) for _ in range(100)]
+    for wm, fam in zip(wms, normalize_families(wms)):
+        assert same_bits(fam, oracle_family(wm))
+
+
 def oracle_w_cocycle(fam):
     """extract_w_cocycle taken alone, as before it was stacked: the kernel by
     nullspace, then the coboundary quotient's first left singular vector."""

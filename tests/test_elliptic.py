@@ -388,6 +388,19 @@ def test_F_skew_and_zero_diagonal(rng):
     assert np.all(np.diag(wm.entries) == 0)
 
 
+@pytest.mark.parametrize("simplex", ((1, 2, 3, 4), (1, 2, 3, 4, 5, 6), (1, 1, 2, 3, 4)))
+def test_F_refuses_a_simplex_of_other_than_five_vertices(simplex):
+    p = elliptic.random_elliptic_params(np.random.default_rng(3), (1, 2, 3, 4, 5, 6))
+    with pytest.raises(ValueError, match="needs 5 distinct vertices"):
+        elliptic_F(p, simplex)
+
+
+def test_F_names_a_vertex_without_a_coordinate():
+    p = elliptic.random_elliptic_params(np.random.default_rng(3))
+    with pytest.raises(ValueError, match="vertex 6 has no coordinate"):
+        elliptic_F(p, (2, 3, 4, 5, 6))
+
+
 def test_w_cocycle_proportional_to_elliptic(rng):
     for _ in range(5):
         p = draw_params(rng)

@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 
 from pachner33.errors import SpaceMismatchError
-from pachner33.grassmann import GeneratorSpace, GrassmannElement, exp_even, left_derivative
+from pachner33.grassmann import GeneratorSpace, GrassmannElement, exp_even, gaussian_coefficients, left_derivative
 from pachner33.operators import (
     LinearOperator,
     action_matrix,
     annihilator_of,
+    basis_angles,
     column_space,
     matrix_rank,
     nullspace,
     principal_angles,
     svd_rank,
 )
+from pachner33.weights import random_weight_matrix, weight_operators
 
 SPACE4 = GeneratorSpace(tuple((i,) for i in range(1, 5)))
 
@@ -164,6 +166,35 @@ def test_principal_angles_detect_equality_and_orthogonality(rng):
     e34 = np.eye(8)[:, 2:4]
     angles = principal_angles(e12, e34)
     assert np.allclose(angles, np.pi / 2)
+
+
+def test_stacked_null_spaces_and_angles_match_each_draw_bits():
+    """selftest's criterion 2 stacks 100 Gaussians: their action matrices,
+    one reduced SVD for the null spaces, and the angle step on stacks must
+    give each draw's own nullspace and principal_angles, bit for bit."""
+    rng = np.random.default_rng(2)
+    wms = [random_weight_matrix(rng) for _ in range(100)]
+    W = np.array([gaussian_coefficients(-wm.entries[::-1, ::-1]) for wm in wms])
+    M = action_matrix(W)
+    ops = np.array([weight_operators(wm) for wm in wms])
+    _, s, vh = np.linalg.svd(M, full_matrices=False)
+    assert (svd_rank(s) == 5).all()
+    ann = vh[:, 5:].conj().swapaxes(1, 2)
+    angles = principal_angles(ops.swapaxes(1, 2), ann)
+    for w, m, op, a, t in zip(W, M, ops, ann, angles):
+        assert m.tobytes() == action_matrix(w).tobytes()
+        assert a.tobytes() == nullspace(m).tobytes()
+        assert t.tobytes() == principal_angles(op.T, nullspace(m)).tobytes()
+
+
+def test_a_stack_of_bases_needs_one_rank():
+    A = np.zeros((2, 4, 3))
+    A[:, 0, 0] = 1.0
+    assert column_space(A).shape == (2, 4, 1)
+    assert basis_angles(column_space(A), column_space(A)).tolist() == [[0.0], [0.0]]
+    A[1, 1, 1] = 1.0
+    with pytest.raises(ValueError, match=r"one rank, not \[1, 2\]"):
+        column_space(A)
 
 
 def test_svd_rank_counts_above_the_relative_threshold():

@@ -131,3 +131,30 @@ def test_first_draws_are_pinned(name):
     values = _values(draw(np.random.default_rng(34)))
     assert values.dtype == complex
     assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == digest
+
+
+# 1,000 consecutive draws at seed 34 and the generator's next uniform, as
+# sha256(tobytes()) of each in turn: a draw that keeps its first value but
+# moves a later one, or takes a different count of variates, changes these
+DRAW_STREAMS = {
+    "random_disc": (weights.random_disc, "40d429c001592aca"),
+    "random_disc-0.2": (lambda rng: weights.random_disc(rng, 0.2), "23c39e275f1ab789"),
+    "generic_cocycle": (simplicial.generic_cocycle, "3a9720bf9c5165be"),
+    "generic_cocycle-scene": (lambda rng: simplicial.generic_cocycle(rng, pachner.VERTICES), "019b971912fb56f5"),
+    "random_elliptic_params": (elliptic.random_elliptic_params, "24d653a1e2a9cd2c"),
+    "random_elliptic_params-scene": (
+        lambda rng: elliptic.random_elliptic_params(rng, pachner.VERTICES), "d5caa9afdb9b5b5c"),
+}
+
+
+@pytest.mark.parametrize("name", DRAW_STREAMS)
+def test_draw_streams_are_pinned(name):
+    draw, digest = DRAW_STREAMS[name]
+    rng = np.random.default_rng(34)
+    h = hashlib.sha256()
+    for _ in range(1000):
+        values = _values(draw(rng))
+        assert values.dtype == complex
+        h.update(values.tobytes())
+    h.update(np.float64(rng.random()).tobytes())
+    assert h.hexdigest()[:16] == digest
