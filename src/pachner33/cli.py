@@ -17,6 +17,8 @@ import functools
 import json
 import math
 import sys
+from collections import defaultdict
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -43,11 +45,17 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _complex(z) -> str:
+    if not cmath.isfinite(z):
+        raise ValueError("non-finite number in report")
+    return f"[{float(z.real):.17g}, {float(z.imag):.17g}]"
+
+
 def _render(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt(obj)
     if isinstance(obj, (complex, np.complexfloating)):
-        return f"[{_fmt(obj.real)}, {_fmt(obj.imag)}]"
+        return _complex(obj)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -59,8 +67,9 @@ def _render(obj) -> str:
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 
-def _is_scalar(obj) -> bool:
-    return not isinstance(obj, (dict, list, tuple))
+# a scalar's renderer by its exact type; _render takes other types
+RENDER = {float: _fmt, np.float64: _fmt, complex: _complex, np.complex128: _complex, str: _quote, int: str}
+_NESTED = (dict, list, tuple)
 
 
 def _lines(obj, pad: str, head: str, tail: str, out: list) -> None:
@@ -69,8 +78,8 @@ def _lines(obj, pad: str, head: str, tail: str, out: list) -> None:
     if isinstance(obj, dict):
         if not obj:
             out.append(head + "{}" + tail)
-        elif len(obj) <= 6 and all(map(_is_scalar, obj.values())):
-            body = ", ".join(f"{_quote(str(k))}: {_render(v)}" for k, v in sorted(obj.items()))
+        elif len(obj) <= 6 and not any(map(isinstance, obj.values(), repeat(_NESTED))):
+            body = ", ".join([f"{_quote(str(k))}: {RENDER.get(type(v), _render)(v)}" for k, v in sorted(obj.items())])
             out.append(head + "{" + body + "}" + tail)
         else:
             out.append(head + "{")
@@ -80,8 +89,8 @@ def _lines(obj, pad: str, head: str, tail: str, out: list) -> None:
                 _lines(v, inner, f"{inner}{_quote(str(k))}: ", "," if i < len(items) else "", out)
             out.append(pad + "}" + tail)
     elif isinstance(obj, (list, tuple)):
-        if len(obj) <= 8 and all(map(_is_scalar, obj)):
-            out.append(head + "[" + ", ".join(map(_render, obj)) + "]" + tail)
+        if len(obj) <= 8 and not any(map(isinstance, obj, repeat(_NESTED))):
+            out.append(head + "[" + ", ".join([RENDER.get(type(v), _render)(v) for v in obj]) + "]" + tail)
         else:
             out.append(head + "[")
             inner = pad + "  "
@@ -89,7 +98,7 @@ def _lines(obj, pad: str, head: str, tail: str, out: list) -> None:
                 _lines(v, inner, inner, "," if i < len(obj) else "", out)
             out.append(pad + "]" + tail)
     else:
-        out.append(head + _render(obj) + tail)
+        out.append(head + RENDER.get(type(obj), _render)(obj) + tail)
 
 
 def dumps(obj) -> str:
@@ -120,7 +129,7 @@ def _emit(report: dict, out_path: str | None, rc: int) -> int:
 
 
 def _cell_key(cell) -> str:
-    return ",".join(str(v) for v in cell)
+    return ",".join(map(str, cell))
 
 
 def _parse_cell(key: str) -> tuple[int, ...]:
@@ -174,9 +183,12 @@ def weight_matrix_to_json(wm: WeightMatrix) -> dict:
 
 
 def weight_matrix_from_json(d: dict) -> WeightMatrix:
-    simplex = tuple(_parse_int(v, "simplex entry") for v in d["simplex"])
-    phi = Cochain(simplex, 2, {_parse_cell(k): _parse_pair(v) for k, v in d["phi"].items()})
-    return WeightMatrix.from_phi(simplex, phi)
+    simplex = tuple(sorted(_parse_int(v, "simplex entry") for v in d["simplex"]))
+    values = {_parse_cell(k): _parse_pair(v) for k, v in d["phi"].items()}
+    for cell in values:
+        if len(cell) != 3 or not set(cell) <= set(simplex):
+            raise ValueError(f"{cell} is not a 2-cell of {simplex}")
+    return WeightMatrix.from_phi(simplex, defaultdict(complex, values))  # a face left out is 0
 
 
 def family_to_json(fam: EdgeOperatorFamily) -> dict:

@@ -26,7 +26,20 @@ EDGE_POS = np.array(list(combinations(range(5), 2)))
 STAR_POS = np.array([[k for k in range(5) if k not in e] for e in EDGE_POS])
 # SIGNS[v, j]: coefficient of edge j in the coboundary of vertex v's indicator
 SIGNS = coboundary_matrix(range(5), 0).T
-NEXT, PREV = [1, 2, 0], [2, 0, 1]  # component i of a cross product pairs i + 1 and i + 2
+# Flat index tables.  BLOCK: each edge's 2x3 star block (rows at its two
+# vertices, columns at its star) among a weight's 25 entries.  CROSS: the
+# two factors of each product in its rows' cross product, minuends first.
+BLOCK = np.arange(25).reshape(5, 5)[STAR_POS[:, None, :], EDGE_POS[:, :, None]].reshape(10, 6)
+CROSS = np.array([[1, 2, 0, 2, 0, 1], [5, 3, 4, 4, 5, 3]])
+# Sources, 0 an exact zero: of C's and the raw rows' entries in [0, kernel
+# (30), G (50)], the raw rows in generator order (see _raw_edge_operators);
+# of the scale system's in [0, raw (100)], row 10 v + i, column j SIGNS[v, j] raw[j, i].
+_rows, _at = np.arange(10)[:, None], np.arange(1, 31).reshape(10, 3)
+C_FROM, RAW_FROM = np.zeros((10, 5), dtype=int), np.zeros((10, 10), dtype=int)
+C_FROM[_rows, STAR_POS] = RAW_FROM[_rows, 4 - STAR_POS] = _at
+RAW_FROM[_rows, 9 - STAR_POS] = 31 + 5 * _rows + STAR_POS
+SYSTEM_FROM = np.where(SIGNS[:, None] != 0, np.arange(1, 101).reshape(10, 10).T, 0).reshape(50, 10)
+SYSTEM_SIGN = np.broadcast_to(SIGNS[:, None], (5, 10, 10)).reshape(50, 10)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,28 +73,30 @@ def _raw_edge_operators(E: np.ndarray) -> tuple:
     """
     # rows: generator coefficient at each non-star tetrahedron, unknowns being
     # the combination coefficients on the three star rows
-    M = E[:, STAR_POS[:, None, :], EDGE_POS[:, :, None]]
+    M = E.reshape(len(E), 25)[:, BLOCK]
     # a power of two per block keeps the products in range and every bit
-    M = M * 2.0 ** -np.frexp(np.abs(M).max(axis=(2, 3)))[1][..., None, None]
+    M = M * 2.0 ** -np.frexp(np.abs(M).max(axis=2))[1][..., None]
     # the cross product of the two rows, bilinear: M @ kernel = 0
-    kernel = M[..., 0, NEXT] * M[..., 1, PREV] - M[..., 0, PREV] * M[..., 1, NEXT]
+    P = M[..., CROSS[0]] * M[..., CROSS[1]]
+    kernel = P[..., :3] - P[..., 3:]
     # |r1 x r2| = s1 s2 (Cauchy-Binet): dimension 2 for parallel rows or one
-    # zero row, 3 for two
-    n1, n2 = np.moveaxis(np.linalg.norm(M, axis=3), 2, 0)
-    dims = 1 + (np.linalg.norm(kernel, axis=2) <= RANK_RTOL * n1 * n2) + (n1 + n2 == 0)
-    rows = np.arange(10)[:, None]
-    C = np.zeros((len(E), 10, 5), dtype=complex)
-    C[:, rows, STAR_POS] = kernel
+    # zero row, 3 for two; the three norms taken as np.linalg.norm takes them
+    W = np.concatenate((M, kernel), axis=2).reshape(len(E), 10, 3, 3)
+    n1, n2, nk = np.sqrt((W.conj() * W).real.sum(axis=3)).transpose(2, 0, 1)
+    dims = 1 + (nk <= RANK_RTOL * n1 * n2) + (n1 + n2 == 0)
+    K = np.concatenate((np.zeros((len(E), 1)), kernel.reshape(len(E), 30)), axis=1)
     # one matrix-vector product per edge, as unstacked
-    G = (E.transpose(0, 2, 1)[:, None] @ C[..., None])[..., 0]
-    # matrix rows run in omitted-vertex order, operator slots in generator
-    # order: the tetrahedron omitting vertex k is generator 4 - k
-    raw = np.zeros((len(E), 10, 10), dtype=complex)
-    raw[:, rows, 4 - STAR_POS] = C[:, rows, STAR_POS]
-    raw[:, rows, 9 - STAR_POS] = G[:, rows, STAR_POS]
-    top = np.take_along_axis(raw, np.argmax(np.abs(raw), axis=2)[..., None], axis=2)
+    G = E.transpose(0, 2, 1)[:, None] @ K[:, C_FROM, None]
+    # operator slots in generator order: the tetrahedron omitting vertex k is generator 4 - k
+    raw = np.concatenate((K, G.reshape(len(E), 50)), axis=1)[:, RAW_FROM]
     with np.errstate(divide="ignore", invalid="ignore"):  # rows of degenerate stars
-        return raw / top, dims
+        return raw / _top(raw), dims
+
+
+def _top(x: np.ndarray) -> np.ndarray:
+    """Each row's first entry of largest modulus, along x's last axis kept as 1."""
+    at = np.argmax(np.abs(x), axis=-1) + np.arange(0, x.size, x.shape[-1]).reshape(x.shape[:-1])
+    return x.reshape(-1)[at, None]
 
 
 def _check_stars(simplex, dims):
@@ -115,19 +130,17 @@ def normalize_families(wms, raw=None) -> np.ndarray:
     raw, dims = _raw_edge_operators(np.array([wm.entries for wm in wms])) if raw is None else raw
     whole = (dims == 1).all(axis=1)
     n = len(wms) if whole.all() else int(np.argmin(whole))  # weights before the first bad star
-    signs = SIGNS[:, None, :]
     # exact +0 where an edge misses the vertex (s * x can give -0): a signed
     # zero can flip an SVD reflector and change the kernel's last bits
-    A = np.where(signs != 0, signs * raw[:n, None].transpose(0, 1, 3, 2), 0).reshape(n, 5 * 10, 10)
-    _, s, vh = np.linalg.svd(A, full_matrices=False)  # the same vh as the full SVD
+    R = np.concatenate((np.zeros((n, 1)), raw[:n].reshape(n, 100)), axis=1)
+    _, s, vh = np.linalg.svd(R[:, SYSTEM_FROM] * SYSTEM_SIGN, full_matrices=False)  # the same vh as the full SVD
     for k in 10 - svd_rank(s):
         if k != 1:
             raise DegenerateWeightError(f"edge scale system has kernel dimension {k}, expected 1")
     if n < len(wms):
         _check_stars(wms[n].simplex, dims[n])
     lam = vh[:, -1].conj()
-    lam = lam / np.take_along_axis(lam, np.argmax(np.abs(lam), axis=1)[:, None], axis=1)
-    return lam[:, :, None] * raw
+    return (lam / _top(lam))[:, :, None] * raw
 
 
 def normalize_family(wm: WeightMatrix) -> EdgeOperatorFamily:
@@ -164,10 +177,9 @@ def extract_w_cocycles(fams) -> list:
             raise ConsistencyError("coboundary quotient of the kernel is not a line")
         if n < len(ranks):
             raise DegenerateWeightError(f"edge operators have kernel dimension {10 - ranks[n]}, expected 5")
-        for fam, u0 in zip(todo, u[:, :, 0]):
-            omega = u0 / u0[np.argmax(np.abs(u0))]
-            cocycle = Cochain(fam.simplex, 2, dict(zip(faces(fam.simplex, 2), omega)))
-            object.__setattr__(fam, "cocycle", cocycle)
+        omega = u[:, :, 0] / _top(u[:, :, 0])
+        for fam, row in zip(todo, omega.tolist()):
+            object.__setattr__(fam, "cocycle", Cochain(fam.simplex, 2, dict(zip(faces(fam.simplex, 2), row))))
     return [fam.cocycle for fam in fams]
 
 

@@ -73,12 +73,11 @@ def sn_cn_dn(u, modulus) -> tuple:
     Every element gets the bits a lone evaluation gives it.
     """
     u, k = np.asarray(u, dtype=complex), np.asarray(modulus, dtype=complex)
-    shape = np.broadcast_shapes(u.shape, k.shape)
-    u = np.broadcast_to(u, shape).reshape(-1)
     if k.ndim:
-        k, ladder = np.broadcast_to(k, shape).reshape(-1), None
+        shape = np.broadcast_shapes(u.shape, k.shape)
+        u, k, ladder = np.broadcast_to(u, shape).reshape(-1), np.broadcast_to(k, shape).reshape(-1), None
     else:
-        ladder = _descend(k[()])
+        shape, u, ladder = u.shape, u.reshape(-1), _descend(k[()])
     vals = np.empty((3, u.size), dtype=complex)
     err = np.empty(u.size, dtype=np.int8)
     for i in range(0, u.size, _CHUNK):
@@ -99,16 +98,13 @@ def _descend(k) -> tuple:
     hyper = on & (_abs(1.0 - kk) < _MODULUS_FLOOR)
     on = on & ~hyper
     levels = []
-    while np.count_nonzero(on) and len(levels) < LANDEN_CAP:
+    while (np.count_nonzero(on) if on.ndim else on) and len(levels) < LANDEN_CAP:
         kp = np.sqrt(1.0 - kk)
         k = (1.0 - kp) / (1.0 + kp)
-        levels.append((on if np.ndim(on) else None, k))
+        levels.append((on if on.ndim else None, k))
         kk = _mul(k, k)
         on = on & (_abs(k) >= _MODULUS_FLOOR)
     return levels, hyper, on
-
-
-_S_D_S = np.array([0, 2, 0])
 
 
 def _unwind(u: np.ndarray, ladder) -> tuple:
@@ -123,7 +119,7 @@ def _unwind(u: np.ndarray, ladder) -> tuple:
     for ks2, (on, k) in zip(ks2s, reversed(levels)):
         # (1 + k) s, c d and k s as one product; then (k s) s
         factors[0], factors[1], factors[2] = 1.0 + k, scd[1], k
-        num = _mul(factors, scd.take(_S_D_S, axis=0))
+        num = _mul(factors, scd[[0, 2, 0]])
         ks2[:] = _mul(num[2], scd[0])
         num[2] = 1.0 - ks2
         new = num / (1.0 + ks2)  # (1 + k) s, c d, 1 - k s s over 1 + k s s

@@ -58,6 +58,13 @@ def tetra_space(simplex) -> GeneratorSpace:
     return GeneratorSpace(tuple(opposite_tetrahedra(simplex)))
 
 
+def _five(simplex) -> tuple[int, ...]:
+    verts = tuple(sorted(int(v) for v in simplex))
+    if len(verts) != 5 or len(set(verts)) != 5:
+        raise ValueError("weight matrix needs 5 distinct vertices")
+    return verts
+
+
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
     """Skew 5x5 matrix of 2-face values in opposite-vertex ordering."""
@@ -66,9 +73,7 @@ class WeightMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        verts = tuple(sorted(int(v) for v in self.simplex))
-        if len(verts) != 5 or len(set(verts)) != 5:
-            raise ValueError("weight matrix needs 5 distinct vertices")
+        verts = _five(self.simplex)
         E = np.asarray(self.entries, dtype=complex)
         if E.shape != (5, 5):
             raise ValueError("entries must be 5x5")
@@ -83,13 +88,13 @@ class WeightMatrix:
         return opposite_tetrahedra(self.simplex)
 
     @staticmethod
-    def from_phi(simplex, phi: Cochain) -> "WeightMatrix":
-        """Place the ten 2-face values with alternating signs.
+    def from_phi(simplex, phi) -> "WeightMatrix":
+        """Place the ten 2-face values of phi, keyed by sorted 2-faces, with alternating signs.
 
         The entry at (k, l), k < l, is (-1)^(k+l) times the value on the
         2-face complementary to the k-th and l-th vertices (see FACE_POS).
         """
-        verts = tuple(sorted(simplex))
+        verts = _five(simplex)
         upper = FACE_SIGN * np.array([phi[f] for f in faces(verts, 2)], dtype=complex)
         E = np.zeros((5, 5), dtype=complex)
         E[FACE_POS[:, 0], FACE_POS[:, 1]] = upper

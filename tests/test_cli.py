@@ -348,6 +348,40 @@ def test_malformed_input_file_is_an_input_error(capsys, tmp_path, command, doc, 
         assert repr(key) in rep["message"]
 
 
+WEIGHT_CELLS = [",".join(map(str, c)) for c in itertools.combinations(range(1, 6), 3)]
+GOOD_PHI = {k: [1.0, 0.5 * i] for i, k in enumerate(WEIGHT_CELLS)}
+NEEDS_FIVE = "weight matrix needs 5 distinct vertices"
+
+
+@pytest.mark.parametrize("command", ("cocycle-from-weight", "edge-operators", "weight-from-cocycle"))
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # each message as the reader gave it before it stopped building a Cochain
+        ({"simplex": [1, 2, 3, 4, 5], "phi": {**GOOD_PHI, "1,2,6": [1.0, 0.0]}},
+         "(1, 2, 6) is not a 2-cell of (1, 2, 3, 4, 5)"),
+        ({"simplex": [1, 2, 3, 4, 4], "phi": GOOD_PHI}, "(1, 2, 5) is not a 2-cell of (1, 2, 3, 4, 4)"),
+        ({"simplex": [4, 1, 2, 3, 4], "phi": {k: v for k, v in GOOD_PHI.items() if "5" not in k}}, NEEDS_FIVE),
+        # four, six or no vertices: numpy's broadcast error before the vertex check came first
+        ({"simplex": [1, 2, 3, 4], "phi": {k: v for k, v in GOOD_PHI.items() if "5" not in k}}, NEEDS_FIVE),
+        ({"simplex": [1, 2, 3, 4, 5, 6], "phi": GOOD_PHI}, NEEDS_FIVE),
+        ({"simplex": [], "phi": {}}, NEEDS_FIVE),
+        ({"degree": 2, "values": {**GOOD_PHI, "1,2,6": [1.0, 0.0]}}, "expected a degree-2 cochain on five vertices"),
+    ],
+    ids=("foreign-cell", "repeated-vertex", "repeated-vertex-inside", "four", "six", "none", "sixth-vertex-cocycle"),
+)
+def test_malformed_simplex_file_names_its_problem(capsys, tmp_path, command, doc, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main([command, "--cocycle", str(path)])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    reads_weight = command != "weight-from-cocycle"
+    if reads_weight != ("simplex" in doc):  # the other kind of file: its first key is missing
+        message = "missing key 'simplex'" if reads_weight else "missing key 'degree'"
+    assert (rc, err, rep["error"], rep["message"]) == (2, "", "ValueError", message)
+
+
 COORDS_COMMANDS = (("elliptic-f",), ("verify-pachner", "--elliptic"))
 
 

@@ -185,22 +185,46 @@ def test_raw_annihilates_weight(rng):
         assert d.apply(W).max_abs() <= 1e-11 * W.max_abs()
 
 
-def test_raw_degenerate_star_dimension():
+def star_dimension_two_weight():
     vals = {s: 1.0 for s in faces(SIMPLEX, 2)}
     for dead in ((3, 4, 5), (2, 4, 5), (2, 3, 5), (2, 3, 4)):
         vals[dead] = 0.0  # wipes the column of tetrahedron 2345
-    wm = WeightMatrix.from_phi(SIMPLEX, Cochain(SIMPLEX, 2, vals))
+    return WeightMatrix.from_phi(SIMPLEX, Cochain(SIMPLEX, 2, vals))
+
+
+def star_dimension_three_weight():
+    # both rows of edge (1, 2)'s star block vanish
+    vals = {s: (0.0 if {1, 2} & set(s) else 1.0) for s in faces(SIMPLEX, 2)}
+    return WeightMatrix.from_phi(SIMPLEX, Cochain(SIMPLEX, 2, vals))
+
+
+def test_raw_degenerate_star_dimension():
     with pytest.raises(DegenerateWeightError, match=r"^edge \(1, 2\): star intersection"):
-        raw_edge_operator(wm)
+        raw_edge_operator(star_dimension_two_weight())
 
 
 def test_raw_degenerate_star_dimension_three():
-    # both rows of edge (1, 2)'s star block vanish
-    vals = {s: (0.0 if {1, 2} & set(s) else 1.0) for s in faces(SIMPLEX, 2)}
-    wm = WeightMatrix.from_phi(SIMPLEX, Cochain(SIMPLEX, 2, vals))
     with pytest.raises(DegenerateWeightError) as err:
-        raw_edge_operator(wm)
+        raw_edge_operator(star_dimension_three_weight())
     assert str(err.value) == "edge (1, 2): star intersection has dimension 3, expected 1"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("batch", (1, 100))
+def test_raw_edge_operators_match_np_cross_bits_on_degenerate_stars(rng, batch):
+    # the dimension-2 and dimension-3 stars above, alone and among generic
+    # weights: rows, the NaN rows of degenerate stars, and dims, by bits
+    dead = [star_dimension_two_weight().entries, star_dimension_three_weight().entries]
+    cases = [([0], dead[:1]), ([0], dead[1:])] if batch == 1 else [([0, 1], dead), ([57, 3], dead), ([99, 0], dead)]
+    for at, weights in cases:
+        E = np.array([random_wm(rng).entries for _ in range(batch)])
+        E[at] = weights
+        mine, ref = _raw_edge_operators(E), cross_edge_operators(E)
+        for x, y in zip(mine, ref):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        dims = mine[1][at]
+        assert {2, 3} & set(dims.ravel().tolist()) and np.isnan(mine[0][at]).any()
+        assert (np.delete(mine[1], at, axis=0) == 1).all()
 
 
 STAR_DIM_2 = "star intersection has dimension 2, expected 1"

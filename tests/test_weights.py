@@ -93,6 +93,14 @@ def test_face_table_matches_the_loop(rng):
                 assert np.array(back[comp]).tobytes() == np.array(expected).tobytes()
 
 
+@pytest.mark.parametrize("simplex", ((1, 2, 3, 4), (1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 4), ()))
+def test_from_phi_checks_the_vertices_before_placing_faces(simplex):
+    # before, four or six vertices met numpy's broadcast error placing the faces
+    phi = {f: 1.0 for f in faces(tuple(sorted(set(simplex))), 2)}
+    with pytest.raises(ValueError, match="^weight matrix needs 5 distinct vertices$"):
+        WeightMatrix.from_phi(simplex, phi)
+
+
 def test_quadratic_form_single_face():
     phi = Cochain(SIMPLEX, 2, {(3, 4, 5): 2.0})
     q = quadratic_form(WeightMatrix.from_phi(SIMPLEX, phi))
