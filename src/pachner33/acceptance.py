@@ -47,9 +47,10 @@ from .elliptic import (
 from .errors import DegenerateCocycleError, Pachner33Error
 from .grassmann import bit_matrix, gaussian_coefficients
 from .operators import action_matrix, principal_angles, svd_rank
-from .simplicial import SIMPLEX, Cochain, coboundary, faces, generic_cocycle, is_cocycle, roundtrip_residual
-from .weights import WeightMatrix, apply_gauge_to_F, canonical_ratios, opposite_tetrahedra, weight_operators
-from .weights import random_disc, random_phi, random_weight_matrix
+from .simplicial import SIMPLEX, Cochain, coboundary, coboundary_values, faces, generic_cocycle
+from .simplicial import roundtrip_residual
+from .weights import WeightMatrix, apply_gauge_to_F, canonical_ratios, face_values, opposite_tetrahedra
+from .weights import random_disc, random_weight_matrix, weight_operators
 from . import pachner
 from .pachner import BOUNDARY_TETRAHEDRA, INNER_LHS, INNER_RHS, SIMPLICES, reconcile, verify_33
 from .pachner import VERTICES as SCENE_VERTICES
@@ -167,6 +168,13 @@ def criterion_2(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
     )
 
 
+# Criteria 3-7 check their draws on (B, ...) stacks, each figure with the bits
+# of a per-draw loop: numpy's product and quotient where it took them on numpy
+# values, _mul and _abs for Python's product and abs; Python quotients stay per draw.
+EDGE = {e: i for i, e in enumerate(faces(SIMPLEX, 1))}  # SIMPLEX's edges and faces, to lex indices
+FACE = {f: i for i, f in enumerate(faces(SIMPLEX, 2))}
+
+
 def _families(wms) -> tuple:
     """The weights' normalized families and their cocycles, each stage one
     stacked call over the whole list."""
@@ -174,63 +182,52 @@ def _families(wms) -> tuple:
     return fams, extract_w_cocycles(fams)
 
 
-def _edge12_reference(phi: Cochain) -> dict:
+def _edge12_reference(phi) -> list:
+    """Edge (1, 2)'s beta and gamma at (1, 2, 4, 5), (1, 2, 3, 5) and
+    (1, 2, 3, 4), generators 2, 1 and 0, from phi's face values."""
     p = lambda *v: phi[v]
-    return {
-        (1, 2, 4, 5): (
-            p(1, 3, 4) * p(2, 3, 5) - p(1, 3, 5) * p(2, 3, 4),
-            -(
-                p(1, 2, 4) * p(1, 3, 5) * p(2, 4, 5)
-                - p(1, 2, 5) * p(1, 3, 4) * p(2, 4, 5)
-                - p(1, 2, 4) * p(1, 4, 5) * p(2, 3, 5)
-                + p(1, 2, 5) * p(1, 4, 5) * p(2, 3, 4)
-            ),
+    return [
+        p(1, 3, 4) * p(2, 3, 5) - p(1, 3, 5) * p(2, 3, 4),
+        -(
+            p(1, 2, 4) * p(1, 3, 5) * p(2, 4, 5)
+            - p(1, 2, 5) * p(1, 3, 4) * p(2, 4, 5)
+            - p(1, 2, 4) * p(1, 4, 5) * p(2, 3, 5)
+            + p(1, 2, 5) * p(1, 4, 5) * p(2, 3, 4)
         ),
-        (1, 2, 3, 5): (
-            p(1, 3, 4) * p(2, 4, 5) - p(1, 4, 5) * p(2, 3, 4),
-            (
-                p(1, 2, 3) * p(1, 3, 5) * p(2, 4, 5)
-                - p(1, 2, 3) * p(1, 4, 5) * p(2, 3, 5)
-                - p(1, 2, 5) * p(1, 3, 4) * p(2, 3, 5)
-                + p(1, 2, 5) * p(1, 3, 5) * p(2, 3, 4)
-            ),
+        p(1, 3, 4) * p(2, 4, 5) - p(1, 4, 5) * p(2, 3, 4),
+        (
+            p(1, 2, 3) * p(1, 3, 5) * p(2, 4, 5)
+            - p(1, 2, 3) * p(1, 4, 5) * p(2, 3, 5)
+            - p(1, 2, 5) * p(1, 3, 4) * p(2, 3, 5)
+            + p(1, 2, 5) * p(1, 3, 5) * p(2, 3, 4)
         ),
-        (1, 2, 3, 4): (
-            p(1, 3, 5) * p(2, 4, 5) - p(1, 4, 5) * p(2, 3, 5),
-            -(
-                p(1, 2, 3) * p(1, 3, 4) * p(2, 4, 5)
-                - p(1, 2, 4) * p(1, 3, 4) * p(2, 3, 5)
-                - p(1, 2, 3) * p(1, 4, 5) * p(2, 3, 4)
-                + p(1, 2, 4) * p(1, 3, 5) * p(2, 3, 4)
-            ),
+        p(1, 3, 5) * p(2, 4, 5) - p(1, 4, 5) * p(2, 3, 5),
+        -(
+            p(1, 2, 3) * p(1, 3, 4) * p(2, 4, 5)
+            - p(1, 2, 4) * p(1, 3, 4) * p(2, 3, 5)
+            - p(1, 2, 3) * p(1, 4, 5) * p(2, 3, 4)
+            + p(1, 2, 4) * p(1, 3, 5) * p(2, 3, 4)
         ),
-    }
+    ]
 
 
 def criterion_3(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tuple[bool, str]:
     tol = 1e-10 if tolerance is None else tolerance
     rng = np.random.default_rng(seed + 3)
-    phis = [random_phi(rng) for _ in range(100)]
-    wms = [WeightMatrix.from_phi(SIMPLEX, phi) for phi in phis]
-    raw = _raw_edge_operators(np.array([wm.entries for wm in wms]))
+    wms = [random_weight_matrix(rng) for _ in range(100)]
+    E = np.array([wm.entries for wm in wms])
+    raw = _raw_edge_operators(E)
     families = normalize_families(wms, raw)  # raises unless each star and kernel is 1-dimensional
-    worst_ref = 0.0
+    ref = np.array([_edge12_reference(dict(zip(FACE, row))) for row in face_values(E).tolist()])
+    mine = raw[0][:, 0, [2, 7, 1, 6, 0, 5]]  # (1, 2)'s beta and gamma at generators 2, 1 and 0
+    j = np.abs(ref).argmax(axis=1)[:, None]
+    scale = np.take_along_axis(ref, j, 1) / np.take_along_axis(mine, j, 1)
+    worst_ref = (np.abs(ref - scale * mine).max(axis=1) / np.abs(ref).max(axis=1)).max()
+    top = np.abs(families).max(axis=(1, 2))
     worst_cob = 0.0
-    for phi, ops, fam in zip(phis, raw[0], families):
-        d12 = ops[0]
-        mine, ref = [], []
-        for t, (eb, eg) in _edge12_reference(phi).items():
-            i = faces(SIMPLEX, 3).index(t)  # beta at generator i, gamma at 5 + i
-            mine += [d12[i], d12[5 + i]]
-            ref += [eb, eg]
-        mine, ref = np.array(mine), np.array(ref)
-        j = int(np.argmax(np.abs(ref)))
-        scale = ref[j] / mine[j]
-        worst_ref = max(worst_ref, np.abs(ref - scale * mine).max() / np.abs(ref).max())
-        top = np.abs(fam).max()
-        for signs in SIGNS:  # each vertex's coboundary: its signed rows, in edge order
-            resid = sum(float(s) * row for s, row in zip(signs, fam) if s != 0)
-            worst_cob = max(worst_cob, np.abs(resid).max() / top)
+    for signs in SIGNS:  # each vertex's coboundary: its signed rows, in edge order
+        resid = sum(float(s) * families[:, e] for e, s in enumerate(signs) if s != 0)
+        worst_cob = max(worst_cob, (np.abs(resid).max(axis=1) / top).max())
     ok = worst_ref <= tol and worst_cob <= tol
     return ok, f"worst reference {worst_ref:.2e}, worst coboundary {worst_cob:.2e}, bound {tol:.0e}"
 
@@ -243,31 +240,31 @@ def criterion_4(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
     for _ in range(100):
         wm = random_weight_matrix(rng)
         # drawn in opposite-vertex order, the reverse of generator order
-        scales = np.array([random_disc(rng, 0.2) for _ in wm.tetrahedra])[::-1]
+        scales = np.array([random_disc(rng, 0.2) for _ in range(5)])[::-1]
         wms.append(wm)
         gauged.append(apply_gauge_to_F(wm, scales))
     fams, omegas = _families(wms)
     _, omegas2 = _families(gauged)
-    cocycle_ok = True
-    worst = 0.0
-    for fam, omega, omega2 in zip(fams, omegas, omegas2):
-        cocycle_ok = cocycle_ok and is_cocycle(omega, rel_tol=tol_coc)
-        worst = max(worst, roundtrip_residual(omega, omega2))
+    w = np.array([om.as_vector() for om in omegas])
+    bound = tol_coc * np.maximum(_abs(w).max(axis=1), 1e-300)  # as is_cocycle bounds its sums
+    cocycle_ok = not (np.abs(coboundary_values(w, SIMPLEX, 2)) > bound[:, None]).any()
+    worst = max(roundtrip_residual(a, b) for a, b in zip(omegas, omegas2))
 
-        # beta and gamma of an edge's row at (1, 2, 3, 4), generator 0
-        comp = lambda e: fam.matrix[fam.edges.index(e)][[0, 5]]
-        denom = omega[(1, 3, 4)] - omega[(2, 3, 4)]
-        pred13 = -(omega[(1, 2, 4)] * comp((1, 2)) + omega[(2, 3, 4)] * comp((3, 4))) / denom
-        pred24 = -(omega[(1, 2, 3)] * comp((1, 2)) + omega[(1, 3, 4)] * comp((3, 4))) / denom
-        scale = max(np.abs(np.concatenate([pred13, pred24, comp((1, 3)), comp((2, 4))])))
-        worst = max(worst, np.abs(comp((1, 3)) - pred13).max() / scale)
-        worst = max(worst, np.abs(comp((2, 4)) - pred24).max() / scale)
+    F = np.array([fam.matrix for fam in fams])
+    comp = lambda e: F[:, EDGE[e], [0, 5]].T  # an edge's beta and gamma at (1, 2, 3, 4), generator 0
+    om = lambda *f: w[:, FACE[f]]
+    denom = om(1, 3, 4) - om(2, 3, 4)
+    pred13 = -(om(1, 2, 4) * comp((1, 2)) + om(2, 3, 4) * comp((3, 4))) / denom
+    pred24 = -(om(1, 2, 3) * comp((1, 2)) + om(1, 3, 4) * comp((3, 4))) / denom
+    scale = np.abs(np.concatenate([pred13, pred24, comp((1, 3)), comp((2, 4))])).max(axis=0)
+    worst = max(worst, (np.abs(comp((1, 3)) - pred13).max(axis=0) / scale).max())
+    worst = max(worst, (np.abs(comp((2, 4)) - pred24).max(axis=0) / scale).max())
 
-        # each paired with itself there: beta gamma + gamma beta
-        (b12, g12), (b34, g34) = comp((1, 2)), comp((3, 4))
-        t1 = omega[(1, 2, 3)] * omega[(1, 2, 4)] * (2 * b12 * g12)
-        t2 = omega[(1, 3, 4)] * omega[(2, 3, 4)] * (2 * b34 * g34)
-        worst = max(worst, abs(t1 + t2) / max(abs(t1), abs(t2), 1e-30))
+    # each paired with itself there: beta gamma + gamma beta
+    (b12, g12), (b34, g34) = comp((1, 2)), comp((3, 4))
+    t1 = _mul(_mul(om(1, 2, 3), om(1, 2, 4)), _mul(2 * b12, g12))
+    t2 = _mul(_mul(om(1, 3, 4), om(2, 3, 4)), _mul(2 * b34, g34))
+    worst = max(worst, (_abs(t1 + t2) / np.maximum(np.maximum(_abs(t1), _abs(t2)), 1e-30)).max())
     ok = cocycle_ok and worst <= tol
     return ok, f"cocycle {'ok' if cocycle_ok else 'BAD'}, worst relation {worst:.2e}, bound {tol:.0e}"
 
@@ -279,23 +276,18 @@ def criterion_5(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
     fams, omegas = _families([random_weight_matrix(rng) for _ in range(100)])
     fs, alphas = superisotropic_fs(fams, omegas), alpha_stack(omegas)
     ft = build_f_ts(fams, omegas, calibrate_sqrt_choices(fams, omegas))
-    worst_iso = 0.0
-    worst_pair = 0.0
-    for fam, f, alpha in zip(fams, fs, alphas):
-        n2 = np.linalg.norm(f) ** 2
-        for beta, gamma in zip(f[:5], f[5:]):  # f paired with itself, per tetrahedron
-            worst_iso = max(worst_iso, abs(complex(beta * gamma + beta * gamma)) / n2)
+    n2 = np.float_power([np.linalg.norm(f) for f in fs], 2)  # a scalar's ** 2 is pow
+    bg = _mul(fs[:, :5], fs[:, 5:])  # f paired with itself, per tetrahedron
+    worst_iso = (_abs(bg + bg) / n2[:, None]).max()
 
-        comps = []
-        for a, b in (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))):
-            i, j = fam.edges.index(a), fam.edges.index(b)
-            op = alpha[i] * fam.matrix[i] + alpha[j] * fam.matrix[j]
-            comps.append(op[[0, 5]])  # at (1, 2, 3, 4), generator 0
-        for i in range(3):
-            j = (i + 1) % 3
-            cross = comps[i][0] * comps[j][1] - comps[i][1] * comps[j][0]
-            scale = max(np.abs(comps[i]).max(), np.abs(comps[j]).max()) ** 2
-            worst_pair = max(worst_pair, abs(cross) / scale)
+    F = np.array([fam.matrix for fam in fams])
+    # the opposite edge pairs' combined operators at (1, 2, 3, 4), generator 0
+    i, j = [EDGE[e] for e in ((1, 2), (1, 3), (1, 4))], [EDGE[e] for e in ((3, 4), (2, 4), (2, 3))]
+    comps = (alphas[:, i, None] * F[:, i] + alphas[:, j, None] * F[:, j])[..., [0, 5]]
+    nxt = np.roll(comps, -1, axis=1)  # each pair with the next, cyclically
+    cross = _mul(comps[..., 0], nxt[..., 1]) - _mul(comps[..., 1], nxt[..., 0])
+    scale = np.float_power(np.maximum(np.abs(comps).max(axis=2), np.abs(nxt).max(axis=2)), 2)
+    worst_pair = (_abs(cross) / scale).max()
     stray = np.abs(np.where(np.eye(5, dtype=bool), ft[..., 5:], ft[..., :5])).max(axis=2)
     worst_pattern = max(0.0, (stray / np.abs(ft).max(axis=2)).max())
     ok = worst_iso <= tol_iso and worst_pair <= tol and worst_pattern <= tol
@@ -307,11 +299,10 @@ def criterion_6(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
     rng = np.random.default_rng(seed + 6)
     fams, omegas = _families([random_weight_matrix(rng) for _ in range(100)])
     roots = calibrate_sqrt_choices(fams, omegas)
-    worst = 0.0
-    for f, k in zip(build_f_ts(fams, omegas, roots), kappas(omegas, roots)):
-        # gamma at (1, 2, 3, 4) of the variants differentiating at (1, 3, 4, 5) and (2, 3, 4, 5)
-        direct = f[3, 5] / f[4, 5]
-        worst = max(worst, abs(k - direct) / abs(direct))
+    ft = build_f_ts(fams, omegas, roots)
+    # gamma at (1, 2, 3, 4) of the variants differentiating at (1, 3, 4, 5) and (2, 3, 4, 5)
+    direct = ft[:, 3, 5] / ft[:, 4, 5]
+    worst = (_abs(np.array(kappas(omegas, roots)) - direct) / _abs(direct)).max()
     ones = Cochain(SIMPLEX, 2, {s: 1.0 for s in faces(SIMPLEX, 2)})
     try:
         kappa(ones)
@@ -332,13 +323,10 @@ def criterion_7(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
     fams, omegas = _families(wms)
     _, backs = _families(reconstruct_Fs(cocycles))
     rebuilt = reconstruct_Fs(omegas, calibrate_sqrt_choices(fams, omegas))
-    worst_fwd = 0.0
-    worst_rev = 0.0
-    for wm, again, cocycle, back in zip(wms, rebuilt, cocycles, backs):
-        target = canonical_ratios(wm)
-        got = canonical_ratios(again)
-        worst_fwd = max(worst_fwd, max(abs(x - y) / abs(y) for x, y in zip(got, target)))
-        worst_rev = max(worst_rev, roundtrip_residual(cocycle, back))
+    target = np.array([canonical_ratios(wm) for wm in wms])
+    got = np.array([canonical_ratios(wm) for wm in rebuilt])
+    worst_fwd = (_abs(got - target) / _abs(target)).max()
+    worst_rev = max(roundtrip_residual(cocycle, back) for cocycle, back in zip(cocycles, backs))
     ok = worst_fwd <= tol and worst_rev <= tol
     return ok, f"ratios {worst_fwd:.2e}, cocycle {worst_rev:.2e}, bound {tol:.0e}"
 
@@ -455,20 +443,18 @@ def _rank_ratio(f, x: np.ndarray) -> float:
 def criterion_10(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tuple[bool, str]:
     floor = 1e-4
     rng = np.random.default_rng(seed + 10)
-    cells = faces(SIMPLEX, 2)
-    phi = random_weight_matrix(rng).phi()
+    phi = face_values(random_weight_matrix(rng).entries)
     p = random_elliptic_params(rng)
 
     def weight_ratios(x):  # x: the ten 2-face values, in lex order
-        wm = WeightMatrix.from_phi(SIMPLEX, Cochain(SIMPLEX, 2, dict(zip(cells, x))))
-        return np.array(canonical_ratios(wm))
+        return canonical_ratios(WeightMatrix.from_faces(SIMPLEX, x))
 
     def elliptic_ratios(x):  # x: the modulus, then the coordinates of vertices 2-5
         om = elliptic_cocycle(EllipticParams(x[0], dict(zip(SIMPLEX, [p.coords[SIMPLEX[0]], *x[1:]]))))
         last = om.cells()[-1]
         return np.array([om[c] / om[last] for c in om.cells()[:5]])
 
-    ratio10 = _rank_ratio(weight_ratios, np.array([phi[c] for c in cells]))
+    ratio10 = _rank_ratio(weight_ratios, phi)
     ratio5 = _rank_ratio(elliptic_ratios, np.array([p.modulus, *(p.coords[v] for v in SIMPLEX[1:])]))
     ok = ratio10 >= floor and ratio5 >= floor
     return ok, f"10-entry ratio {ratio10:.2e}, elliptic ratio {ratio5:.2e}, floor {floor:.0e}"

@@ -30,7 +30,7 @@ from .errors import Pachner33Error
 from .pachner import VERTICES as SCENE_VERTICES
 from .pachner import SIMPLICES, reconcile, verify_33
 from .simplicial import Cochain, faces, generic_cocycle, is_cocycle, roundtrip_residual
-from .weights import WeightMatrix, random_weight_matrix
+from .weights import WeightMatrix, face_values, random_weight_matrix
 
 DEFAULT_TOLERANCE = 1e-8
 
@@ -175,10 +175,9 @@ def cochain_from_json(d: dict) -> Cochain:
 
 
 def weight_matrix_to_json(wm: WeightMatrix) -> dict:
-    phi = wm.phi()
     return {
         "simplex": list(wm.simplex),
-        "phi": {_cell_key(s): complex(phi[s]) for s in phi.cells()},
+        "phi": dict(zip(map(_cell_key, faces(wm.simplex, 2)), face_values(wm.entries).tolist())),
     }
 
 
@@ -249,11 +248,11 @@ def _read(path: str, parse):
         raise ValueError(f"malformed input: {e}") from None
 
 
+_GAUGE_KEYS = tuple((_cell_key(u), [_cell_key(t) for t in faces(u, 3)]) for u in SIMPLICES)
+
+
 def _gauges_to_json(gauges: np.ndarray) -> dict:
-    return {
-        _cell_key(u): {_cell_key(t): complex(lam) for t, lam in zip(faces(u, 3), row)}
-        for u, row in zip(SIMPLICES, gauges)
-    }
+    return {u: dict(zip(tets, row)) for (u, tets), row in zip(_GAUGE_KEYS, gauges.tolist())}
 
 
 # ---------------------------------------------------------------------------

@@ -281,8 +281,9 @@ def reconstruct_Fs(omegas, roots=None) -> list:
             raise ValueError("expected a degree-2 cochain on five vertices")
     w, r = _values(omegas, roots)
     # F depends on ratios only.  Scaling omega by 4^-k and the roots by 2^-k
-    # brings max|omega| near 1 exactly, so products of four roots stay in range.
-    scale = np.array([[2.0 ** -(math.frexp(om.max_abs())[1] // 2)] for om in omegas])
+    # brings max|omega| (hypot, the scalar abs) near 1 exactly, so products
+    # of four roots stay in range.
+    scale = 2.0 ** -(np.frexp(np.hypot(w.real, w.imag).max(axis=1, keepdims=True))[1] // 2)
     w, r = w * scale * scale, r * scale
     _check_roots(omegas, w, r)
     ws, rs = w.tolist(), r.tolist()

@@ -134,9 +134,9 @@ def normalize_families(wms, raw=None) -> np.ndarray:
     # zero can flip an SVD reflector and change the kernel's last bits
     R = np.concatenate((np.zeros((n, 1)), raw[:n].reshape(n, 100)), axis=1)
     _, s, vh = np.linalg.svd(R[:, SYSTEM_FROM] * SYSTEM_SIGN, full_matrices=False)  # the same vh as the full SVD
-    for k in 10 - svd_rank(s):
-        if k != 1:
-            raise DegenerateWeightError(f"edge scale system has kernel dimension {k}, expected 1")
+    k = 10 - svd_rank(s)
+    if (k != 1).any():
+        raise DegenerateWeightError(f"edge scale system has kernel dimension {k[np.argmax(k != 1)]}, expected 1")
     if n < len(wms):
         _check_stars(wms[n].simplex, dims[n])
     lam = vh[:, -1].conj()

@@ -31,7 +31,7 @@ from .errors import ConsistencyError, DegenerateWeightError
 from .grassmann import gaussian_coefficients
 from .operators import action_matrix, basis_angles, column_space
 from .simplicial import Cochain, faces
-from .weights import apply_gauge_to_F, opposite_tetrahedra
+from .weights import gauged_entries, opposite_tetrahedra
 
 VERTICES = (1, 2, 3, 4, 5, 6)
 LHS_SIMPLICES = ((1, 2, 3, 4, 5), (1, 2, 3, 4, 6), (1, 2, 3, 5, 6))
@@ -219,8 +219,7 @@ def side_weight(rec: ReconciledWeights, side: str) -> np.ndarray:
     """
     A = np.zeros((12, 12), dtype=complex)
     for i, ix in _SIDE_SLOTS[side]:
-        gauged = apply_gauge_to_F(rec.matrices[i], rec.gauges[i])
-        A[ix[:, None], ix] -= gauged.entries
+        A[ix[:, None], ix] -= gauged_entries(rec.matrices[i], rec.gauges[i])
     return gaussian_coefficients(A)[-512:]
 
 

@@ -44,8 +44,7 @@ class Cochain:
     def __post_init__(self):
         verts = tuple(sorted(int(v) for v in self.vertices))
         object.__setattr__(self, "vertices", verts)
-        cells = faces(verts, self.degree)
-        members = dict(zip(cells, cells))
+        members = _cell_table(verts, self.degree)
         vals = {}
         for cell, v in self.values.items():
             if cell not in members:  # an unsorted cell, or none
@@ -53,8 +52,9 @@ class Cochain:
                 if cell not in members:
                     raise ValueError(f"{cell} is not a {self.degree}-cell of {verts}")
             vals[members[cell]] = complex(v)
-        for cell in cells:
-            vals.setdefault(cell, 0.0 + 0.0j)
+        if len(vals) < len(members):
+            for cell in members:
+                vals.setdefault(cell, 0.0 + 0.0j)
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, cell) -> complex:
@@ -64,7 +64,7 @@ class Cochain:
             return self.values[tuple(sorted(cell))]
 
     def cells(self):
-        return faces(self.vertices, self.degree)
+        return list(_cell_table(self.vertices, self.degree))
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.values[c] for c in self.cells()], dtype=complex)
@@ -80,8 +80,15 @@ class Cochain:
         sub = tuple(sorted(int(v) for v in sub_vertices))
         if not set(sub) <= set(self.vertices):
             raise ValueError("restriction target is not a subsimplex")
-        vals = {c: self.values[c] for c in faces(sub, self.degree)}
+        vals = {c: self.values[c] for c in _cell_table(sub, self.degree)}
         return Cochain(sub, self.degree, vals)
+
+
+@cache
+def _cell_table(vertices, degree: int) -> dict:
+    """{cell: cell} over the degree-cells of sorted vertices, in lex order; a
+    Cochain keys its values by these tuples.  Cached, never mutated."""
+    return {cell: cell for cell in faces(vertices, degree)}
 
 
 @cache
@@ -106,12 +113,19 @@ def coboundary_matrix(vertices, degree: int) -> np.ndarray:
     return D
 
 
+def coboundary_values(x: np.ndarray, vertices, degree: int) -> np.ndarray:
+    """The coboundary of the degree-cochains whose values, in lex order, are
+    x's last axis, its terms added left to right."""
+    terms = coboundary_terms(vertices, degree)
+    d = x[..., terms[:, 0]]
+    for k in range(1, degree + 2):
+        d = d - x[..., terms[:, k]] if k % 2 else d + x[..., terms[:, k]]
+    return d
+
+
 def coboundary(c: Cochain) -> Cochain:
     """Simplicial coboundary of any degree, its terms added left to right."""
-    x, terms = c.as_vector(), coboundary_terms(c.vertices, c.degree)
-    d = x[terms[:, 0]]
-    for k in range(1, c.degree + 2):
-        d = d - x[terms[:, k]] if k % 2 else d + x[terms[:, k]]
+    d = coboundary_values(c.as_vector(), c.vertices, c.degree)
     return Cochain(c.vertices, c.degree + 1, dict(zip(faces(c.vertices, c.degree + 1), d)))
 
 
@@ -157,10 +171,9 @@ def random_cocycle(vertices, rng: np.random.Generator) -> Cochain:
     Cohomology of a simplex is trivial, so this reaches every cocycle; the
     annulus keeps components away from zero without growing the dynamic range.
     """
-    nu = Cochain(
-        vertices, 1, {e: random_annulus(rng) for e in faces(tuple(vertices), 1)}
-    )
-    return coboundary(nu)
+    verts = tuple(sorted(vertices))
+    nu = np.array([random_annulus(rng) for _ in faces(verts, 1)])
+    return Cochain(verts, 2, dict(zip(faces(verts, 2), coboundary_values(nu, verts, 1))))
 
 
 def generic_cocycle(rng: np.random.Generator, vertices=SIMPLEX) -> Cochain:

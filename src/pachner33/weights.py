@@ -48,6 +48,11 @@ FACE_POS = np.array([[k for k in range(5) if k not in f] for f in combinations(r
 FACE_SIGN = (-1.0) ** FACE_POS.sum(axis=1)
 
 
+def face_values(E: np.ndarray) -> np.ndarray:
+    """The ten 2-face values, in lex order, of a stack of matrices (..., 5, 5)."""
+    return FACE_SIGN * E[..., FACE_POS[:, 0], FACE_POS[:, 1]]
+
+
 def opposite_tetrahedra(simplex) -> list[tuple[int, ...]]:
     """3-faces in opposite-vertex order: k-th entry omits the k-th vertex."""
     verts = tuple(sorted(simplex))
@@ -95,16 +100,20 @@ class WeightMatrix:
         2-face complementary to the k-th and l-th vertices (see FACE_POS).
         """
         verts = _five(simplex)
-        upper = FACE_SIGN * np.array([phi[f] for f in faces(verts, 2)], dtype=complex)
+        return WeightMatrix.from_faces(verts, [phi[f] for f in faces(verts, 2)])
+
+    @staticmethod
+    def from_faces(simplex, values) -> "WeightMatrix":
+        """The matrix of the ten 2-face values listed in lex order (see from_phi)."""
+        upper = FACE_SIGN * np.array(values, dtype=complex)
         E = np.zeros((5, 5), dtype=complex)
         E[FACE_POS[:, 0], FACE_POS[:, 1]] = upper
         E[FACE_POS[:, 1], FACE_POS[:, 0]] = -upper
-        return WeightMatrix(verts, E)
+        return WeightMatrix(simplex, E)
 
     def phi(self) -> Cochain:
         """The ten 2-face values read back from the matrix."""
-        vals = FACE_SIGN * self.entries[FACE_POS[:, 0], FACE_POS[:, 1]]
-        return Cochain(self.simplex, 2, dict(zip(faces(self.simplex, 2), vals)))
+        return Cochain(self.simplex, 2, dict(zip(faces(self.simplex, 2), face_values(self.entries))))
 
     def max_abs(self) -> float:
         return float(np.abs(self.entries).max())
@@ -123,7 +132,8 @@ def random_phi(rng: np.random.Generator) -> Cochain:
 
 
 def random_weight_matrix(rng: np.random.Generator) -> WeightMatrix:
-    return WeightMatrix.from_phi(SIMPLEX, random_phi(rng))
+    """The weight of random_phi's draw, placed without its Cochain."""
+    return WeightMatrix.from_faces(SIMPLEX, [random_disc(rng) for _ in range(10)])
 
 
 def quadratic_form(wm: WeightMatrix) -> GrassmannElement:
@@ -153,7 +163,7 @@ def weight_operators(wm: WeightMatrix) -> np.ndarray:
     return np.hstack([np.eye(5, dtype=complex)[:, ::-1], wm.entries[:, ::-1]])
 
 
-def apply_gauge_to_F(wm: WeightMatrix, scales) -> WeightMatrix:
+def gauged_entries(wm: WeightMatrix, scales) -> np.ndarray:
     """Congruence F -> AFA for the rescale x_t -> scale_t * x_t, the five
     scales given in generator (lex) order: A is their diagonal in the
     matrix's opposite-vertex order, which is the reverse."""
@@ -162,7 +172,12 @@ def apply_gauge_to_F(wm: WeightMatrix, scales) -> WeightMatrix:
         if lam == 0:
             raise ValueError(f"gauge scale for {t} must be nonzero")
     A = np.diag(scales[::-1])
-    return WeightMatrix(wm.simplex, A @ wm.entries @ A)
+    return A @ wm.entries @ A
+
+
+def apply_gauge_to_F(wm: WeightMatrix, scales) -> WeightMatrix:
+    """The gauged weight (see gauged_entries)."""
+    return WeightMatrix(wm.simplex, gauged_entries(wm, scales))
 
 
 def double_ratios(wm: WeightMatrix, positions) -> np.ndarray:

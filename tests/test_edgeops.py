@@ -343,6 +343,26 @@ def test_a_hundred_weight_stack_matches_per_weight_oracle_bits():
         assert same_bits(fam, oracle_family(wm))
 
 
+def test_scale_system_is_positive_zero_off_each_star(rng, monkeypatch):
+    # where edge j misses vertex v the system holds an exact +0, not a
+    # signed product with raw[0, 0]: a -0 can flip an SVD reflector
+    wm = random_wm(rng)
+    while _raw_edge_operators(wm.entries[None])[0][0, 0, 0].real >= 0:
+        wm = random_wm(rng)
+    systems, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        systems.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    normalize_families([wm])
+    off = np.repeat(SIGNS == 0, 10, axis=0)  # row 10 v + i, column j
+    zeros = systems[0][0][off]
+    assert (zeros == 0).all()
+    assert not np.signbit(zeros.real).any() and not np.signbit(zeros.imag).any()
+
+
 def oracle_w_cocycle(fam):
     """extract_w_cocycle taken alone, as before it was stacked: the kernel by
     nullspace, then the coboundary quotient's first left singular vector."""

@@ -203,6 +203,38 @@ def test_cochain_cells_are_read_as_sorted_integer_tuples():
         c[1, 2, 6]
 
 
+def test_cochain_values_keep_the_given_order_then_lex_order():
+    # keys given as cells (numpy ints among them) and keys to canonicalise
+    # give the same stored cells: sorted tuples of ints, in the order given,
+    # then each missing cell in lex order as 0j; a cell named twice keeps
+    # its first place and its last value
+    cells = faces(SIMPLEX, 2)
+    for given in (
+        {(np.int64(1), np.int64(4), np.int64(5)): 3, (1, 2, 3): 1 + 2j, (2, 4, 5): np.complex128(-1j)},
+        {(5, 4, 1): 3, (np.int64(3), np.int64(2), 1): 1 + 2j, (2, 4, 5): np.complex128(-1j)},
+        {(1, 4, 5): 7, (5, 4, 1): 3, (1, 2, 3): 1 + 2j, (4, 2, 5): np.complex128(-1j)},
+    ):
+        c = Cochain(SIMPLEX, 2, given)
+        first = [(1, 4, 5), (1, 2, 3), (2, 4, 5)]
+        assert list(c.values) == first + [f for f in cells if f not in first]
+        assert all(type(v) is int for cell in c.values for v in cell)
+        assert list(c.values.values()) == [3, 1 + 2j, -1j] + [0j] * 7
+        assert all(type(v) is complex for v in c.values.values())
+    empty = Cochain(SIMPLEX, 1, {})
+    assert list(empty.values) == faces(SIMPLEX, 1) and set(empty.values.values()) == {0j}
+
+
+@pytest.mark.parametrize(
+    "key, shown",
+    [((1, 2, 6), "(1, 2, 6)"), ((6, 2, 3), "(2, 3, 6)"), ((1, 2), "(1, 2)"), ((1, 1, 2), "(1, 1, 2)"),
+     ((np.int64(2), 1, 0), "(0, 1, 2)")],
+)
+def test_cochain_names_a_foreign_cell_sorted(key, shown):
+    with pytest.raises(ValueError) as err:
+        Cochain(SIMPLEX, 2, {(1, 2, 3): 1.0, key: 1.0})
+    assert str(err.value) == f"{shown} is not a 2-cell of (1, 2, 3, 4, 5)"
+
+
 def test_as_vector_order():
     c = Cochain(SIMPLEX, 1, {e: i for i, e in enumerate(faces(SIMPLEX, 1))})
     v = c.as_vector()

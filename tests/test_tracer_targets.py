@@ -139,6 +139,8 @@ def test_first_draws_are_pinned(name):
 DRAW_STREAMS = {
     "random_disc": (weights.random_disc, "40d429c001592aca"),
     "random_disc-0.2": (lambda rng: weights.random_disc(rng, 0.2), "23c39e275f1ab789"),
+    "random_phi": (weights.random_phi, "e3eba72a975efaf2"),
+    "random_weight_matrix": (weights.random_weight_matrix, "eefa06a52159caf9"),
     "generic_cocycle": (simplicial.generic_cocycle, "3a9720bf9c5165be"),
     "generic_cocycle-scene": (lambda rng: simplicial.generic_cocycle(rng, pachner.VERTICES), "019b971912fb56f5"),
     "random_elliptic_params": (elliptic.random_elliptic_params, "24d653a1e2a9cd2c"),
