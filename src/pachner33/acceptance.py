@@ -36,8 +36,6 @@ from .edgeops import (
 )
 from .elliptic import (
     EllipticParams,
-    _abs,
-    _mul,
     elliptic_F,
     elliptic_cocycle,
     elliptic_primitive,
@@ -143,10 +141,8 @@ def criterion_2(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
     W = np.array([gaussian_coefficients(-wm.entries[::-1, ::-1]) for wm in wms])
     M = action_matrix(W)
     ops = np.array([weight_operators(wm) for wm in wms])
-    worst = 0.0
-    for m, op, w in zip(M, ops, W):
-        resid = np.abs(m @ op.T).max(axis=0) / np.linalg.norm(op, axis=1)
-        worst = max(worst, resid.max() / np.abs(w).max())
+    resid = np.abs(M @ ops.swapaxes(1, 2)).max(axis=1) / np.linalg.norm(ops, axis=2)
+    worst = (resid.max(axis=1) / np.abs(W).max(axis=1)).max()
     # M is tall, so the reduced SVD's vh is nullspace's, bit for bit; its
     # left factor, as large as M, is dropped at once
     s, vh = np.linalg.svd(M, full_matrices=False)[1:]
@@ -168,9 +164,6 @@ def criterion_2(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
     )
 
 
-# Criteria 3-7 check their draws on (B, ...) stacks, each figure with the bits
-# of a per-draw loop: numpy's product and quotient where it took them on numpy
-# values, _mul and _abs for Python's product and abs; Python quotients stay per draw.
 EDGE = {e: i for i, e in enumerate(faces(SIMPLEX, 1))}  # SIMPLEX's edges and faces, to lex indices
 FACE = {f: i for i, f in enumerate(faces(SIMPLEX, 2))}
 
@@ -182,11 +175,11 @@ def _families(wms) -> tuple:
     return fams, extract_w_cocycles(fams)
 
 
-def _edge12_reference(phi) -> list:
+def _edge12_reference(phi: np.ndarray) -> np.ndarray:
     """Edge (1, 2)'s beta and gamma at (1, 2, 4, 5), (1, 2, 3, 5) and
-    (1, 2, 3, 4), generators 2, 1 and 0, from phi's face values."""
-    p = lambda *v: phi[v]
-    return [
+    (1, 2, 3, 4), generators 2, 1 and 0, from a (B, 10) stack of face values."""
+    p = lambda *v: phi[:, FACE[v]]
+    return np.stack([
         p(1, 3, 4) * p(2, 3, 5) - p(1, 3, 5) * p(2, 3, 4),
         -(
             p(1, 2, 4) * p(1, 3, 5) * p(2, 4, 5)
@@ -208,7 +201,7 @@ def _edge12_reference(phi) -> list:
             - p(1, 2, 3) * p(1, 4, 5) * p(2, 3, 4)
             + p(1, 2, 4) * p(1, 3, 5) * p(2, 3, 4)
         ),
-    ]
+    ], axis=1)
 
 
 def criterion_3(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tuple[bool, str]:
@@ -218,16 +211,13 @@ def criterion_3(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
     E = np.array([wm.entries for wm in wms])
     raw = _raw_edge_operators(E)
     families = normalize_families(wms, raw)  # raises unless each star and kernel is 1-dimensional
-    ref = np.array([_edge12_reference(dict(zip(FACE, row))) for row in face_values(E).tolist()])
+    ref = _edge12_reference(face_values(E))
     mine = raw[0][:, 0, [2, 7, 1, 6, 0, 5]]  # (1, 2)'s beta and gamma at generators 2, 1 and 0
     j = np.abs(ref).argmax(axis=1)[:, None]
     scale = np.take_along_axis(ref, j, 1) / np.take_along_axis(mine, j, 1)
     worst_ref = (np.abs(ref - scale * mine).max(axis=1) / np.abs(ref).max(axis=1)).max()
-    top = np.abs(families).max(axis=(1, 2))
-    worst_cob = 0.0
-    for signs in SIGNS:  # each vertex's coboundary: its signed rows, in edge order
-        resid = sum(float(s) * families[:, e] for e, s in enumerate(signs) if s != 0)
-        worst_cob = max(worst_cob, (np.abs(resid).max(axis=1) / top).max())
+    cob = SIGNS @ families  # each vertex's coboundary: its signed rows, in edge order
+    worst_cob = (np.abs(cob).max(axis=2) / np.abs(families).max(axis=(1, 2))[:, None]).max()
     ok = worst_ref <= tol and worst_cob <= tol
     return ok, f"worst reference {worst_ref:.2e}, worst coboundary {worst_cob:.2e}, bound {tol:.0e}"
 
@@ -246,7 +236,7 @@ def criterion_4(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
     fams, omegas = _families(wms)
     _, omegas2 = _families(gauged)
     w = np.array([om.as_vector() for om in omegas])
-    bound = tol_coc * np.maximum(_abs(w).max(axis=1), 1e-300)  # as is_cocycle bounds its sums
+    bound = tol_coc * np.maximum(np.abs(w).max(axis=1), 1e-300)  # as is_cocycle bounds its sums
     cocycle_ok = not (np.abs(coboundary_values(w, SIMPLEX, 2)) > bound[:, None]).any()
     worst = max(roundtrip_residual(a, b) for a, b in zip(omegas, omegas2))
 
@@ -262,9 +252,9 @@ def criterion_4(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
 
     # each paired with itself there: beta gamma + gamma beta
     (b12, g12), (b34, g34) = comp((1, 2)), comp((3, 4))
-    t1 = _mul(_mul(om(1, 2, 3), om(1, 2, 4)), _mul(2 * b12, g12))
-    t2 = _mul(_mul(om(1, 3, 4), om(2, 3, 4)), _mul(2 * b34, g34))
-    worst = max(worst, (_abs(t1 + t2) / np.maximum(np.maximum(_abs(t1), _abs(t2)), 1e-30)).max())
+    t1 = om(1, 2, 3) * om(1, 2, 4) * 2 * b12 * g12
+    t2 = om(1, 3, 4) * om(2, 3, 4) * 2 * b34 * g34
+    worst = max(worst, (np.abs(t1 + t2) / np.maximum(np.maximum(np.abs(t1), np.abs(t2)), 1e-30)).max())
     ok = cocycle_ok and worst <= tol
     return ok, f"cocycle {'ok' if cocycle_ok else 'BAD'}, worst relation {worst:.2e}, bound {tol:.0e}"
 
@@ -276,18 +266,17 @@ def criterion_5(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
     fams, omegas = _families([random_weight_matrix(rng) for _ in range(100)])
     fs, alphas = superisotropic_fs(fams, omegas), alpha_stack(omegas)
     ft = build_f_ts(fams, omegas, calibrate_sqrt_choices(fams, omegas))
-    n2 = np.float_power([np.linalg.norm(f) for f in fs], 2)  # a scalar's ** 2 is pow
-    bg = _mul(fs[:, :5], fs[:, 5:])  # f paired with itself, per tetrahedron
-    worst_iso = (_abs(bg + bg) / n2[:, None]).max()
+    bg = fs[:, :5] * fs[:, 5:]  # f paired with itself, per tetrahedron
+    worst_iso = (np.abs(bg + bg) / np.linalg.norm(fs, axis=1)[:, None] ** 2).max()
 
     F = np.array([fam.matrix for fam in fams])
     # the opposite edge pairs' combined operators at (1, 2, 3, 4), generator 0
     i, j = [EDGE[e] for e in ((1, 2), (1, 3), (1, 4))], [EDGE[e] for e in ((3, 4), (2, 4), (2, 3))]
     comps = (alphas[:, i, None] * F[:, i] + alphas[:, j, None] * F[:, j])[..., [0, 5]]
     nxt = np.roll(comps, -1, axis=1)  # each pair with the next, cyclically
-    cross = _mul(comps[..., 0], nxt[..., 1]) - _mul(comps[..., 1], nxt[..., 0])
-    scale = np.float_power(np.maximum(np.abs(comps).max(axis=2), np.abs(nxt).max(axis=2)), 2)
-    worst_pair = (_abs(cross) / scale).max()
+    cross = comps[..., 0] * nxt[..., 1] - comps[..., 1] * nxt[..., 0]
+    scale = np.maximum(np.abs(comps).max(axis=2), np.abs(nxt).max(axis=2)) ** 2
+    worst_pair = (np.abs(cross) / scale).max()
     stray = np.abs(np.where(np.eye(5, dtype=bool), ft[..., 5:], ft[..., :5])).max(axis=2)
     worst_pattern = max(0.0, (stray / np.abs(ft).max(axis=2)).max())
     ok = worst_iso <= tol_iso and worst_pair <= tol and worst_pattern <= tol
@@ -302,7 +291,7 @@ def criterion_6(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
     ft = build_f_ts(fams, omegas, roots)
     # gamma at (1, 2, 3, 4) of the variants differentiating at (1, 3, 4, 5) and (2, 3, 4, 5)
     direct = ft[:, 3, 5] / ft[:, 4, 5]
-    worst = (_abs(np.array(kappas(omegas, roots)) - direct) / _abs(direct)).max()
+    worst = (np.abs(np.array(kappas(omegas, roots)) - direct) / np.abs(direct)).max()
     ones = Cochain(SIMPLEX, 2, {s: 1.0 for s in faces(SIMPLEX, 2)})
     try:
         kappa(ones)
@@ -325,7 +314,7 @@ def criterion_7(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
     rebuilt = reconstruct_Fs(omegas, calibrate_sqrt_choices(fams, omegas))
     target = np.array([canonical_ratios(wm) for wm in wms])
     got = np.array([canonical_ratios(wm) for wm in rebuilt])
-    worst_fwd = (_abs(got - target) / _abs(target)).max()
+    worst_fwd = (np.abs(got - target) / np.abs(target)).max()
     worst_rev = max(roundtrip_residual(cocycle, back) for cocycle, back in zip(cocycles, backs))
     ok = worst_fwd <= tol and worst_rev <= tol
     return ok, f"ratios {worst_fwd:.2e}, cocycle {worst_rev:.2e}, bound {tol:.0e}"
@@ -334,36 +323,17 @@ def criterion_7(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
 def _jacobi_identity_residual(rng, count: int = 10000) -> float:
     """The worst residual of sn^2 + cn^2 = 1 and dn^2 + k^2 sn^2 = 1 over
     count draws of (u, k), the k of every tenth draw scaled near 0 and of
-    the next near 1.  A draw whose evaluation fails is skipped, and the next
-    takes its slot, as when each is drawn and evaluated in turn."""
-    worst = 0.0
-    done = 0
-    rows = np.empty((0, 2), dtype=complex)
-    while done < count:
-        if not len(rows):  # as many (u, k) rows as are still wanted, in per-draw order
-            rows = rng.uniform([-2, -1, -0.95, -0.3], [2, 1, 0.95, 0.3], size=(count - done, 4))
-            rows = rows.view(complex)
-        u, k = rows.T
-        slot = (done + np.arange(len(rows))) % 10  # a draw's slot is the count done before it
-        k = np.where(slot == 8, 1e-7 * k, np.where(slot == 9, 1.0 + 1e-7 * k, k))
-        s, c, d, err = sn_cn_dn(u, k)
-        # rows up to the first failure count; the rows after it take the
-        # next slots and are evaluated again
-        n = int(np.argmax(err != 0)) if err.any() else len(rows)
-        s, c, d, k = s[:n], c[:n], d[:n], k[:n]
-        # the bits of the scalar figures: |z|^2 as float_power, the scalar's
-        # pow, where an array's ** 2 squares
-        ks2 = _mul(_mul(_mul(k, k), s), s)
-        r1 = _abs(_mul(s, s) + _mul(c, c) - 1.0) / np.maximum(1.0, _sq_abs(s) + _sq_abs(c))
-        r2 = _abs(_mul(d, d) + ks2 - 1.0) / np.maximum(1.0, _sq_abs(d) + _abs(ks2))
-        worst = max(worst, r1.max(initial=0.0), r2.max(initial=0.0))
-        done += n
-        rows = rows[n + 1 :]
-    return worst
-
-
-def _sq_abs(z: np.ndarray) -> np.ndarray:
-    return np.float_power(_abs(z), 2)
+    the next near 1.  A draw whose evaluation fails is left out."""
+    u, k = rng.uniform([-2, -1, -0.95, -0.3], [2, 1, 0.95, 0.3], size=(count, 4)).view(complex).T
+    slot = np.arange(count) % 10
+    k = np.where(slot == 8, 1e-7 * k, np.where(slot == 9, 1.0 + 1e-7 * k, k))
+    s, c, d, err = sn_cn_dn(u, k)
+    good = err == 0
+    s, c, d, k = s[good], c[good], d[good], k[good]
+    ks2 = k * k * s * s
+    r1 = np.abs(s * s + c * c - 1.0) / np.maximum(1.0, np.abs(s) ** 2 + np.abs(c) ** 2)
+    r2 = np.abs(d * d + ks2 - 1.0) / np.maximum(1.0, np.abs(d) ** 2 + np.abs(ks2))
+    return max(r1.max(), r2.max())  # raises if every probe failed
 
 
 def criterion_8(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tuple[bool, str]:
@@ -387,9 +357,8 @@ def criterion_8(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
             fam = normalize_family(elliptic_F(p, SIMPLEX))
         except (Pachner33Error, ValueError):
             continue
-        worst_prim = max(
-            worst_prim, max(abs(dnu[s] - om[s]) for s in om.cells()) / om.max_abs()
-        )
+        top = max(map(abs, om.values.values()))
+        worst_prim = max(worst_prim, max(abs(dnu[s] - om[s]) for s in om.cells()) / top)
         w = extract_w_cocycle(fam)
         ratios = [w[s] / om[s] for s in om.cells()]
         worst_prop = max(worst_prop, max(abs(r / ratios[0] - 1.0) for r in ratios))

@@ -127,12 +127,8 @@ def random_disc(rng: np.random.Generator, min_abs: float = 0.05) -> complex:
             return z
 
 
-def random_phi(rng: np.random.Generator) -> Cochain:
-    return Cochain(SIMPLEX, 2, {s: random_disc(rng) for s in faces(SIMPLEX, 2)})
-
-
 def random_weight_matrix(rng: np.random.Generator) -> WeightMatrix:
-    """The weight of random_phi's draw, placed without its Cochain."""
+    """The weight of ten random_disc draws, the 2-faces' values in lex order."""
     return WeightMatrix.from_faces(SIMPLEX, [random_disc(rng) for _ in range(10)])
 
 

@@ -9,6 +9,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pachner33.acceptance import elliptic_scene_cocycle
 from pachner33.elliptic import elliptic_cocycle, random_elliptic_params
@@ -469,3 +470,30 @@ def test_verify_scaling_covariance(rng):
         assert abs(rep2.const) > 1e-10
         assert rep2.annihilator_dimension == 9
 
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 59), st.integers(0, 2**32 - 1))
+def test_const_follows_the_gauge_law(seed, gauge_seed):
+    """Replace each reconstructed F_u by D_u F_u D_u, D_u a complex diagonal:
+    every figure holds, and const is multiplied by D at the left owner's slot
+    of each LHS inner tetrahedron and divided by it at each RHS inner one,
+    up to a sign from the square roots of rho."""
+    om = generic_cocycle(np.random.default_rng(seed), VERTICES)
+    base = verify_33(reconcile(om)).const
+    rng = np.random.default_rng(gauge_seed)
+    D = np.exp(rng.uniform(-1, 1, (6, 5)) + 1j * rng.uniform(-np.pi, np.pi, (6, 5)))
+    real = pachner.reconstruct_F
+
+    def gauged(cochain):
+        wm = real(cochain)
+        return apply_gauge_to_F(wm, D[SIMPLICES.index(wm.simplex)])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pachner, "reconstruct_F", gauged)
+        rep = verify_33(reconcile(om))
+    k_lhs, k_rhs = ([SHARED.index(t) for t in inner] for inner in (INNER_LHS, INNER_RHS))
+    law = np.prod(D[OWNER[k_lhs, 0], SLOT[k_lhs, 0]]) / np.prod(D[OWNER[k_rhs, 0], SLOT[k_rhs, 0]])
+    ratio = rep.const / (base * law)
+    assert min(abs(ratio - 1), abs(ratio + 1)) < 1e-11, ratio
+    assert rep.worst < 1e-11

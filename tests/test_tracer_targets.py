@@ -115,7 +115,6 @@ def _values(draw):
 FIRST_DRAWS = {
     "random_disc": (weights.random_disc, "db7ff0e7ee193b4c"),
     "random_disc-0.2": (lambda rng: weights.random_disc(rng, 0.2), "b4cf05bbe2e499c0"),
-    "random_phi": (weights.random_phi, "64907c3d3eb53b02"),
     "random_weight_matrix": (weights.random_weight_matrix, "cfa58867c8f14531"),
     "generic_cocycle": (simplicial.generic_cocycle, "16fee8a5ca4354bd"),
     "generic_cocycle-scene": (lambda rng: simplicial.generic_cocycle(rng, pachner.VERTICES), "efce740316f29488"),
@@ -139,7 +138,6 @@ def test_first_draws_are_pinned(name):
 DRAW_STREAMS = {
     "random_disc": (weights.random_disc, "40d429c001592aca"),
     "random_disc-0.2": (lambda rng: weights.random_disc(rng, 0.2), "23c39e275f1ab789"),
-    "random_phi": (weights.random_phi, "e3eba72a975efaf2"),
     "random_weight_matrix": (weights.random_weight_matrix, "eefa06a52159caf9"),
     "generic_cocycle": (simplicial.generic_cocycle, "3a9720bf9c5165be"),
     "generic_cocycle-scene": (lambda rng: simplicial.generic_cocycle(rng, pachner.VERTICES), "019b971912fb56f5"),
