@@ -26,7 +26,7 @@ import numpy as np
 from .cocycle2weight import reconstruct_F
 from .edgeops import EdgeOperatorFamily, extract_w_cocycle, normalize_family
 from .elliptic import EllipticParams, elliptic_F, elliptic_cocycle, random_elliptic_params
-from .errors import Pachner33Error
+from .errors import NumericsError, Pachner33Error
 from .pachner import VERTICES as SCENE_VERTICES
 from .pachner import SIMPLICES, reconcile, verify_33
 from .simplicial import Cochain, faces, generic_cocycle, is_cocycle, roundtrip_residual
@@ -323,6 +323,9 @@ def _verify_one(args, report: dict) -> int:
     omega, report["source"] = _scene_cocycle(args, report["seed"])
     rec = reconcile(omega)
     rep = verify_33(rec)
+    if not (math.isfinite(rep.worst) and cmath.isfinite(rep.const)):  # then name the first such figure
+        name = next(k for k, v in vars(rep).items() if not np.isfinite(v).all())
+        raise NumericsError(f"{name} is not finite")
     report.update(vars(rep), gauges=_gauges_to_json(rec.gauges))
     passed = all(rep.verdict(args.tolerance))
     report["within_tolerance"] = passed

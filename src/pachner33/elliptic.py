@@ -39,12 +39,6 @@ def _mul(a, b):
     return out
 
 
-def _abs(z):
-    """|z| with the bits of the scalar abs, which is hypot; numpy's array abs
-    of a complex is computed otherwise."""
-    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
-
-
 def jacobi_sn_cn_dn(u: complex, modulus: complex) -> tuple[complex, complex, complex]:
     """Simultaneous sn, cn, dn at a complex argument; sn_cn_dn at one point,
     raising NumericsError where that reports a failure."""
@@ -93,9 +87,9 @@ def _descend(k) -> tuple:
     for a scalar); with the masks of the moduli that take the hyperbolic
     limit and of those whose descent exceeds LANDEN_CAP.  A modulus below
     the floor (or NaN) reaches no level and takes the trigonometric limit."""
-    on = _abs(k) >= _MODULUS_FLOOR
+    on = abs(k) >= _MODULUS_FLOOR
     kk = _mul(k, k)
-    hyper = on & (_abs(1.0 - kk) < _MODULUS_FLOOR)
+    hyper = on & (abs(1.0 - kk) < _MODULUS_FLOOR)
     on = on & ~hyper
     levels = []
     while (np.count_nonzero(on) if on.ndim else on) and len(levels) < LANDEN_CAP:
@@ -103,7 +97,7 @@ def _descend(k) -> tuple:
         k = (1.0 - kp) / (1.0 + kp)
         levels.append((on if on.ndim else None, k))
         kk = _mul(k, k)
-        on = on & (_abs(k) >= _MODULUS_FLOOR)
+        on = on & (abs(k) >= _MODULUS_FLOOR)
     return levels, hyper, on
 
 
@@ -125,7 +119,7 @@ def _unwind(u: np.ndarray, ladder) -> tuple:
         new = num / (1.0 + ks2)  # (1 + k) s, c d, 1 - k s s over 1 + k s s
         scd = new if on is None else np.where(on, new, scd)
     # a pole where a denominator nearly cancels, at any level an argument reaches
-    pole = _abs(1.0 + ks2s) < 1e-14 * (1.0 + _abs(ks2s))
+    pole = abs(1.0 + ks2s) < 1e-14 * (1.0 + abs(ks2s))
     if levels and levels[0][0] is not None:
         pole &= np.array([on for on, _ in reversed(levels)])
     err = np.zeros(u.shape, dtype=np.int8)
@@ -166,7 +160,7 @@ class EllipticParams:
         sn, err_half = s[:n], err[n:]
         with np.errstate(all="ignore"):  # cn*dn at a failed argument, never read
             cd = _mul(c[n:], d[n:])
-        pole, zero = _abs(sn) > 1e6, _abs(cd) < 1e-6
+        pole, zero = abs(sn) > 1e6, abs(cd) < 1e-6
         bad = (err[:n] != 0) | pole | (err_half != 0) | zero
         if bad.any():  # the first bad pair's first failure, in the order they are checked
             i = int(np.argmax(bad))
@@ -209,7 +203,7 @@ def elliptic_primitive(params: EllipticParams) -> Cochain:
     if m2 == 0:
         raise ValueError("modulus must be nonzero for the primitive formula")
     sn_at, _, _, err = sn_cn_dn([params.coords[v] for v in vertices], params.modulus)
-    bad = (err != 0) | (_abs(sn_at) < 1e-9)
+    bad = (err != 0) | (abs(sn_at) < 1e-9)
     if bad.any():
         i = int(np.argmax(bad))
         _check(err[i])

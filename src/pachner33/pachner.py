@@ -20,6 +20,7 @@ on the nine boundary tetrahedra and are compared as arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -241,15 +242,16 @@ class Verification33:
 
     @property
     def worst(self) -> float:
-        """The largest of the six residual figures, the one a tolerance bounds."""
-        return max(
+        """The largest of the six residual figures, the one a tolerance bounds; NaN if any is."""
+        figures = (
             self.max_residual,
             self.agreement,
             self.annihilation_residual,
             self.isotropy_residual,
             self.annihilator_angle,
-            max(self.loop_residuals),
+            *self.loop_residuals,
         )
+        return math.nan if any(map(math.isnan, figures)) else max(figures)
 
     def verdict(self, tol: float) -> tuple:
         """The verdict's three parts, all true for a trade that holds: every

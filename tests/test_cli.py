@@ -86,6 +86,19 @@ def test_verify_pachner_bounds_isotropy(capsys, monkeypatch):
     assert json.loads(out)["within_tolerance"] is False
 
 
+@pytest.mark.parametrize("name", ("const", "agreement", "loop_residuals"))
+def test_verify_pachner_non_finite_figure_exits_2(capsys, monkeypatch, name):
+    """A figure that is not finite is a typed error naming it, exit 2 with
+    no traceback, not a report that passes or fails to print."""
+    real = cli.verify_33
+    value = (0.0,) * 9 + (np.nan,) if name == "loop_residuals" else np.nan
+    monkeypatch.setattr(cli, "verify_33", lambda rec: dataclasses.replace(real(rec), **{name: value}))
+    rc, out = run(capsys, "verify-pachner", "--seed", "1")
+    assert rc == 2
+    rep = json.loads(out)
+    assert (rep["error"], rep["message"]) == ("NumericsError", f"{name} is not finite")
+
+
 def test_tolerance_below_the_loop_residuals_exits_1(capsys):
     """The loop residuals are judged with the other figures: a tolerance
     below them is a residual excess, exit 1, and the report has every
