@@ -19,7 +19,6 @@ from .cocycle2weight import (
     alpha_stack,
     build_f_ts,
     calibrate_sqrt_choices,
-    kappa,
     kappas,
     reconstruct_Fs,
     superisotropic_fs,
@@ -291,7 +290,7 @@ def criterion_6(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
     worst = (np.abs(np.array(kappas(omegas, roots)) - direct) / np.abs(direct)).max()
     ones = Cochain(SIMPLEX, 2, {s: 1.0 for s in faces(SIMPLEX, 2)})
     try:
-        kappa(ones)
+        kappas([ones])
         degenerate_ok = False
     except DegenerateCocycleError as e:
         degenerate_ok = "lambda_minus" in str(e)

@@ -6,6 +6,8 @@ purely a generator.  Ratios between sign-flipped variants of those
 combinations recover the weight matrix's double ratios, and a gauge-fixed
 representative is solved from five of them.  Each step is a closed form:
 pair ratios are read off coboundaries, with no SVD or least squares.
+Each takes a stack of rows (cochains, families, roots) and raises at its
+first failing check, in code order, naming that check's first failing row.
 """
 
 from __future__ import annotations
@@ -22,26 +24,6 @@ from .simplicial import coboundary_matrix, coboundary_terms, faces, roundtrip_re
 from .weights import CANONICAL_RATIO_PAIRS, solve_F_from_ratios
 
 COMPONENT_TOL = 1e-8
-
-
-def _by_row(stacked):
-    """A closed form on stacks of rows (cochains, families, roots) that raises
-    what its first failing row raises alone: on an error, the rows run again
-    one at a time, in order.  Its `one` is its B = 1 call: each argument one
-    row (None stays None), and the result's one row."""
-
-    @functools.wraps(stacked)
-    def run(*stacks):
-        try:
-            return stacked(*stacks)
-        except Exception:
-            if len(stacks[0]) > 1:  # a single row's error is already its own
-                for i in range(len(stacks[0])):
-                    stacked(*(s if s is None else s[i : i + 1] for s in stacks))
-            raise
-
-    run.one = lambda *row: run(*[x if x is None else [x] for x in row])[0]
-    return run
 
 
 def _values(omegas, roots=None) -> tuple:
@@ -87,7 +69,6 @@ def _alpha(r: list) -> list:
     return [r[a] * r[b] * r[c] * r[d] for a, b, c, d in ALPHA_ROOTS]
 
 
-@_by_row
 def alpha_stack(omegas, roots=None) -> np.ndarray:
     """Edge coefficients in edge (lex) order, (B, 10): the product of the
     four roots at faces that either contain the edge or are disjoint from it."""
@@ -103,7 +84,6 @@ def _combine(fams, alpha: np.ndarray) -> np.ndarray:
     return sum(alpha[..., j, None] * rows[..., j, :] for j in range(10))
 
 
-@_by_row
 def superisotropic_fs(fams, omegas, roots=None) -> np.ndarray:
     """f = sum of alpha_b d_b per family as (beta, gamma) rows in generator
     order, (B, 10); every tetrahedron pairs it to zero with itself."""
@@ -129,7 +109,6 @@ def component_types(f: np.ndarray, simplices) -> np.ndarray:
     return small[:, 0]
 
 
-@_by_row
 def calibrate_sqrt_choices(fams, omegas) -> np.ndarray:
     """Principal roots, (B, 10), with their signs flipped so that every
     component of each family's f differentiates."""
@@ -142,7 +121,6 @@ def calibrate_sqrt_choices(fams, omegas) -> np.ndarray:
     return np.where(np.logical_xor.reduce(flips[:, :, None] & FACE_FLIPS, axis=1), -roots, roots)
 
 
-@_by_row
 def build_f_ts(fams, omegas, roots) -> np.ndarray:
     """The five variants of each family's f as a (B, 5, 10) array: row i
     differentiates only at generator i.
@@ -185,7 +163,6 @@ def _kappa(w: list, r: list) -> complex:
     return lam_plus / lam_minus
 
 
-@_by_row
 def kappas(omegas, roots=None) -> list:
     """The ratio tying together the two variants that multiply at the last
     tetrahedron, in closed form, per cochain."""
@@ -267,7 +244,6 @@ def pair_ratios(flips: np.ndarray, w: np.ndarray, tetrahedra) -> np.ndarray:
     return rho
 
 
-@_by_row
 def reconstruct_Fs(omegas, roots=None) -> list:
     """Gauge-fixed weight matrices whose double ratios match the cocycles'.
 
@@ -306,10 +282,6 @@ def reconstruct_Fs(omegas, roots=None) -> list:
     ]
 
 
-# each single-row name is the B = 1 call of its stacked closed form
-alpha_coefficients = alpha_stack.one
-superisotropic_f = superisotropic_fs.one
-calibrate_sqrt_choice = calibrate_sqrt_choices.one
-build_f_t = build_f_ts.one
-kappa = kappas.one
-reconstruct_F = reconstruct_Fs.one
+def reconstruct_F(omega, roots=None):
+    """One cochain's gauge-fixed weight matrix (see reconstruct_Fs)."""
+    return reconstruct_Fs([omega], None if roots is None else [roots])[0]

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConsistencyError, DegenerateWeightError
+from .errors import ConsistencyError, DegenerateWeightError, NumericsError
 from .operators import RANK_RTOL, svd_rank
 from .simplicial import Cochain, coboundary_matrix, faces
 from .weights import WeightMatrix
@@ -58,6 +58,7 @@ class EdgeOperatorFamily:
         return faces(self.simplex, 1)
 
 
+@np.errstate(all="ignore")  # a degenerate star's row, or a weight beyond the float range, is not finite
 def _raw_edge_operators(E: np.ndarray) -> tuple:
     """The weight-annihilating operators supported on each edge's star, for
     a stack of weight matrices E (B, 5, 5): a (B, 10, 10) array, one
@@ -89,8 +90,7 @@ def _raw_edge_operators(E: np.ndarray) -> tuple:
     G = E.transpose(0, 2, 1)[:, None] @ K[:, C_FROM, None]
     # operator slots in generator order: the tetrahedron omitting vertex k is generator 4 - k
     raw = np.concatenate((K, G.reshape(len(E), 50)), axis=1)[:, RAW_FROM]
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows of degenerate stars
-        return raw / _top(raw), dims
+    return raw / _top(raw), dims
 
 
 def _top(x: np.ndarray) -> np.ndarray:
@@ -99,19 +99,25 @@ def _top(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1)[at, None]
 
 
-def _check_stars(simplex, dims):
-    for edge, dim in zip(faces(simplex, 1), dims):
-        if dim != 1:
-            raise DegenerateWeightError(
-                f"edge {edge}: star intersection has dimension {dim}, expected 1"
-            )
+def _check_stars(wms, dims):
+    """Raise on the first weight's first edge whose star intersection is not a line."""
+    if (dims != 1).any():
+        k, j = np.argwhere(dims != 1)[0]
+        edge, dim = faces(wms[k].simplex, 1)[j], dims[k, j]
+        raise DegenerateWeightError(f"edge {edge}: star intersection has dimension {dim}, expected 1")
+
+
+def _check_range(wms, bad):
+    """Raise on the first weight with a value that bad, (B, ...), marks as beyond the float range."""
+    if bad.any():
+        raise NumericsError(f"weight on {wms[np.argwhere(bad)[0, 0]].simplex} is beyond the float range")
 
 
 def raw_edge_operator(wm: WeightMatrix) -> np.ndarray:
     """One weight's raw edge operators (see _raw_edge_operators), (10, 10);
     raises on the first edge whose star intersection is not a line."""
     raw, dims = _raw_edge_operators(wm.entries[None])
-    _check_stars(wm.simplex, dims[0])
+    _check_stars([wm], dims)
     return raw[0]
 
 
@@ -124,21 +130,20 @@ def normalize_families(wms, raw=None) -> np.ndarray:
     coefficient equations per vertex; a one-dimensional kernel is required.
     The kernel vector is divided by its largest entry, so the dominant edge
     scale is 1.  The systems are solved by one stacked SVD, whose bits are
-    those of each SVD taken alone.  Errors come weight by weight, in order:
-    a weight's star dimensions, then its kernel dimension.
+    those of each SVD taken alone.  Errors come check by check, for the
+    first failing weight: star dimensions, the float range, then kernel
+    dimensions.
     """
     raw, dims = _raw_edge_operators(np.array([wm.entries for wm in wms])) if raw is None else raw
-    whole = (dims == 1).all(axis=1)
-    n = len(wms) if whole.all() else int(np.argmin(whole))  # weights before the first bad star
+    _check_stars(wms, dims)
+    _check_range(wms, ~np.isfinite(raw))
     # exact +0 where an edge misses the vertex (s * x can give -0): a signed
     # zero can flip an SVD reflector and change the kernel's last bits
-    R = np.concatenate((np.zeros((n, 1)), raw[:n].reshape(n, 100)), axis=1)
+    R = np.concatenate((np.zeros((len(raw), 1)), raw.reshape(len(raw), 100)), axis=1)
     _, s, vh = np.linalg.svd(R[:, SYSTEM_FROM] * SYSTEM_SIGN, full_matrices=False)  # the same vh as the full SVD
     k = 10 - svd_rank(s)
     if (k != 1).any():
         raise DegenerateWeightError(f"edge scale system has kernel dimension {k[np.argmax(k != 1)]}, expected 1")
-    if n < len(wms):
-        _check_stars(wms[n].simplex, dims[n])
     lam = vh[:, -1].conj()
     return (lam / _top(lam))[:, :, None] * raw
 
@@ -160,23 +165,23 @@ def extract_w_cocycles(fams) -> list:
     K meets those six dimensions, where |Dv| = sqrt(5)|v|.  A power of two per
     column of the family leaves K unchanged and makes it scale-free.  Each
     step is one stacked SVD, whose bits are those of each SVD taken alone.
-    Errors come family by family, in order: a family's kernel dimension,
-    then its coboundary quotient.
+    Errors come check by check, for the first failing family: the float
+    range, kernel dimensions, then coboundary quotients.
     """
     todo = [fam for fam in fams if fam.cocycle is None]
     if todo:
         M = np.array([fam.matrix for fam in todo])
-        M = M * 2.0 ** -np.frexp(np.abs(M).max(axis=1, keepdims=True))[1]
+        e = np.frexp(np.abs(M).max(axis=1, keepdims=True))[1]
+        _check_range(todo, e < -1023)  # where 2.0 ** -e overflows
+        M = M * 2.0 ** -e
         _, s, vh = np.linalg.svd(M.transpose(0, 2, 1))
-        ranks = svd_rank(s).tolist()
-        # the families before the first bad kernel
-        n = next((i for i, r in enumerate(ranks) if r != 5), len(ranks))
-        K = vh[:n, 5:].conj().transpose(0, 2, 1)  # each kernel's basis, as columns
+        k = 10 - svd_rank(s)
+        if (k != 5).any():
+            raise DegenerateWeightError(f"edge operators have kernel dimension {k[np.argmax(k != 5)]}, expected 5")
+        K = vh[:, 5:].conj().transpose(0, 2, 1)  # each kernel's basis, as columns
         u, s, _ = np.linalg.svd(coboundary_matrix(range(5), 1) @ K)
-        if max(svd_rank(s, 1e-8).tolist(), default=0) > 1:
+        if (svd_rank(s, 1e-8) > 1).any():
             raise ConsistencyError("coboundary quotient of the kernel is not a line")
-        if n < len(ranks):
-            raise DegenerateWeightError(f"edge operators have kernel dimension {10 - ranks[n]}, expected 5")
         omega = u[:, :, 0] / _top(u[:, :, 0])
         for fam, row in zip(todo, omega.tolist()):
             object.__setattr__(fam, "cocycle", Cochain(fam.simplex, 2, dict(zip(faces(fam.simplex, 2), row))))

@@ -39,14 +39,6 @@ def _mul(a, b):
     return out
 
 
-def jacobi_sn_cn_dn(u: complex, modulus: complex) -> tuple[complex, complex, complex]:
-    """Simultaneous sn, cn, dn at a complex argument; sn_cn_dn at one point,
-    raising NumericsError where that reports a failure."""
-    s, c, d, err = sn_cn_dn(complex(u), complex(modulus))
-    _check(err)
-    return s[()], c[()], d[()]
-
-
 def _check(err) -> None:
     if err:
         raise NumericsError(_ERRORS[err])

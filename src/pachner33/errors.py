@@ -31,4 +31,4 @@ class ConsistencyError(Pachner33Error):
 
 
 class NumericsError(Pachner33Error):
-    """An iterative numerical routine failed to converge."""
+    """A numerical routine failed to converge or left the float range."""

@@ -18,6 +18,7 @@ from pachner33 import cli
 from pachner33.edgeops import normalize_family
 from pachner33.pachner import VERTICES as SCENE_VERTICES
 from pachner33.simplicial import Cochain, generic_cocycle, is_cocycle, roundtrip_residual
+from pachner33.weights import random_weight_matrix
 
 
 def run(capsys, *argv):
@@ -255,6 +256,30 @@ def test_edge_operators_output(capsys, tmp_path):
         for i, t in enumerate(keys(4)):
             assert complex(*terms[t]["beta"]) == row[i]
             assert complex(*terms[t]["gamma"]) == row[5 + i]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ("cocycle-from-weight", "edge-operators"))
+@pytest.mark.parametrize("seed", (1, 3))
+@pytest.mark.parametrize("scale", (1e-310, 1e-300, 1e307, 1e308))
+def test_a_weight_beyond_the_float_range_is_a_numerics_error(capsys, tmp_path, command, seed, scale):
+    # 1e-300 and 1e307 are in range; at 1e-310 the raw operators' scaling
+    # overflows, and at 1e308 their quotients or the cocycle's column
+    # scaling do, but not seed 1's edge operators
+    doc = cli.weight_matrix_to_json(random_weight_matrix(np.random.default_rng(seed)))
+    doc["phi"] = {k: [scale * z.real, scale * z.imag] for k, z in doc["phi"].items()}
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main([command, "--cocycle", str(path)])
+    out, err = capsys.readouterr()
+    assert err == ""
+    if scale in (1e-300, 1e307) or (command, seed, scale) == ("edge-operators", 1, 1e308):
+        assert rc == 0
+    else:
+        assert rc == 2
+        rep = json.loads(out)
+        assert rep["error"] == "NumericsError"
+        assert rep["message"] == "weight on (1, 2, 3, 4, 5) is beyond the float range"
 
 
 def test_degenerate_weight_names_the_entry(capsys, tmp_path):

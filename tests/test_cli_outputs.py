@@ -137,7 +137,7 @@ def test_complex_change_is_measured_as_one_number(tmp_path, capsys):
 
 def test_run_set_checks_selftest_across_seeds():
     runs = [" ".join(argv) for argv in cli_outputs.run_set()]
-    assert len(runs) == len(set(runs)) == 464
+    assert len(runs) == len(set(runs)) == 914
     assert [r for r in runs if r.startswith("selftest")] == ["selftest"] + [
         f"selftest --seed {s}" for s in range(12)
     ]

@@ -13,18 +13,14 @@ from pachner33.cocycle2weight import (
     FACE_FLIPS,
     RATIO_FLIPS,
     TETRA_COBOUNDARY,
-    alpha_coefficients,
-    build_f_t,
+    alpha_stack,
     build_f_ts,
-    calibrate_sqrt_choice,
     calibrate_sqrt_choices,
     component_types,
-    kappa,
     kappas,
     pair_ratios,
     reconstruct_F,
     reconstruct_Fs,
-    superisotropic_f,
     superisotropic_fs,
 )
 from pachner33.edgeops import EdgeOperatorFamily, extract_w_cocycle, extract_w_cocycles, normalize_family
@@ -85,7 +81,7 @@ def forward(rng):
 
 def test_alpha_factorizations(rng):
     omega = generic_cocycle(rng)
-    alpha = alpha_coefficients(omega)
+    alpha = alpha_stack([omega])[0]
     assert alpha.shape == (10,)
     r = lambda *f: np.sqrt(omega[f])
     a12 = r(1, 2, 3) * r(1, 2, 4) * r(1, 2, 5) * r(3, 4, 5)
@@ -101,8 +97,8 @@ def test_vertex_flip_negates_alpha_on_its_edges(rng):
     r = np.sqrt(omega.as_vector())
     sign = lambda flips: np.where(flips, -1.0, 1.0)
     for m in range(5):
-        got = alpha_coefficients(omega, r * sign(FACE_FLIPS[m]))
-        expected = alpha_coefficients(omega, r) * sign(EDGE_FLIPS[m])
+        got = alpha_stack([omega], [r * sign(FACE_FLIPS[m])])[0]
+        expected = alpha_stack([omega], [r])[0] * sign(EDGE_FLIPS[m])
         assert got.tobytes() == expected.tobytes()
     assert FACE_FLIPS.sum(axis=1).tolist() == [2] * 5
     assert EDGE_FLIPS.sum(axis=1).tolist() == [4] * 5
@@ -124,19 +120,19 @@ def test_alpha_rejects_zero_face(rng):
     vals[(1, 2, 3)] = 0.0
     omega = Cochain(SIMPLEX, 2, vals)
     with pytest.raises(DegenerateCocycleError):
-        alpha_coefficients(omega, np.sqrt(omega.as_vector()))
+        alpha_stack([omega], [np.sqrt(omega.as_vector())])
 
 
 def test_superisotropy(rng):
     _, fam, omega = forward(rng)
-    f = superisotropic_f(fam, omega)
+    f = superisotropic_fs([fam], [omega])[0]
     # f paired with itself at each tetrahedron
     assert np.abs(2 * f[:5] * f[5:]).max() <= 1e-10 * np.linalg.norm(f) ** 2
 
 
 def test_paired_components_proportional(rng):
     _, fam, omega = forward(rng)
-    alpha = alpha_coefficients(omega)
+    alpha = alpha_stack([omega])[0]
     pairs = (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
     comps = []
     for a, b in pairs:
@@ -176,8 +172,8 @@ def test_a_family_cocycle_is_extracted_once(rng, monkeypatch):
     omega = extract_w_cocycle(fam)
     assert shapes == [(1, 10, 10), (1, 10, 5)]  # the kernel, then the coboundary quotient
     assert extract_w_cocycle(fam) is omega
-    calibrate_sqrt_choice(fam, omega)
-    superisotropic_f(fam, omega)
+    calibrate_sqrt_choices([fam], [omega])
+    superisotropic_fs([fam], [omega])
     assert len(shapes) == 2
     fams = [normalize_family(WeightMatrix.from_phi(SIMPLEX, random_phi(rng))) for _ in range(3)]
     shapes.clear()
@@ -190,9 +186,9 @@ def test_a_family_cocycle_is_extracted_once(rng, monkeypatch):
 def test_superisotropic_f_rejects_foreign_cocycle(rng):
     _, fam, _ = forward(rng)
     _, _, omega = forward(rng)  # another weight's cocycle
-    for call in (superisotropic_f, calibrate_sqrt_choice):
+    for call in (superisotropic_fs, calibrate_sqrt_choices):
         with pytest.raises(ConsistencyError) as err:
-            call(fam, omega)
+            call([fam], [omega])
         assert str(err.value) == "cocycle does not belong to this operator family"
 
 
@@ -203,9 +199,9 @@ def test_a_vanishing_face_is_degenerate_where_the_family_peaks(rng):
     _, fam, omega = forward(rng)
     top = max(omega.cells(), key=lambda s: abs(omega[s]))
     zero = Cochain(SIMPLEX, 2, {**omega.values, top: 0.0})
-    for call in (superisotropic_f, calibrate_sqrt_choice):
+    for call in (superisotropic_fs, calibrate_sqrt_choices):
         with pytest.raises(DegenerateCocycleError) as err:
-            call(fam, zero)
+            call([fam], [zero])
         assert str(err.value) == f"cocycle vanishes on face {top}"
 
 
@@ -219,17 +215,17 @@ def test_a_vanishing_face_is_degenerate_where_the_family_peaks(rng):
 )
 def test_calibration_errors_are_named(rng, how, error, message):
     _, fam, omega = forward(rng)
-    calibrate_sqrt_choice(fam, omega)
+    calibrate_sqrt_choices([fam], [omega])
     with pytest.raises(error) as err:
-        calibrate_sqrt_choice(crafted(fam, 2, how), omega)
+        calibrate_sqrt_choices([crafted(fam, 2, how)], [omega])
     assert str(err.value) == message
 
 
 def test_uncalibrated_variant_is_named(rng):
     _, fam, omega = forward(rng)
-    cal = calibrate_sqrt_choice(fam, omega)
+    cal = calibrate_sqrt_choices([fam], [omega])[0]
     with pytest.raises(BranchInconsistencyError) as err:
-        build_f_t(crafted(fam, 2, "swap"), omega, cal)
+        build_f_ts([crafted(fam, 2, "swap")], [omega], [cal])
     assert str(err.value) == (
         "component at (1, 2, 4, 5) is not of the expected kind; calibrate the branch first"
     )
@@ -237,16 +233,16 @@ def test_uncalibrated_variant_is_named(rng):
 
 def test_calibrated_branch_differentiates_everywhere(rng):
     _, fam, omega = forward(rng)
-    cal = calibrate_sqrt_choice(fam, omega)
-    f = superisotropic_f(fam, omega, cal)
+    cal = calibrate_sqrt_choices([fam], [omega])[0]
+    f = superisotropic_fs([fam], [omega], [cal])[0]
     assert not component_types(f[None], [fam.simplex]).any()
     assert np.abs(f[5:]).max() <= 1e-9 * np.abs(f).max()
 
 
 def test_build_f_t_component_pattern(rng):
     _, fam, omega = forward(rng)
-    cal = calibrate_sqrt_choice(fam, omega)
-    variants = build_f_t(fam, omega, cal)
+    cal = calibrate_sqrt_choices([fam], [omega])[0]
+    variants = build_f_ts([fam], [omega], [cal])[0]
     assert variants.shape == (5, 10)
     for i, ft in enumerate(variants):
         top = np.abs(ft).max()
@@ -264,8 +260,8 @@ def test_root_pair_choices_agree(rng):
     s = np.sqrt(omega.as_vector())
     patterns = []
     for pair in (((1, 2, 3), (1, 4, 5)), ((1, 2, 4), (1, 3, 5)), ((1, 2, 5), (1, 3, 4))):
-        patterns.append(alpha_coefficients(omega, flipped(omega, s, pair)))
-    base = alpha_coefficients(omega, s)
+        patterns.append(alpha_stack([omega], [flipped(omega, s, pair)])[0])
+    base = alpha_stack([omega], [s])[0]
     for p in patterns:
         assert np.abs(p - patterns[0]).max() <= 1e-13 * np.abs(base).max()
     # and the common pattern negates exactly the four edges through vertex 1
@@ -275,7 +271,7 @@ def test_root_pair_choices_agree(rng):
 
 
 def alpha_by_edge(omega, roots=None):
-    return dict(zip(faces(omega.vertices, 1), alpha_coefficients(omega, roots)))
+    return dict(zip(faces(omega.vertices, 1), alpha_stack([omega], None if roots is None else [roots])[0]))
 
 
 def flip_stack(alpha, omega, k1, k2, t0):
@@ -563,15 +559,19 @@ def test_reconstruct_errors_match_dict_oracle(rng, change, error):
 
 
 @pytest.mark.filterwarnings("error")
-def test_a_stack_raises_its_first_failing_rows_error(rng):
-    """Rows fail in stack order, whatever the stage: an open cochain, which
-    fails after the root check, ahead of a vanishing face, which fails it."""
+def test_a_stack_raises_its_first_failing_checks_error(rng):
+    """Checks fail in code order, each naming its first failing row: a
+    vanishing face fails the root check, which runs before an open
+    cochain's defect check, wherever the two rows stand in the stack."""
     good = generic_cocycle(rng)
     vals = dict(good.values)
     open_ = Cochain(SIMPLEX, 2, {**vals, (2, 4, 5): 0.5 * vals[(2, 4, 5)]})
     zero = Cochain(SIMPLEX, 2, {**vals, (1, 3, 4): 0.0})
-    assert stack_outcome([good, open_, zero]) == (ValueError, "cochain has no primitive: not a cocycle")
-    assert stack_outcome([good, zero, open_]) == (DegenerateCocycleError, "cocycle vanishes on face (1, 3, 4)")
+    vanishes = (DegenerateCocycleError, "cocycle vanishes on face (1, 3, 4)")
+    assert stack_outcome([good, open_, zero]) == vanishes
+    assert stack_outcome([good, zero, open_]) == vanishes
+    other = Cochain(SIMPLEX, 2, {**vals, (2, 3, 5): 0.0})
+    assert stack_outcome([open_, other, zero]) == (DegenerateCocycleError, "cocycle vanishes on face (2, 3, 5)")
 
 
 def elliptic_forward(seed, count):
@@ -597,15 +597,15 @@ def test_stacks_match_their_single_rows_bits(kind, count):
     else:
         fams, omegas = elliptic_forward(7, count)
     roots = calibrate_sqrt_choices(fams, omegas)
-    single = np.array([calibrate_sqrt_choice(fam, om) for fam, om in zip(fams, omegas)])
+    single = np.array([calibrate_sqrt_choices([fam], [om])[0] for fam, om in zip(fams, omegas)])
     assert roots.tobytes() == single.tobytes()
     variants = build_f_ts(fams, omegas, roots)
-    single = np.array([build_f_t(fam, om, r) for fam, om, r in zip(fams, omegas, roots)])
+    single = np.array([build_f_ts([fam], [om], [r])[0] for fam, om, r in zip(fams, omegas, roots)])
     assert variants.shape == (count, 5, 10) and variants.tobytes() == single.tobytes()
     f = superisotropic_fs(fams, omegas, roots)
-    single = np.array([superisotropic_f(fam, om, r) for fam, om, r in zip(fams, omegas, roots)])
+    single = np.array([superisotropic_fs([fam], [om], [r])[0] for fam, om, r in zip(fams, omegas, roots)])
     assert f.tobytes() == single.tobytes()
-    assert kappas(omegas, roots) == [kappa(om, r) for om, r in zip(omegas, roots)]
+    assert kappas(omegas, roots) == [kappas([om], [r])[0] for om, r in zip(omegas, roots)]
 
 
 def test_cocycle_defect_is_primitive_residual(rng):
@@ -621,11 +621,11 @@ def test_cocycle_defect_is_primitive_residual(rng):
 
 def test_kappa_matches_component_ratio(rng):
     _, fam, omega = forward(rng)
-    cal = calibrate_sqrt_choice(fam, omega)
-    f = build_f_t(fam, omega, cal)
+    cal = calibrate_sqrt_choices([fam], [omega])[0]
+    f = build_f_ts([fam], [omega], [cal])[0]
     # gamma at (1, 2, 3, 4) of the variants differentiating at (1, 3, 4, 5) and (2, 3, 4, 5)
     direct = f[3, 5] / f[4, 5]
-    k = kappa(omega, cal)
+    k = kappas([omega], [cal])[0]
     assert abs(k - direct) <= 1e-9 * abs(direct)
     assert abs(ratio_opposite(omega, cal, 2, 1, 5) - direct) <= 1e-9 * abs(direct)
 
@@ -633,25 +633,25 @@ def test_kappa_matches_component_ratio(rng):
 def test_kappa_branch_stability(rng):
     omega = generic_cocycle(rng)
     s = np.sqrt(omega.as_vector())
-    k0 = kappa(omega, s)
-    assert abs(kappa(omega, flipped(omega, s, TRIVIAL_FLIP)) - k0) <= 1e-12 * abs(k0)
-    assert abs(kappa(omega, flipped(omega, s, GLOBAL_FLIP)) - k0) <= 1e-12 * abs(k0)
+    k0 = kappas([omega], [s])[0]
+    assert abs(kappas([omega], [flipped(omega, s, TRIVIAL_FLIP)])[0] - k0) <= 1e-12 * abs(k0)
+    assert abs(kappas([omega], [flipped(omega, s, GLOBAL_FLIP)])[0] - k0) <= 1e-12 * abs(k0)
 
 
 def test_kappa_all_ones_degenerate():
     omega = Cochain(SIMPLEX, 2, {s: 1.0 for s in faces(SIMPLEX, 2)})
     with pytest.raises(DegenerateCocycleError, match="lambda_minus"):
-        kappa(omega)
+        kappas([omega])
 
 
 def test_component_ratio_recovers_double_ratio(rng):
     wm, fam, omega = forward(rng)
-    cal = calibrate_sqrt_choice(fam, omega)
+    cal = calibrate_sqrt_choices([fam], [omega])[0]
     # the spelled-out case: rows (1,2), columns (4,5), as matrix positions
     expected = double_ratios(wm, ratio_positions([((1, 2), (4, 5))]))[0]
     got = ratio_opposite(omega, cal, 1, 2, 4) / ratio_opposite(omega, cal, 1, 2, 5)
     assert abs(got - expected) <= 1e-8 * abs(expected)
-    f = build_f_t(fam, omega, cal)
+    f = build_f_ts([fam], [omega], [cal])[0]
     # gamma at t4 = (1, 2, 3, 5) and t5 = (1, 2, 3, 4), generators 1 and 0, of
     # the variants differentiating at (1, 3, 4, 5) and (2, 3, 4, 5), rows 3 and 4
     by_components = (f[4, 6] * f[3, 5]) / (f[3, 6] * f[4, 5])
@@ -660,7 +660,7 @@ def test_component_ratio_recovers_double_ratio(rng):
 
 def test_reconstruct_preserves_double_ratios(rng):
     wm, fam, omega = forward(rng)
-    cal = calibrate_sqrt_choice(fam, omega)
+    cal = calibrate_sqrt_choices([fam], [omega])[0]
     rebuilt = reconstruct_F(omega, cal)
     target = canonical_ratios(wm)
     got = canonical_ratios(rebuilt)

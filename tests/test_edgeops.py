@@ -19,7 +19,7 @@ from pachner33.edgeops import (
 )
 from pachner33.cocycle2weight import reconstruct_F
 from pachner33.elliptic import elliptic_F, random_elliptic_params
-from pachner33.errors import ConsistencyError, DegenerateWeightError, Pachner33Error
+from pachner33.errors import ConsistencyError, DegenerateWeightError, NumericsError, Pachner33Error
 from pachner33.operators import (
     RANK_RTOL,
     LinearOperator,
@@ -253,26 +253,27 @@ def test_degenerate_weight_names_edge(rng, dead, message):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("first", ("scales", "star"))
-def test_stacked_family_errors_in_weight_order(rng, first):
-    # a weight's star dimensions, then its kernel, then the next weight's
+def test_stacked_family_errors_in_check_order(rng, first):
+    # every weight's star dimensions, then every weight's range, then every
+    # kernel, wherever the failing weights stand in the stack
     dead = {
         "scales": ((1, 2, 3), (1, 2, 4), (1, 2, 5)),
         "star": ((1, 2, 3), (1, 2, 4), (1, 3, 4)),
     }
-    message = {
-        "scales": "edge scale system has kernel dimension 3, expected 1",
-        "star": f"edge (1, 5): {STAR_DIM_2}",
-    }
-    weights = {}
+    weights = {"range": WeightMatrix(SIMPLEX, random_wm(rng).entries * 1e-310)}
     for name, faces_ in dead.items():
         vals = dict(random_phi(rng).values)
         for s in faces_:
             vals[s] = 0.0
         weights[name] = WeightMatrix.from_phi(SIMPLEX, Cochain(SIMPLEX, 2, vals))
-    second = "star" if first == "scales" else "scales"
+    order = ["scales", "range", "star"] if first == "scales" else ["star", "range", "scales"]
+    stack = [random_wm(rng)] + [weights[name] for name in order]
     with pytest.raises(DegenerateWeightError) as err:
-        normalize_families([random_wm(rng), weights[first], weights[second]])
-    assert str(err.value) == message[first]
+        normalize_families(stack)
+    assert str(err.value) == f"edge (1, 5): {STAR_DIM_2}"
+    with pytest.raises(NumericsError) as err:
+        normalize_families([wm for wm in stack if wm is not weights["star"]])
+    assert str(err.value) == "weight on (1, 2, 3, 4, 5) is beyond the float range"
 
 
 # The per-weight code that the stacked families replaced, kept as the
@@ -393,7 +394,7 @@ def test_stacked_cocycles_match_per_family_oracle_bits(kind):
         assert same_bits(extract_w_cocycle(fam).as_vector(), oracle_w_cocycle(fam))
 
 
-def test_stacked_cocycle_errors_come_family_by_family(rng):
+def test_stacked_cocycle_errors_come_check_by_check(rng):
     good = normalize_family(random_wm(rng))
     z = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
     # rank 5 with a random kernel: five dimensions, but no line modulo coboundaries
@@ -405,11 +406,10 @@ def test_stacked_cocycle_errors_come_family_by_family(rng):
         with pytest.raises(error) as stacked:
             extract_w_cocycles([good, fam])
         assert str(stacked.value) == str(alone.value)
-    # a later family's bad kernel does not hide an earlier one's bad quotient
-    with pytest.raises(ConsistencyError):
-        extract_w_cocycles([good, plane, full])
-    with pytest.raises(DegenerateWeightError, match="kernel dimension 0, expected 5"):
-        extract_w_cocycles([good, full, plane])
+    # every family's kernel is checked before any coboundary quotient
+    for stack in ([good, plane, full], [good, full, plane]):
+        with pytest.raises(DegenerateWeightError, match="kernel dimension 0, expected 5"):
+            extract_w_cocycles(stack)
     # a stack that raises keeps nothing; good's cocycle is extracted once after
     assert good.cocycle is None
     assert extract_w_cocycles([good])[0] is extract_w_cocycle(good)
