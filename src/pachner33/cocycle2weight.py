@@ -32,7 +32,9 @@ def _values(omegas, roots=None) -> tuple:
     return w, np.sqrt(w) if roots is None else np.asarray(roots, dtype=complex)
 
 
-def _check_roots(omegas, w: np.ndarray, r: np.ndarray):
+def _check_roots(omegas, w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Raise on the first row's first face whose value vanishes or whose
+    root does not square to it; return |w|."""
     mag = np.abs(w)
     bad = (mag == 0.0) | (np.abs(r * r - w) > 1e-12 * mag)
     if bad.any():
@@ -41,6 +43,7 @@ def _check_roots(omegas, w: np.ndarray, r: np.ndarray):
         if mag[k, i] == 0.0:
             raise DegenerateCocycleError(f"cocycle vanishes on face {cell}")
         raise ConsistencyError(f"root at face {cell} does not square to the value")
+    return mag
 
 
 # a simplex's edges and faces as vertex positions, to their lex indices
@@ -261,14 +264,14 @@ def reconstruct_Fs(omegas, roots=None) -> list:
     # of four roots stay in range.
     scale = 2.0 ** -(np.frexp(np.hypot(w.real, w.imag).max(axis=1, keepdims=True))[1] // 2)
     w, r = w * scale * scale, r * scale
-    _check_roots(omegas, w, r)
+    mag = _check_roots(omegas, w, r)
     ws, rs = w.tolist(), r.tolist()
     for row in zip(ws, rs):
         _kappa(*row)  # probe the common degeneracies early, by name
     # a primitive's least-squares residual: the Hodge Laplacian here is 5
     x = w[:, DEFECT_TERMS]
     delta = x[..., 0] - x[..., 1] + x[..., 2] - x[..., 3]
-    for d, v in zip(abs(delta).tolist(), abs(w).tolist()):
+    for d, v in zip(abs(delta).tolist(), mag.tolist()):
         if math.hypot(*d) / math.sqrt(5) > 1e-9 * math.hypot(*v):
             raise ValueError("cochain has no primitive: not a cocycle")
     alpha = np.array([_alpha(row) for row in rs])[:, RATIO_EDGES][:, :, None]

@@ -165,15 +165,15 @@ def extract_w_cocycles(fams) -> list:
     K meets those six dimensions, where |Dv| = sqrt(5)|v|.  A power of two per
     column of the family leaves K unchanged and makes it scale-free.  Each
     step is one stacked SVD, whose bits are those of each SVD taken alone.
-    Errors come check by check, for the first failing family: the float
-    range, kernel dimensions, then coboundary quotients.
+    Errors come check by check, for the first failing family: kernel
+    dimensions, then coboundary quotients.
     """
     todo = [fam for fam in fams if fam.cocycle is None]
     if todo:
         M = np.array([fam.matrix for fam in todo])
         e = np.frexp(np.abs(M).max(axis=1, keepdims=True))[1]
-        _check_range(todo, e < -1023)  # where 2.0 ** -e overflows
-        M = M * 2.0 ** -e
+        h = np.where(e < -1023, -e // 2, 0)  # where 2.0 ** -e would overflow, two finite factors
+        M = M * 2.0 ** h * 2.0 ** (-e - h)
         _, s, vh = np.linalg.svd(M.transpose(0, 2, 1))
         k = 10 - svd_rank(s)
         if (k != 5).any():

@@ -277,10 +277,12 @@ def bit_matrix(masks: np.ndarray, n: int) -> np.ndarray:
 
 
 @cache
-def _pfaffian_levels(n: int) -> tuple:
+def _pfaffian_levels(n: int, top: int = 0) -> tuple:
     """For each even popcount 2, 4, ..., n: its masks; for each mask and each
     generator above its lowest one, the flat index of their entry in an n x n
-    matrix and the mask left once both are removed; the alternating signs."""
+    matrix and the mask left once both are removed; the alternating signs.
+    Only the masks that those containing the top `top` generators expand
+    into are kept."""
     masks = np.arange(1 << n)
     bits = bit_matrix(masks, n)
     count = bits.sum(axis=1)
@@ -291,22 +293,32 @@ def _pfaffian_levels(n: int) -> tuple:
         low, rest = gens[:, :1], gens[:, 1:]
         sub = m[:, None] ^ (1 << low) ^ (1 << rest)
         levels.append((m, low * n + rest, sub, (-1.0) ** np.arange(k - 1)))
-    return tuple(levels)
+    need = masks >= (1 << n) - (1 << (n - top))  # the masks that contain the top generators
+    kept = []
+    for m, entry, sub, alt in reversed(levels):
+        keep = need[m]
+        need[sub[keep]] = True
+        kept.append((m[keep], entry[keep], sub[keep], alt))
+    return tuple(kept[::-1])
 
 
-def gaussian_coefficients(A: np.ndarray) -> np.ndarray:
-    """Coefficients of exp(sum_{i<j} A[i, j] x_i x_j) as a (2^n,) array by mask.
+def gaussian_coefficients(A: np.ndarray, top: int = 0) -> np.ndarray:
+    """Coefficients of exp(sum_{i<j} A[i, j] x_i x_j) as a (2^n,) array by mask;
+    with `top`, only those at masks that contain the top `top` generators,
+    the array's last 2^(n - top) entries, from only the minors they need.
 
     The coefficient at an even mask is the Pfaffian of A's principal minor on
     its generators (Berezin); odd masks are 0.  Minors are filled by popcount,
-    each expanded along its lowest generator, so no division is needed.  Only
-    the upper triangle of A is read.
+    each expanded along its lowest generator, so no division is needed and
+    each has the same bits whichever others are filled.  Only the upper
+    triangle of A is read.
     """
     A = np.asarray(A, dtype=complex)
+    n = A.shape[0]
     flat = A.ravel()
-    pf = np.zeros(1 << A.shape[0], dtype=complex)
+    pf = np.zeros(1 << n, dtype=complex)
     pf[0] = 1.0
-    for m, entry, sub, alt in _pfaffian_levels(A.shape[0]):
+    for m, entry, sub, alt in _pfaffian_levels(n, top):
         # einsum, not @: on several BLAS threads a product this small costs far more
         pf[m] = np.einsum("ij,j->i", flat.take(entry) * pf.take(sub), alt)
-    return pf
+    return pf[(1 << n) - (1 << (n - top)) :]

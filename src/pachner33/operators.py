@@ -111,11 +111,20 @@ def _action_sources(n: int) -> np.ndarray:
     return out
 
 
-def action_matrix(c: np.ndarray) -> np.ndarray:
+@cache
+def _parity_sources(n: int, parity: int) -> np.ndarray:
+    """_action_sources(n)'s rows at masks whose degree has the given parity."""
+    return _action_sources(n)[bit_matrix(np.arange(1 << n), n).sum(axis=1) % 2 == parity]
+
+
+def action_matrix(c: np.ndarray, parity: int | None = None) -> np.ndarray:
     """The (2^n x 2n) matrix taking an operator's (beta, gamma) vector to the
     operator applied to the element with dense coefficients c (see
     GrassmannElement.dense): column i holds d_i f and column n+i holds x_i f.
-    A stack of coefficient vectors gives the stack of their matrices.
+    A stack of coefficient vectors gives the stack of their matrices.  With
+    `parity`, only the rows at masks whose degree has that parity: every
+    operator takes an element of one parity to the other, so for an odd f
+    the rows at odd masks hold only zeros.
 
     On a monomial without x_i, x_i moves in past the generators below it; on
     one with x_i, d_i moves x_i out past the same generators.  Either way the
@@ -123,7 +132,8 @@ def action_matrix(c: np.ndarray) -> np.ndarray:
     """
     c = np.asarray(c, dtype=complex)
     table = np.concatenate([c, -c, np.zeros_like(c[..., :1])], axis=-1)
-    return table.take(_action_sources(c.shape[-1].bit_length() - 1), axis=-1)
+    n = c.shape[-1].bit_length() - 1
+    return table.take(_action_sources(n) if parity is None else _parity_sources(n, parity), axis=-1)
 
 
 def annihilator_of(f: GrassmannElement) -> np.ndarray:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -89,13 +90,12 @@ def _side_inner(side: str) -> tuple:
     return INNER_LHS if side == "lhs" else INNER_RHS
 
 
-def _components(families: np.ndarray, pick: int, rows=slice(None)) -> np.ndarray:
+def _components(families: np.ndarray) -> np.ndarray:
     """(beta, gamma) of each shared tetrahedron's six edge operators, read
-    from its owner `pick` (0 for the left, 1 for the right), as an array
-    [tetrahedron, edge, component]; `rows` selects tetrahedra of SHARED."""
-    u, slot = OWNER[rows, pick], SLOT[rows, pick]
-    cols = slot[:, None, None] + np.array([0, 5])  # beta and gamma columns
-    return families[u[:, None, None], EDGE_ROWS[rows, pick][:, :, None], cols]
+    from both its owners, left then right, as an array [tetrahedron, owner,
+    edge, component] indexed like SHARED."""
+    cols = SLOT[:, :, None, None] + np.array([0, 5])  # beta and gamma columns
+    return families[OWNER[:, :, None, None], EDGE_ROWS[:, :, :, None], cols]
 
 
 def _fit(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -137,13 +137,20 @@ class ReconciledWeights:
     """Weights, operator families and scales that agree on shared tetrahedra,
     each indexed like SIMPLICES: six WeightMatrix objects, the families as a
     (6, 10, 10) array, each simplex's gauge as a row of five scales in
-    generator (lex) order, and its scale rho."""
+    generator (lex) order, and its scale rho; and both owners' components
+    of each shared tetrahedron (see _components)."""
 
     matrices: tuple
     families: np.ndarray
     gauges: np.ndarray
     rho: np.ndarray
     loop_residuals: tuple
+    components: np.ndarray
+
+    @cached_property
+    def gauged(self) -> np.ndarray:
+        """The six gauged matrices, (6, 5, 5), built once (see gauged_entries)."""
+        return gauged_entries(self.matrices, self.gauges)
 
 
 def reconcile(omega: Cochain) -> ReconciledWeights:
@@ -158,7 +165,8 @@ def reconcile(omega: Cochain) -> ReconciledWeights:
     matrices = tuple(reconstruct_F(omega.restrict(u)) for u in SIMPLICES)
     families = normalize_families(matrices)
 
-    c1, c2 = _components(families, 0), _components(families, 1)
+    comps = _components(families)
+    c1, c2 = comps[:, 0], comps[:, 1]
     maps = _fit(c1, c2)
     _check_diagonal(c1, c2, maps)
 
@@ -178,32 +186,44 @@ def reconcile(omega: Cochain) -> ReconciledWeights:
     # the left owner of each tetrahedron keeps gauge one there
     gauges = np.ones((len(SIMPLICES), 5), dtype=complex)
     gauges[OWNER[:, 1], SLOT[:, 1]] = maps[:, 0, 0] * rho[OWNER[:, 1]] / rho[OWNER[:, 0]]
-    return ReconciledWeights(matrices, families, gauges, rho, tuple(loops.tolist()))
+    return ReconciledWeights(matrices, families, gauges, rho, tuple(loops.tolist()), comps)
 
 
-def _composed(rec: ReconciledWeights, pick: int) -> np.ndarray:
+# where _composed places each boundary tetrahedron's components, indexed like
+# them, [tetrahedron, owner, edge, component]: at the owner's matrix, the
+# edge's row, and columns i and n + i for the beta and gamma components at
+# boundary tetrahedron i
+_N = len(BOUNDARY_TETRAHEDRA)
+COMPOSED_AT = (
+    np.arange(2)[:, None, None],
+    EDGES[BOUNDARY][:, None, :, None],
+    np.arange(_N)[:, None, None, None] + np.array([0, _N]),
+)
+
+
+def _composed(rec: ReconciledWeights) -> np.ndarray:
     """The 15 composed operators on the boundary space as (beta, gamma) rows,
-    in edge-lex order, each component the scaled, gauge-adjusted one of the
-    owner selected by `pick` (0 for the left owner, 1 for the right)."""
-    u = OWNER[BOUNDARY, pick]  # a boundary tetrahedron's owners are (left, right)
-    lam, r = rec.gauges[u, SLOT[BOUNDARY, pick]], rec.rho[u]
-    scaled = _components(rec.families, pick, BOUNDARY) * np.stack([r / lam, r * lam], axis=1)[:, None]
-    n = len(BOUNDARY_TETRAHEDRA)
-    out = np.zeros((len(faces(VERTICES, 1)), 2 * n), dtype=complex)
-    # columns i and n + i: the beta and gamma components at boundary tetrahedron i
-    out[EDGES[BOUNDARY][:, :, None], np.arange(n)[:, None, None] + np.array([0, n])] = scaled
+    in edge-lex order, read off the left owner of each boundary tetrahedron
+    (out[0]) and off the right (out[1]), as a (2, 15, 18) array: each
+    component the scaled, gauge-adjusted one of that owner."""
+    u = OWNER[BOUNDARY]  # a boundary tetrahedron's owners are (left, right)
+    lam, r = rec.gauges[u, SLOT[BOUNDARY]], rec.rho[u]
+    scaled = rec.components[BOUNDARY] * np.stack([r / lam, r * lam], axis=2)[:, :, None]
+    out = np.zeros((2, len(faces(VERTICES, 1)), 2 * _N), dtype=complex)
+    out[COMPOSED_AT] = scaled
     return out
 
 
 def _side_slots(side: str) -> tuple:
-    """Each of a side's simplices, as its index in SIMPLICES and the generator
-    slots of its five tetrahedra in the side's 12x12 form: the nine boundary
-    tetrahedra on 0-8 in lex order, the inner ones on 9-11, innermost (the
-    first integrated) last."""
+    """A side's simplices as their indices in SIMPLICES, (3,), and the
+    generator slots of each one's five tetrahedra in the side's 12x12 form,
+    (3, 5): the nine boundary tetrahedra on 0-8 in lex order, the inner ones
+    on 9-11, innermost (the first integrated) last."""
     slot = {t: i for i, t in enumerate(BOUNDARY_TETRAHEDRA + _side_inner(side)[::-1])}
-    return tuple(
-        (SIMPLICES.index(u), np.array([slot[t] for t in opposite_tetrahedra(u)]))
-        for u in side_simplices(side)
+    us = side_simplices(side)
+    return (
+        np.array([SIMPLICES.index(u) for u in us]),
+        np.array([[slot[t] for t in opposite_tetrahedra(u)] for u in us]),
     )
 
 
@@ -218,10 +238,12 @@ def side_weight(rec: ReconciledWeights, side: str) -> np.ndarray:
     is the Gaussian of the side's assembled 12x12 form.  Three integrations
     leave an odd element: entries at even masks are 0.
     """
+    u, ix = _SIDE_SLOTS[side]
     A = np.zeros((12, 12), dtype=complex)
-    for i, ix in _SIDE_SLOTS[side]:
-        A[ix[:, None], ix] -= gauged_entries(rec.matrices[i], rec.gauges[i])
-    return gaussian_coefficients(A)[-512:]
+    # two simplices share only a diagonal slot, where both hold 0 and which
+    # gaussian_coefficients does not read; 0 - F rounds as -= on zeros does
+    A[ix[:, :, None], ix[:, None, :]] = 0 - rec.gauged[u]
+    return gaussian_coefficients(A, top=3)  # the masks holding the three inner generators
 
 
 CONST_FLOOR = 1e-10  # a |const| at or below this reads as a vanishing integral
@@ -265,28 +287,26 @@ def verify_33(rec: ReconciledWeights) -> Verification33:
     SL = side_weight(rec, "lhs")
     SR = side_weight(rec, "rhs")
     abs_l, abs_r = np.abs(SL), np.abs(SR)
-    if abs_r.max() == 0:
+    peaks = [abs_l.max(), abs_r.max()]
+    if peaks[1] == 0:
         raise DegenerateWeightError("right-hand side integrates to zero")
-    if abs_l.max() == 0:
+    if peaks[0] == 0:
         raise DegenerateWeightError("left-hand side integrates to zero")
     top = np.argmax(abs_r)  # the first largest: the lowest mask among ties
     const = SL[top] / SR[top]
-    scale = abs_l.max()
-    max_residual = np.abs(SL - const * SR).max() / scale
+    max_residual = np.abs(SL - const * SR).max() / peaks[0]
 
     # rows are the 15 composed operators' (beta, gamma) vectors, read off
     # the left and the right owner of each boundary tetrahedron
-    lhs_mat, rhs_mat = _composed(rec, 0), _composed(rec, 1)
+    lhs_mat, rhs_mat = _composed(rec)
     norms = np.maximum(np.linalg.norm(lhs_mat, axis=1), 1e-300)
     both = np.maximum(norms, np.linalg.norm(rhs_mat, axis=1))
     agreement = (np.abs(lhs_mat - rhs_mat).max(axis=1) / both).max()
-    anni = max(
-        (np.abs(action_matrix(S) @ lhs_mat.T).max(axis=0) / norms).max() / abs_s.max()
-        for S, abs_s in ((SL, abs_l), (SR, abs_r))
-    )
+    # each side is odd, so the operators land on its masks of even degree
+    applied = np.abs(action_matrix(np.array([SL, SR]), parity=0) @ lhs_mat.T)
+    anni = max(((applied.max(axis=1) / norms).max(axis=1) / peaks).tolist())
     # pairing <d, e> = beta_d . gamma_e + beta_e . gamma_d, for all pairs at once
-    n = len(BOUNDARY_TETRAHEDRA)
-    cross = lhs_mat[:, :n] @ lhs_mat[:, n:].T
+    cross = lhs_mat[:, :_N] @ lhs_mat[:, _N:].T
     iso = (np.abs(cross + cross.T) / np.outer(norms, norms)).max()
     # the annihilator's dimension is the rank the angle step's basis is cut at
     basis = column_space(lhs_mat.T)

@@ -159,21 +159,24 @@ def weight_operators(wm: WeightMatrix) -> np.ndarray:
     return np.hstack([np.eye(5, dtype=complex)[:, ::-1], wm.entries[:, ::-1]])
 
 
-def gauged_entries(wm: WeightMatrix, scales) -> np.ndarray:
-    """Congruence F -> AFA for the rescale x_t -> scale_t * x_t, the five
-    scales given in generator (lex) order: A is their diagonal in the
-    matrix's opposite-vertex order, which is the reverse."""
+def gauged_entries(wms, scales) -> np.ndarray:
+    """Congruences F -> AFA for the rescales x_t -> scale_t * x_t, one per
+    weight of a sequence, as a (B, 5, 5) stack: row b of scales holds weight
+    b's five scales in generator (lex) order, and A is their diagonal in the
+    matrix's opposite-vertex order, which is the reverse.  A zero scale
+    raises, naming the first weight's first such tetrahedron."""
     scales = np.asarray(scales, dtype=complex)
-    for t, lam in zip(faces(wm.simplex, 3), scales):
-        if lam == 0:
-            raise ValueError(f"gauge scale for {t} must be nonzero")
-    A = np.diag(scales[::-1])
-    return A @ wm.entries @ A
+    if (scales == 0).any():
+        k, i = np.argwhere(scales == 0)[0]
+        raise ValueError(f"gauge scale for {faces(wms[k].simplex, 3)[i]} must be nonzero")
+    A = np.zeros((len(scales), 5, 5), dtype=complex)
+    A.reshape(-1, 25)[:, ::6] = scales[:, ::-1]  # the diagonals
+    return A @ np.array([wm.entries for wm in wms]) @ A
 
 
 def apply_gauge_to_F(wm: WeightMatrix, scales) -> WeightMatrix:
     """The gauged weight (see gauged_entries)."""
-    return WeightMatrix(wm.simplex, gauged_entries(wm, scales))
+    return WeightMatrix(wm.simplex, gauged_entries([wm], [scales])[0])
 
 
 def double_ratios(wm: WeightMatrix, positions) -> np.ndarray:
@@ -210,13 +213,13 @@ def solve_F_from_ratios(simplex, ratios) -> WeightMatrix:
     b = -1.0 / d4
     d = -1.0 / d5
     E = [
-        [0.0, 1.0, a, b, -1.0],
-        [-1.0, 0.0, 1.0, c, d],
-        [-a, -1.0, 0.0, 1.0, e],
-        [-b, -c, -1.0, 0.0, 1.0],
-        [1.0, -d, -e, -1.0, 0.0],
+        0.0, 1.0, a, b, -1.0,
+        -1.0, 0.0, 1.0, c, d,
+        -a, -1.0, 0.0, 1.0, e,
+        -b, -c, -1.0, 0.0, 1.0,
+        1.0, -d, -e, -1.0, 0.0,
     ]
-    wm = WeightMatrix(simplex, np.array(E, dtype=complex))
+    wm = WeightMatrix(simplex, np.array(E, dtype=complex).reshape(5, 5))
     r = np.array(ratios, dtype=complex)
     worst = max((np.abs(canonical_ratios(wm) - r) / np.maximum(np.abs(r), 1e-300)).tolist())
     if worst > 1e-9:

@@ -217,7 +217,8 @@ def test_criterion_1_fails_on_a_side_slot_swap(monkeypatch, side):
     """Swap the slots of two inner tetrahedra in side_weight's table: the top
     512 minors then read the negated integral."""
     swap = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 9, 11])
-    swapped = tuple((i, swap[ix]) for i, ix in pachner._SIDE_SLOTS[side])
+    u, ix = pachner._SIDE_SLOTS[side]
+    swapped = (u, swap[ix])
     monkeypatch.setitem(pachner._SIDE_SLOTS, side, swapped)
     passed, detail = acceptance.criterion_1()  # a crash errors the test
     assert not passed, detail

@@ -246,6 +246,17 @@ def test_gaussian_coefficients_are_pfaffians():
     assert pf[0b1111] == A[0, 1] * A[2, 3] - A[0, 2] * A[1, 3] + A[0, 3] * A[1, 2]
 
 
+@pytest.mark.parametrize("n", (0, 1, 4, 7, 12))
+def test_coefficients_at_the_top_generators_have_the_full_arrays_bits(rng, n):
+    """With `top`, gaussian_coefficients fills only the minors that the masks
+    holding the top generators expand into; each returned coefficient has
+    the bits of the full array's last 2^(n - top) entries."""
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    full = gaussian_coefficients(A)
+    for top in range(n + 1):
+        assert gaussian_coefficients(A, top).tobytes() == full[(1 << n) - (1 << (n - top)) :].tobytes()
+
+
 def test_dense_layout():
     e = 2.0 * GrassmannElement.scalar(SPACE, 1.0) + (0.5j) * (x(2) * x(4))
     d = e.dense()

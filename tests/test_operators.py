@@ -91,6 +91,21 @@ def test_action_matrix_matches_derivative_and_product(rng, n, parity):
             assert np.array_equal(M[:, col], expected)
 
 
+@pytest.mark.parametrize("n", (1, 4, 9))
+def test_action_matrix_rows_of_one_parity(rng, n):
+    """With `parity`, action_matrix keeps the rows at masks of that degree
+    parity, in mask order, with the full matrix's bits, on one vector and on
+    a stack; an odd element's operators land on its even rows only."""
+    c = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
+    full = action_matrix(c)
+    for parity in (0, 1):
+        rows = [m for m in range(1 << n) if m.bit_count() % 2 == parity]
+        assert action_matrix(c, parity).tobytes() == full[:, rows].tobytes()
+        assert action_matrix(c[0], parity).tobytes() == full[0, rows].tobytes()
+    odd = np.where([m.bit_count() % 2 for m in range(1 << n)], c[0], 0)
+    assert not action_matrix(odd, 1).any()
+
+
 def test_anticommutator_equals_scalar_product(rng):
     # the pairing is defined so that d1 d2 + d2 d1 acts as the scalar <d1,d2>
     for _ in range(25):

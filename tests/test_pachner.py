@@ -3,6 +3,7 @@ integrated identity between the two sides."""
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import re
 
@@ -15,9 +16,16 @@ from pachner33.acceptance import elliptic_scene_cocycle
 from pachner33.elliptic import elliptic_cocycle, random_elliptic_params
 from pachner33 import pachner
 from pachner33.errors import ConsistencyError, DegenerateWeightError, Pachner33Error
-from pachner33.grassmann import GeneratorSpace, GrassmannElement, _pfaffian_levels, berezin_integral
-from pachner33.operators import LinearOperator
+from pachner33.grassmann import (
+    GeneratorSpace,
+    GrassmannElement,
+    _pfaffian_levels,
+    berezin_integral,
+    gaussian_coefficients,
+)
+from pachner33.operators import LinearOperator, action_matrix, basis_angles, column_space
 from pachner33.pachner import (
+    BOUNDARY,
     BOUNDARY_TETRAHEDRA,
     EDGE_ROWS,
     EDGES,
@@ -32,6 +40,7 @@ from pachner33.pachner import (
     SLOT,
     TREE,
     VERTICES,
+    Verification33,
     _SIDE_SLOTS,
     _check_diagonal,
     _components,
@@ -44,7 +53,7 @@ from pachner33.pachner import (
     verify_33,
 )
 from pachner33.simplicial import Cochain, faces, generic_cocycle, random_cocycle
-from pachner33.weights import apply_gauge_to_F, gaussian_weight
+from pachner33.weights import apply_gauge_to_F, gauged_entries, gaussian_weight, opposite_tetrahedra
 
 BOUNDARY_SPACE = GeneratorSpace(BOUNDARY_TETRAHEDRA)
 
@@ -185,7 +194,8 @@ def _assert_maps_match(c1, c2):
 @pytest.mark.parametrize("kind", ("generic", "elliptic"))
 def test_stacked_fit_matches_lstsq(kind):
     for rec in _scenes(kind, 20):
-        _assert_maps_match(_components(rec.families, 0), _components(rec.families, 1))
+        comps = _components(rec.families)
+        _assert_maps_match(comps[:, 0], comps[:, 1])
 
 
 def test_stacked_fit_matches_lstsq_on_rank_deficient_blocks(rng):
@@ -355,7 +365,7 @@ def mp_side_weight(rec, side):
     out, and H: the same recursion in floats on |A| with every sign +1, the
     sum of the minors' absolute terms.  Both are read off the top 512 masks."""
     A = np.zeros((12, 12), dtype=complex)
-    for i, ix in _SIDE_SLOTS[side]:
+    for i, ix in zip(*_SIDE_SLOTS[side]):
         gauged = apply_gauge_to_F(rec.matrices[i], rec.gauges[i])
         A[ix[:, None], ix] -= gauged.entries
     flat = A.ravel()
@@ -391,7 +401,7 @@ def test_composed_operators(rng):
     rec = reconcile(generic_cocycle(rng, VERTICES))
     space = BOUNDARY_SPACE
     n = space.n
-    lhs, rhs = _composed(rec, 0), _composed(rec, 1)
+    lhs, rhs = _composed(rec)
     sl = side_element(rec, "lhs")
     sr = side_element(rec, "rhs")
     agreement = anni = 0.0
@@ -434,7 +444,7 @@ def test_composed_matches_scalar_fill(rng):
             for a, b, g in zip(faces(u, 1), rec.families[k][:, s], rec.families[k][:, 5 + s]):
                 expected[row[a], i] = r * b / lam
                 expected[row[a], 9 + i] = r * g * lam
-        got = _composed(rec, pick)
+        got = _composed(rec)[pick]
         assert np.all((got == 0) == (expected == 0))
         assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
 
@@ -497,3 +507,110 @@ def test_const_follows_the_gauge_law(seed, gauge_seed):
     ratio = rep.const / (base * law)
     assert min(abs(ratio - 1), abs(ratio + 1)) < 1e-11, ratio
     assert rep.worst < 1e-11
+
+
+def _seed_scenes(kind):
+    """The scenes of seeds 0-29 that reconcile, drawn as the CLI draws them."""
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        if kind == "elliptic":
+            om = elliptic_cocycle(random_elliptic_params(rng, VERTICES))
+        else:
+            om = generic_cocycle(rng, VERTICES)
+        try:
+            yield reconcile(om)
+        except Pachner33Error:
+            continue
+
+
+def oracle_gauged(wm, scales) -> np.ndarray:
+    """One weight's congruence by the diagonal of its reversed scales."""
+    A = np.diag(np.asarray(scales, dtype=complex)[::-1])
+    return A @ wm.entries @ A
+
+
+@pytest.mark.parametrize("kind", ("generic", "elliptic"))
+def test_stacked_gauge_has_the_bits_of_its_rows(kind):
+    for rec in _seed_scenes(kind):
+        stacked = gauged_entries(rec.matrices, rec.gauges)
+        rows = [gauged_entries([wm], [lam])[0] for wm, lam in zip(rec.matrices, rec.gauges)]
+        alone = [oracle_gauged(wm, lam) for wm, lam in zip(rec.matrices, rec.gauges)]
+        assert stacked.tobytes() == np.array(rows).tobytes() == np.array(alone).tobytes()
+
+
+@pytest.mark.parametrize(
+    "zeros, k, i",
+    (([(4, 2)], 4, 2), ([(5, 0), (2, 3)], 2, 3), ([(1, 4), (1, 1), (0, 2)], 0, 2)),
+)
+def test_a_zero_gauge_scale_is_named(rng, zeros, k, i):
+    """A zero scale raises when the sides are integrated, naming the first
+    such tetrahedron of the first simplex that has one: the left side's
+    simplices come first, as when each side gauged its own."""
+    rec = reconcile(generic_cocycle(rng, VERTICES))
+    gauges = rec.gauges.copy()
+    for at in zeros:
+        gauges[at] = 0
+    message = f"gauge scale for {faces(SIMPLICES[k], 3)[i]} must be nonzero"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_33(dataclasses.replace(rec, gauges=gauges))
+
+
+def oracle_side_weight(rec, side) -> np.ndarray:
+    """A side's coefficients from its form assembled block by block, each
+    simplex gauged on its own."""
+    slot = {t: i for i, t in enumerate(BOUNDARY_TETRAHEDRA + _side_inner(side)[::-1])}
+    A = np.zeros((12, 12), dtype=complex)
+    for u in side_simplices(side):
+        i = SIMPLICES.index(u)
+        ix = np.array([slot[t] for t in opposite_tetrahedra(u)])
+        A[ix[:, None], ix] -= oracle_gauged(rec.matrices[i], rec.gauges[i])
+    return gaussian_coefficients(A)[-512:]
+
+
+def oracle_composed(rec, pick) -> np.ndarray:
+    """The composed operators read off one owner, its components gathered on their own."""
+    u, slot = OWNER[BOUNDARY, pick], SLOT[BOUNDARY, pick]
+    cols = slot[:, None, None] + np.array([0, 5])
+    comps = rec.families[u[:, None, None], EDGE_ROWS[BOUNDARY, pick][:, :, None], cols]
+    lam, r = rec.gauges[u, slot], rec.rho[u]
+    scaled = comps * np.stack([r / lam, r * lam], axis=1)[:, None]
+    out = np.zeros((15, 18), dtype=complex)
+    out[EDGES[BOUNDARY][:, :, None], np.arange(9)[:, None, None] + np.array([0, 9])] = scaled
+    return out
+
+
+def oracle_verify_33(rec) -> Verification33:
+    """verify_33 side by side and owner by owner."""
+    SL, SR = oracle_side_weight(rec, "lhs"), oracle_side_weight(rec, "rhs")
+    abs_l, abs_r = np.abs(SL), np.abs(SR)
+    top = np.argmax(abs_r)
+    const = SL[top] / SR[top]
+    max_residual = np.abs(SL - const * SR).max() / abs_l.max()
+    lhs_mat, rhs_mat = oracle_composed(rec, 0), oracle_composed(rec, 1)
+    norms = np.maximum(np.linalg.norm(lhs_mat, axis=1), 1e-300)
+    both = np.maximum(norms, np.linalg.norm(rhs_mat, axis=1))
+    agreement = (np.abs(lhs_mat - rhs_mat).max(axis=1) / both).max()
+    anni = max(
+        (np.abs(action_matrix(S) @ lhs_mat.T).max(axis=0) / norms).max() / abs_s.max()
+        for S, abs_s in ((SL, abs_l), (SR, abs_r))
+    )
+    cross = lhs_mat[:, :9] @ lhs_mat[:, 9:].T
+    iso = (np.abs(cross + cross.T) / np.outer(norms, norms)).max()
+    basis = column_space(lhs_mat.T)
+    angles = basis_angles(basis, column_space(rhs_mat.T))
+    return Verification33(
+        const=complex(const),
+        max_residual=float(max_residual),
+        agreement=float(agreement),
+        annihilation_residual=float(anni),
+        isotropy_residual=float(iso),
+        annihilator_dimension=basis.shape[1],
+        annihilator_angle=float(angles.max()) if angles.size else 0.0,
+        loop_residuals=rec.loop_residuals,
+    )
+
+
+@pytest.mark.parametrize("kind", ("generic", "elliptic"))
+def test_verify_33_has_the_bits_of_the_side_by_side_oracle(kind):
+    for rec in _seed_scenes(kind):
+        assert repr(verify_33(rec)) == repr(oracle_verify_33(rec))
