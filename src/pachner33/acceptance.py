@@ -23,13 +23,7 @@ from .cocycle2weight import (
     reconstruct_Fs,
     superisotropic_fs,
 )
-from .edgeops import (
-    SIGNS,
-    EdgeOperatorFamily,
-    _raw_edge_operators,
-    extract_w_cocycles,
-    normalize_families,
-)
+from .edgeops import SIGNS, EdgeOperatorFamily, extract_w_cocycles, normalize_families
 from .elliptic import (
     EllipticParams,
     elliptic_F,
@@ -43,7 +37,7 @@ from .grassmann import bit_matrix, gaussian_coefficients
 from .operators import action_matrix, principal_angles, svd_rank
 from .simplicial import SIMPLEX, Cochain, coboundary_values, faces, generic_cocycle
 from .simplicial import roundtrip_residual
-from .weights import WeightMatrix, apply_gauge_to_F, canonical_ratios, face_values, opposite_tetrahedra
+from .weights import WeightMatrix, canonical_ratios, face_values, gauged_entries, opposite_tetrahedra
 from .weights import random_disc, random_weight_matrix, weight_operators
 from . import pachner
 from .pachner import BOUNDARY_TETRAHEDRA, INNER_LHS, INNER_RHS, SIMPLICES, reconcile, verify_33
@@ -204,11 +198,9 @@ def criterion_3(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
     tol = 1e-10 if tolerance is None else tolerance
     rng = np.random.default_rng(seed + 3)
     wms = [random_weight_matrix(rng) for _ in range(100)]
-    E = np.array([wm.entries for wm in wms])
-    raw = _raw_edge_operators(E)
-    families = normalize_families(wms, raw)  # raises unless each star and kernel is 1-dimensional
-    ref = _edge12_reference(face_values(E))
-    mine = raw[0][:, 0, [2, 7, 1, 6, 0, 5]]  # (1, 2)'s beta and gamma at generators 2, 1 and 0
+    families = normalize_families(wms)  # raises unless each star and kernel is 1-dimensional
+    ref = _edge12_reference(face_values(np.array([wm.entries for wm in wms])))
+    mine = families[:, 0, [2, 7, 1, 6, 0, 5]]  # (1, 2)'s beta and gamma at generators 2, 1 and 0
     j = np.abs(ref).argmax(axis=1)[:, None]
     scale = np.take_along_axis(ref, j, 1) / np.take_along_axis(mine, j, 1)
     worst_ref = (np.abs(ref - scale * mine).max(axis=1) / np.abs(ref).max(axis=1)).max()
@@ -222,13 +214,12 @@ def criterion_4(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
     tol_coc = 1e-12 if tolerance is None else tolerance
     tol = 1e-9 if tolerance is None else tolerance
     rng = np.random.default_rng(seed + 4)
-    wms, gauged = [], []
+    wms, scales = [], []
     for _ in range(100):
-        wm = random_weight_matrix(rng)
+        wms.append(random_weight_matrix(rng))
         # drawn in opposite-vertex order, the reverse of generator order
-        scales = np.array([random_disc(rng, 0.2) for _ in range(5)])[::-1]
-        wms.append(wm)
-        gauged.append(apply_gauge_to_F(wm, scales))
+        scales.append([random_disc(rng, 0.2) for _ in range(5)][::-1])
+    gauged = [WeightMatrix(wm.simplex, E) for wm, E in zip(wms, gauged_entries(wms, scales))]
     fams, omegas = _families(wms)
     _, omegas2 = _families(gauged)
     w = np.array([om.as_vector() for om in omegas])

@@ -51,24 +51,11 @@ def _complex(z) -> str:
     return f"[{float(z.real):.17g}, {float(z.imag):.17g}]"
 
 
-def _render(obj) -> str:
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return _complex(obj)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    raise TypeError(f"cannot render {type(obj).__name__}")
-
-
-# a scalar's renderer by its exact type; _render takes other types
-RENDER = {float: _fmt, np.float64: _fmt, complex: _complex, np.complex128: _complex, str: _quote, int: str}
+# a scalar's renderer by its exact type
+RENDER = {
+    float: _fmt, np.float64: _fmt, np.float32: _fmt, complex: _complex, np.complex128: _complex,
+    str: _quote, int: str, np.int64: str, bool: lambda b: "true" if b else "false", type(None): lambda _: "null",
+}
 _NESTED = (dict, list, tuple)
 
 
@@ -79,7 +66,7 @@ def _lines(obj, pad: str, head: str, tail: str, out: list) -> None:
         if not obj:
             out.append(head + "{}" + tail)
         elif len(obj) <= 6 and not any(map(isinstance, obj.values(), repeat(_NESTED))):
-            body = ", ".join([f"{_quote(str(k))}: {RENDER.get(type(v), _render)(v)}" for k, v in sorted(obj.items())])
+            body = ", ".join([f"{_quote(str(k))}: {RENDER[type(v)](v)}" for k, v in sorted(obj.items())])
             out.append(head + "{" + body + "}" + tail)
         else:
             out.append(head + "{")
@@ -90,7 +77,7 @@ def _lines(obj, pad: str, head: str, tail: str, out: list) -> None:
             out.append(pad + "}" + tail)
     elif isinstance(obj, (list, tuple)):
         if len(obj) <= 8 and not any(map(isinstance, obj, repeat(_NESTED))):
-            out.append(head + "[" + ", ".join([RENDER.get(type(v), _render)(v) for v in obj]) + "]" + tail)
+            out.append(head + "[" + ", ".join([RENDER[type(v)](v) for v in obj]) + "]" + tail)
         else:
             out.append(head + "[")
             inner = pad + "  "
@@ -98,12 +85,15 @@ def _lines(obj, pad: str, head: str, tail: str, out: list) -> None:
                 _lines(v, inner, inner, "," if i < len(obj) else "", out)
             out.append(pad + "]" + tail)
     else:
-        out.append(head + RENDER.get(type(obj), _render)(obj) + tail)
+        out.append(head + RENDER[type(obj)](obj) + tail)
 
 
 def dumps(obj) -> str:
     out: list[str] = []
-    _lines(obj, "", "", "", out)
+    try:
+        _lines(obj, "", "", "", out)
+    except KeyError as e:  # a scalar type RENDER does not list
+        raise TypeError(f"cannot render {e.args[0].__name__}") from None
     return "\n".join(out) + "\n"
 
 
@@ -237,7 +227,10 @@ def _read(path: str, parse):
     """parse() applied to the JSON object in a file; malformed content is a
     ValueError that names the problem."""
     with open(path, encoding="utf-8") as fh:
-        d = json.load(fh, object_pairs_hook=_members)
+        try:
+            d = json.load(fh, object_pairs_hook=_members)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
     if not isinstance(d, dict):
         raise ValueError(f"top-level JSON value is {type(d).__name__}, not an object")
     try:

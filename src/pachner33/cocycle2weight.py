@@ -82,9 +82,8 @@ def alpha_stack(omegas, roots=None) -> np.ndarray:
 
 def _combine(fams, alpha: np.ndarray) -> np.ndarray:
     """The (beta, gamma) vectors of sum_j alpha[b, ..., j] times family b's
-    row j, summed left to right, for alpha (B, 10) or (B, n, 10)."""
-    rows = np.array([fam.matrix for fam in fams]).reshape(len(fams), *[1] * (alpha.ndim - 2), 10, 10)
-    return sum(alpha[..., j, None] * rows[..., j, :] for j in range(10))
+    row j, for alpha (B, 10) or (B, n, 10)."""
+    return np.einsum("b...j,bjk->b...k", alpha, np.array([fam.matrix for fam in fams]))
 
 
 def superisotropic_fs(fams, omegas, roots=None) -> np.ndarray:

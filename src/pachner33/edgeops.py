@@ -121,9 +121,9 @@ def raw_edge_operator(wm: WeightMatrix) -> np.ndarray:
     return raw[0]
 
 
-def normalize_families(wms, raw=None) -> np.ndarray:
+def normalize_families(wms) -> np.ndarray:
     """The normalized edge operator families of a sequence of weights, as a
-    (B, 10, 10) array; `raw` is the weights' _raw_edge_operators, if built.
+    (B, 10, 10) array.
 
     Each weight's raw operators are scaled so all five vertex coboundaries
     vanish.  The scales solve a homogeneous linear system, one block of
@@ -134,7 +134,7 @@ def normalize_families(wms, raw=None) -> np.ndarray:
     first failing weight: star dimensions, the float range, then kernel
     dimensions.
     """
-    raw, dims = _raw_edge_operators(np.array([wm.entries for wm in wms])) if raw is None else raw
+    raw, dims = _raw_edge_operators(np.array([wm.entries for wm in wms]))
     _check_stars(wms, dims)
     _check_range(wms, ~np.isfinite(raw))
     # exact +0 where an edge misses the vertex (s * x can give -0): a signed
@@ -172,8 +172,8 @@ def extract_w_cocycles(fams) -> list:
     if todo:
         M = np.array([fam.matrix for fam in todo])
         e = np.frexp(np.abs(M).max(axis=1, keepdims=True))[1]
-        h = np.where(e < -1023, -e // 2, 0)  # where 2.0 ** -e would overflow, two finite factors
-        M = M * 2.0 ** h * 2.0 ** (-e - h)
+        # each column times 2 ** -e, exact and never overflowing, on its real and imaginary parts
+        M = np.ldexp(M.view(float).reshape(*M.shape, 2), -e[..., None]).view(complex)[..., 0]
         _, s, vh = np.linalg.svd(M.transpose(0, 2, 1))
         k = 10 - svd_rank(s)
         if (k != 5).any():

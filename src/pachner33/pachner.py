@@ -78,18 +78,6 @@ TREE = OWNER[:, 0] == 0
 BOUNDARY = SIGN > 0  # rows of BOUNDARY_TETRAHEDRA, which is in lex order too
 
 
-def side_simplices(side: str) -> tuple:
-    if side == "lhs":
-        return LHS_SIMPLICES
-    if side == "rhs":
-        return RHS_SIMPLICES
-    raise ValueError("side must be 'lhs' or 'rhs'")
-
-
-def _side_inner(side: str) -> tuple:
-    return INNER_LHS if side == "lhs" else INNER_RHS
-
-
 def _components(families: np.ndarray) -> np.ndarray:
     """(beta, gamma) of each shared tetrahedron's six edge operators, read
     from both its owners, left then right, as an array [tetrahedron, owner,
@@ -214,25 +202,25 @@ def _composed(rec: ReconciledWeights) -> np.ndarray:
     return out
 
 
-def _side_slots(side: str) -> tuple:
-    """A side's simplices as their indices in SIMPLICES, (3,), and the
+def _side_slots(us: tuple, inner: tuple) -> tuple:
+    """A side's simplices us as their indices in SIMPLICES, (3,), and the
     generator slots of each one's five tetrahedra in the side's 12x12 form,
-    (3, 5): the nine boundary tetrahedra on 0-8 in lex order, the inner ones
-    on 9-11, innermost (the first integrated) last."""
-    slot = {t: i for i, t in enumerate(BOUNDARY_TETRAHEDRA + _side_inner(side)[::-1])}
-    us = side_simplices(side)
+    (3, 5): the nine boundary tetrahedra on 0-8 in lex order, the side's
+    inner ones on 9-11, innermost (the first integrated) last."""
+    slot = {t: i for i, t in enumerate(BOUNDARY_TETRAHEDRA + inner[::-1])}
     return (
         np.array([SIMPLICES.index(u) for u in us]),
         np.array([[slot[t] for t in opposite_tetrahedra(u)] for u in us]),
     )
 
 
-_SIDE_SLOTS = {side: _side_slots(side) for side in ("lhs", "rhs")}
+_SIDE_SLOTS = {"lhs": _side_slots(LHS_SIMPLICES, INNER_LHS), "rhs": _side_slots(RHS_SIMPLICES, INNER_RHS)}
 
 
 def side_weight(rec: ReconciledWeights, side: str) -> np.ndarray:
-    """Product of the side's three gauge-adjusted weights, integrated over
-    its inner tetrahedra, as dense coefficients on the boundary generators.
+    """Product of the side's ("lhs" or "rhs") three gauge-adjusted weights,
+    integrated over its inner tetrahedra, as dense coefficients on the
+    boundary generators.
 
     Each weight is exp(-1/2 x.F.x) of its gauged matrix F, so the product
     is the Gaussian of the side's assembled 12x12 form.  Three integrations

@@ -88,10 +88,6 @@ class WeightMatrix:
         object.__setattr__(self, "simplex", verts)
         object.__setattr__(self, "entries", E)
 
-    @property
-    def tetrahedra(self) -> list[tuple[int, ...]]:
-        return opposite_tetrahedra(self.simplex)
-
     @staticmethod
     def from_phi(simplex, phi) -> "WeightMatrix":
         """Place the ten 2-face values of phi, keyed by sorted 2-faces, with alternating signs.
@@ -172,11 +168,6 @@ def gauged_entries(wms, scales) -> np.ndarray:
     A = np.zeros((len(scales), 5, 5), dtype=complex)
     A.reshape(-1, 25)[:, ::6] = scales[:, ::-1]  # the diagonals
     return A @ np.array([wm.entries for wm in wms]) @ A
-
-
-def apply_gauge_to_F(wm: WeightMatrix, scales) -> WeightMatrix:
-    """The gauged weight (see gauged_entries)."""
-    return WeightMatrix(wm.simplex, gauged_entries([wm], [scales])[0])
 
 
 def double_ratios(wm: WeightMatrix, positions) -> np.ndarray:

@@ -448,6 +448,27 @@ def test_malformed_coords_key_is_an_input_error(capsys, tmp_path, command, key, 
     assert rep["error"] == "ValueError" and problem in rep["message"] and repr(key) in rep["message"]
 
 
+FILE_READERS = tuple((c, "--cocycle") for c in FILE_COMMANDS) + tuple((*c, "--coords") for c in COORDS_COMMANDS)
+NESTING = {"array": ("[", "]"), "object": ('{"a": ', "}")}
+
+
+@pytest.mark.parametrize("reader", FILE_READERS, ids=map(" ".join, FILE_READERS))
+@pytest.mark.parametrize("kind", NESTING)
+@pytest.mark.parametrize("depth", (1000, 100_000))
+def test_deeply_nested_input_file_is_an_input_error(capsys, tmp_path, reader, kind, depth):
+    opening, closing = NESTING[kind]
+    path = tmp_path / "nested.json"
+    path.write_text(opening * depth + "[]" + closing * depth)
+    rc = cli.main([*reader, str(path)])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert rc == 2 and err == ""
+    # a parser whose depth limit lies above 1,000 reads the shallower file, which is no input either
+    assert rep["error"] == "ValueError"
+    if depth == 100_000:
+        assert rep["message"] == "JSON nested too deeply"
+
+
 OVERFLOW_COORDS = {"1": [0.6, 0.3], "2": [1.1, 0.5], "3": [1.6, 0.2], "4": [2.0, 0.6], "5": [2.5, 0.4]}
 
 

@@ -38,7 +38,6 @@ from pachner33.simplicial import (
     Cochain,
     coboundary,
     cochain_primitive,
-    cocycle_defect,
     faces,
     random_cocycle,
 )
@@ -128,6 +127,17 @@ def test_superisotropy(rng):
     f = superisotropic_fs([fam], [omega])[0]
     # f paired with itself at each tetrahedron
     assert np.abs(2 * f[:5] * f[5:]).max() <= 1e-10 * np.linalg.norm(f) ** 2
+
+
+def test_superisotropic_f_is_the_weighted_sum_of_rows():
+    """f is each family's rows weighted by its edge coefficients: a left-to-right
+    loop agrees to the rounding of ten complex products and their sum."""
+    fams, omegas = (list(x) for x in zip(*(forward(np.random.default_rng(s))[1:] for s in range(20))))
+    roots = calibrate_sqrt_choices(fams, omegas)
+    terms = alpha_stack(omegas, roots)[:, :, None] * np.array([fam.matrix for fam in fams])
+    loop = sum(terms[:, j] for j in range(10))
+    bound = 16 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+    assert (np.abs(superisotropic_fs(fams, omegas, roots) - loop) <= bound).all()
 
 
 def test_paired_components_proportional(rng):
@@ -460,7 +470,7 @@ def oracle_reconstruct_F(omega, roots=None):
     roots = {f: r * 2.0**-k for f, r in roots.items()}
     oracle_check_roots(omega, roots)
     oracle_kappa_probe(omega, roots)
-    delta = cocycle_defect(omega)
+    delta = coboundary(omega).as_vector()
     if math.hypot(*abs(delta)) / math.sqrt(5) > 1e-9 * math.hypot(*abs(omega.as_vector())):
         raise ValueError("cochain has no primitive: not a cocycle")
     alpha = oracle_alpha(omega, roots)
@@ -615,7 +625,7 @@ def test_cocycle_defect_is_primitive_residual(rng):
         phi = random_phi(rng)
         nu = cochain_primitive(phi, rel_tol=np.inf)
         resid = np.linalg.norm(coboundary(nu).as_vector() - phi.as_vector())
-        defect = np.linalg.norm(cocycle_defect(phi)) / np.sqrt(5)
+        defect = np.linalg.norm(coboundary(phi).as_vector()) / np.sqrt(5)
         assert defect == pytest.approx(resid, rel=1e-12)
 
 

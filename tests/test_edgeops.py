@@ -37,7 +37,7 @@ from pachner33.simplicial import (
     roundtrip_residual,
 )
 from pachner33.pachner import SIMPLICES
-from pachner33.weights import WeightMatrix, apply_gauge_to_F, gaussian_weight, random_weight_matrix, tetra_space
+from pachner33.weights import WeightMatrix, gauged_entries, gaussian_weight, random_weight_matrix, tetra_space
 from draws import random_phi, random_wm
 from test_cocycle2weight import scene_cocycle
 from test_simplicial import star_tetrahedra, vertex_coboundary_sign
@@ -512,6 +512,32 @@ def test_w_cocycle_scale_free(e):
         assert roundtrip_residual(omega, scaled) <= 1e-14
 
 
+@pytest.mark.parametrize("scale", (1.0, 1e300, 1e-300, 1e200, 1e308, 1e-310, 1e-320))
+def test_column_scale_is_the_two_factor_product(monkeypatch, scale):
+    """extract_w_cocycles scales each column by 2 ** -e, e the exponent of
+    its largest modulus, in one exact step: the bits of 2 ** h * 2 ** (-e - h),
+    h = -e // 2 where 2 ** -e would overflow and 0 elsewhere, taken on the
+    real and imaginary parts.  A complex product differs from it only where
+    it turns a zero part's sign: a real part of -0 beside a negative
+    imaginary one, as the first family is given here."""
+    rng = np.random.default_rng(0)
+    F = np.array([normalize_family(random_wm(rng)).matrix for _ in range(50)])
+    F[0, 3, 2] = complex(-0.0, -abs(F[0, 3, 2]))
+    M = (F.view(float) * scale).view(complex)  # scaled part by part, each zero keeping its sign
+    seen, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(a) or svd(a, *args, **kw))
+    try:
+        extract_w_cocycles([EdgeOperatorFamily(SIMPLEX, m) for m in M])
+    except Pachner33Error:  # too few bits left for a five-dimensional kernel
+        pass
+    got = seen[0].transpose(0, 2, 1)  # the first SVD's input is the scaled stack, transposed
+    e = np.frexp(np.abs(M).max(axis=1, keepdims=True))[1]
+    h = np.where(e < -1023, -e // 2, 0)
+    parts = M.view(float) * np.repeat(2.0**h, 2, axis=2) * np.repeat(2.0 ** (-e - h), 2, axis=2)
+    assert same_bits(got, parts.view(complex))
+    assert (got == M * 2.0**h * 2.0 ** (-e - h)).all()
+
+
 def test_component_relations_at_1234(rng):
     fam = normalize_family(random_wm(rng))
     omega = extract_w_cocycle(fam)
@@ -540,7 +566,7 @@ def test_omega_gauge_invariant(rng):
     wm = random_wm(rng)
     omega = extract_w_cocycle(normalize_family(wm))
     lam = np.array([complex(*rng.normal(size=2)) for _ in range(5)])
-    gauged = apply_gauge_to_F(wm, lam)
+    gauged = WeightMatrix(wm.simplex, gauged_entries([wm], [lam])[0])
     omega2 = extract_w_cocycle(normalize_family(gauged))
     diff = max(abs(omega[s] - omega2[s]) for s in omega.cells())
     assert diff <= 1e-9

@@ -46,16 +46,15 @@ from pachner33.pachner import (
     _components,
     _composed,
     _fit,
-    _side_inner,
     reconcile,
-    side_simplices,
     side_weight,
     verify_33,
 )
 from pachner33.simplicial import Cochain, faces, generic_cocycle, random_cocycle
-from pachner33.weights import apply_gauge_to_F, gauged_entries, gaussian_weight, opposite_tetrahedra
+from pachner33.weights import WeightMatrix, gauged_entries, gaussian_weight, opposite_tetrahedra
 
 BOUNDARY_SPACE = GeneratorSpace(BOUNDARY_TETRAHEDRA)
+SIDES = {"lhs": (LHS_SIMPLICES, INNER_LHS), "rhs": (RHS_SIMPLICES, INNER_RHS)}  # simplices, inner tetrahedra
 
 
 def scanned_owners() -> dict:
@@ -76,13 +75,14 @@ def expanded_side_weight(rec, side) -> np.ndarray:
     """Oracle for side_weight: multiply the three gauged weights out in the
     Grassmann algebra (2^12 terms) on the side's lex space, integrate term
     by term, restrict."""
-    space = GeneratorSpace(_side_inner(side) + BOUNDARY_TETRAHEDRA)
+    us, inner = SIDES[side]
+    space = GeneratorSpace(inner + BOUNDARY_TETRAHEDRA)
     prod = GrassmannElement.scalar(space, 1.0)
-    for u in side_simplices(side):
+    for u in us:
         i = SIMPLICES.index(u)
-        wm = apply_gauge_to_F(rec.matrices[i], rec.gauges[i])
+        wm = WeightMatrix(u, oracle_gauged(rec.matrices[i], rec.gauges[i]))
         prod = prod * gaussian_weight(wm).embed(space)
-    return berezin_integral(prod, _side_inner(side)).restrict_to(BOUNDARY_SPACE).dense()
+    return berezin_integral(prod, inner).restrict_to(BOUNDARY_SPACE).dense()
 
 
 def side_element(rec, side) -> GrassmannElement:
@@ -366,8 +366,7 @@ def mp_side_weight(rec, side):
     sum of the minors' absolute terms.  Both are read off the top 512 masks."""
     A = np.zeros((12, 12), dtype=complex)
     for i, ix in zip(*_SIDE_SLOTS[side]):
-        gauged = apply_gauge_to_F(rec.matrices[i], rec.gauges[i])
-        A[ix[:, None], ix] -= gauged.entries
+        A[ix[:, None], ix] -= oracle_gauged(rec.matrices[i], rec.gauges[i])
     flat = A.ravel()
     pf, H = [mpmath.mpc(1)] + [mpmath.mpc(0)] * 4095, np.zeros(4096)
     H[0] = 1.0
@@ -497,7 +496,7 @@ def test_const_follows_the_gauge_law(seed, gauge_seed):
 
     def gauged(cochain):
         wm = real(cochain)
-        return apply_gauge_to_F(wm, D[SIMPLICES.index(wm.simplex)])
+        return WeightMatrix(wm.simplex, gauged_entries([wm], [D[SIMPLICES.index(wm.simplex)]])[0])
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pachner, "reconstruct_F", gauged)
@@ -558,9 +557,10 @@ def test_a_zero_gauge_scale_is_named(rng, zeros, k, i):
 def oracle_side_weight(rec, side) -> np.ndarray:
     """A side's coefficients from its form assembled block by block, each
     simplex gauged on its own."""
-    slot = {t: i for i, t in enumerate(BOUNDARY_TETRAHEDRA + _side_inner(side)[::-1])}
+    us, inner = SIDES[side]
+    slot = {t: i for i, t in enumerate(BOUNDARY_TETRAHEDRA + inner[::-1])}
     A = np.zeros((12, 12), dtype=complex)
-    for u in side_simplices(side):
+    for u in us:
         i = SIMPLICES.index(u)
         ix = np.array([slot[t] for t in opposite_tetrahedra(u)])
         A[ix[:, None], ix] -= oracle_gauged(rec.matrices[i], rec.gauges[i])

@@ -19,7 +19,6 @@ from pachner33.simplicial import (
     random_cocycle,
     coboundary_matrix,
     coboundary_terms,
-    cocycle_defect,
 )
 
 SIMPLEX = (1, 2, 3, 4, 5)
@@ -125,7 +124,6 @@ def test_coboundary_matches_dict_formulas(rng):
         omega = Cochain(SIMPLEX, 2, {t: complex(*rng.normal(size=2)) for t in faces(SIMPLEX, 2)})
         four_term = [omega[(j, k, l)] - omega[(i, k, l)] + omega[(i, j, l)] - omega[(i, j, k)]
                      for i, j, k, l in faces(SIMPLEX, 3)]
-        assert cocycle_defect(omega).tolist() == four_term
         assert coboundary(omega).as_vector().tolist() == four_term
 
 
@@ -155,6 +153,20 @@ def test_coboundary_of_one_cochain_is_cocycle(rng):
 def test_non_cocycle_detected():
     c = Cochain(SIMPLEX, 2, {(1, 2, 3): 1.0})
     assert not is_cocycle(c)
+
+
+def test_is_cocycle_bounds_the_largest_four_term_sum(rng):
+    omega = random_cocycle(SIMPLEX, rng)
+    first = omega.cells()[0]
+    c = Cochain(SIMPLEX, 2, {**omega.values, first: omega[first] + 1e-6})
+    worst = np.abs(coboundary(c).as_vector()).max() / c.max_abs()
+    assert is_cocycle(c, rel_tol=1.01 * worst) and not is_cocycle(c, rel_tol=0.99 * worst)
+
+
+def test_is_cocycle_refuses_another_degree():
+    nu = Cochain(SIMPLEX, 1, {(1, 2): 1.0})
+    with pytest.raises(ValueError, match="cocycle test applies to degree-2 cochains"):
+        is_cocycle(nu)
 
 
 def test_primitive_roundtrip(rng):

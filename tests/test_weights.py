@@ -18,9 +18,9 @@ from pachner33.simplicial import Cochain, faces
 from pachner33.weights import (
     CANONICAL_RATIO_PAIRS,
     WeightMatrix,
-    apply_gauge_to_F,
     canonical_ratios,
     double_ratios,
+    gauged_entries,
     gaussian_weight,
     opposite_tetrahedra,
     quadratic_form,
@@ -112,7 +112,7 @@ def test_quadratic_form_single_face():
 def test_quadratic_form_matches_direct_expansion(rng):
     wm = random_wm(rng)
     space = tetra_space(SIMPLEX)
-    tets = wm.tetrahedra
+    tets = opposite_tetrahedra(wm.simplex)
     direct = GrassmannElement.zero(space)
     for k in range(5):
         for l in range(5):
@@ -132,9 +132,10 @@ def test_gaussian_weight_annihilated(rng):
     # row k is d/dx_{t_k} + sum_l F[k, l] x_{t_l}, columns in generator order
     space = tetra_space(SIMPLEX)
     expected = np.zeros((5, 10), dtype=complex)
-    for k, t in enumerate(wm.tetrahedra):
+    tets = opposite_tetrahedra(wm.simplex)
+    for k, t in enumerate(tets):
         expected[k, space.index[t]] = 1.0
-        for l, u in enumerate(wm.tetrahedra):
+        for l, u in enumerate(tets):
             expected[k, 5 + space.index[u]] = wm.entries[k, l]
     assert rows.tobytes() == expected.tobytes()
     for row in rows:
@@ -207,15 +208,15 @@ def test_odd_weight_properties(rng):
 
 def test_gauge_on_F_and_elements(rng):
     wm = random_wm(rng)
-    assert np.abs(apply_gauge_to_F(wm, np.ones(5)).entries - wm.entries).max() == 0
+    assert np.abs(gauged_entries([wm], [np.ones(5)])[0] - wm.entries).max() == 0
     # scales run in generator (lex) order: the last is 2345's, matrix row 0
-    scaled = apply_gauge_to_F(wm, [1, 1, 1, 1, 2.0])
-    assert np.allclose(scaled.entries[0, 1:], 2.0 * wm.entries[0, 1:])
-    assert np.allclose(scaled.entries[1:, 1:], wm.entries[1:, 1:])
-    assert scaled.entries[0, 0] == 0
+    scaled = gauged_entries([wm], [[1, 1, 1, 1, 2.0]])[0]
+    assert np.allclose(scaled[0, 1:], 2.0 * wm.entries[0, 1:])
+    assert np.allclose(scaled[1:, 1:], wm.entries[1:, 1:])
+    assert scaled[0, 0] == 0
 
     lam = np.array([complex(*rng.normal(size=2)) for _ in range(5)])
-    W_gauged = gaussian_weight(apply_gauge_to_F(wm, lam))
+    W_gauged = gaussian_weight(WeightMatrix(wm.simplex, gauged_entries([wm], [lam])[0]))
     W = gaussian_weight(wm)
     # substitute x_i -> lam_i x_i monomial by monomial, generator i at bit i
     W_subst = GrassmannElement(
@@ -228,9 +229,9 @@ def test_gauge_on_F_and_elements(rng):
 def test_gauge_rejects_zero_scale(rng):
     wm = random_wm(rng)
     with pytest.raises(ValueError, match=r"gauge scale for \(2, 3, 4, 5\) must be nonzero"):
-        apply_gauge_to_F(wm, [1, 1, 1, 1, 0.0])
+        gauged_entries([wm], [[1, 1, 1, 1, 0.0]])
     with pytest.raises(ValueError, match=r"\(1, 2, 3, 4\)"):
-        apply_gauge_to_F(wm, [0j, 1, 1, 1, 1])
+        gauged_entries([wm], [[0j, 1, 1, 1, 1]])
 
 
 def double_ratio(wm, rows, cols):
@@ -248,7 +249,7 @@ def test_double_ratio_explicit(rng):
 def test_double_ratio_gauge_invariant(rng):
     wm = random_wm(rng)
     lam = np.array([complex(*rng.normal(size=2)) for _ in range(5)])
-    gauged = apply_gauge_to_F(wm, lam)
+    gauged = WeightMatrix(wm.simplex, gauged_entries([wm], [lam])[0])
     a = double_ratios(wm, ratio_positions(CANONICAL_RATIO_PAIRS))
     assert a.tobytes() == canonical_ratios(wm).tobytes()
     b = canonical_ratios(gauged)
@@ -337,7 +338,7 @@ def interchange_F(wm: WeightMatrix, tetra_subset) -> WeightMatrix:
     the modified block is invertible; this requires an even number of swaps
     and generic entries.
     """
-    tets = wm.tetrahedra
+    tets = opposite_tetrahedra(wm.simplex)
     subset = {tuple(sorted(t)) for t in tetra_subset}
     assert subset <= set(tets)
     cols = [k for k, t in enumerate(tets) if t in subset]
@@ -357,7 +358,7 @@ def interchange_F(wm: WeightMatrix, tetra_subset) -> WeightMatrix:
 
 def test_interchange_pair(rng):
     wm = random_wm(rng)
-    tets = wm.tetrahedra
+    tets = opposite_tetrahedra(wm.simplex)
     sibling = interchange_F(wm, [tets[1], tets[3]])
     # the sibling's span is the original span with the two coordinate pairs swapped
     M = weight_operators(wm)
@@ -376,4 +377,4 @@ def test_interchange_pair(rng):
 def test_interchange_odd_subset_fails(rng):
     wm = random_wm(rng)
     with pytest.raises(DegenerateWeightError):
-        interchange_F(wm, [wm.tetrahedra[0]])
+        interchange_F(wm, [opposite_tetrahedra(wm.simplex)[0]])
