@@ -338,7 +338,7 @@ def criterion_8(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> tup
     omegas = [elliptic_cocycle(p) for p in params]
     om = np.array([o.as_vector() for o in omegas])
     dnu = coboundary_values(np.array([elliptic_primitive(p).as_vector() for p in params]), SIMPLEX, 1)
-    fams, ws = _families([elliptic_F(p, SIMPLEX) for p in params])
+    fams, ws = _families([elliptic_F(p) for p in params])
     worst_prim = (np.abs(dnu - om).max(axis=1) / np.abs(om).max(axis=1)).max()
     ratios = np.array([w.as_vector() for w in ws]) / om
     worst_prop = np.abs(ratios / ratios[:, :1] - 1.0).max()

@@ -184,7 +184,7 @@ def family_to_json(fam: EdgeOperatorFamily) -> dict:
     # row j is edge j's (beta, gamma) vector, generator i at columns i and 5 + i
     tets = [_cell_key(t) for t in faces(fam.simplex, 3)]
     edges = {}
-    for e, row in zip(fam.edges, fam.matrix):
+    for e, row in zip(faces(fam.simplex, 1), fam.matrix):
         terms = {t: {"beta": complex(row[i]), "gamma": complex(row[5 + i])} for i, t in enumerate(tets)}
         edges[_cell_key(e)] = {"terms": terms}
     return {"edges": edges, "normalized": True}
@@ -367,7 +367,7 @@ def cmd_elliptic_f(args, report: dict) -> int:
     params = _elliptic_params(args, args.seed)
     if len(params.vertices) != 5:
         raise ValueError("elliptic-f expects coordinates on five vertices")
-    wm = elliptic_F(params, params.vertices)
+    wm = elliptic_F(params)
     report["params"] = params_to_json(params)
     report.update(weight_matrix_to_json(wm))
     return 0

@@ -12,7 +12,6 @@ first failing check, in code order, naming that check's first failing row.
 
 from __future__ import annotations
 
-import functools
 import math
 from itertools import combinations
 
@@ -194,7 +193,7 @@ def _ratio_tables() -> tuple:
     for rows, cols in CANONICAL_RATIO_PAIRS:
         keys += [(rows, c) for c in cols if (rows, c) not in keys]
     quotients = tuple(tuple(keys.index((rows, c)) for c in cols) for rows, cols in CANONICAL_RATIO_PAIRS)
-    tetra = [tuple(v for v in range(5) if v != c - 1) for _, c in keys]
+    tetra = np.array([[v for v in range(5) if v != c - 1] for _, c in keys])
     edge_ix = np.array([[EDGE_INDEX[e] for e in combinations(t, 2)] for t in tetra])
     face_ix = np.array([[FACE_INDEX[f] for f in combinations(t, 3)] for t in tetra])
     flipped = np.array([rows for rows, _ in keys]) - 1  # the two row vertices' positions
@@ -203,12 +202,6 @@ def _ratio_tables() -> tuple:
 
 
 RATIO_TETRA, RATIO_EDGES, RATIO_FACES, RATIO_FLIPS, RATIO_QUOTIENTS = _ratio_tables()
-
-
-@functools.cache
-def _ratio_tetrahedra(vertices) -> tuple:
-    """RATIO_TETRA on a simplex's own vertices, for the messages."""
-    return tuple(tuple(vertices[v] for v in t) for t in RATIO_TETRA)
 
 
 def pair_ratios(flips: np.ndarray, w: np.ndarray, tetrahedra) -> np.ndarray:
@@ -224,7 +217,7 @@ def pair_ratios(flips: np.ndarray, w: np.ndarray, tetrahedra) -> np.ndarray:
     run in stack order, so the first failing tetrahedron is named.
     """
     # an indeterminate ratio divides by zero here, before its check raises
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d = flips @ _TETRA_COBOUNDARY_T
         wc = w.conj()
         ww = (wc[:, None, :] @ w[:, :, None]).real
@@ -240,9 +233,10 @@ def pair_ratios(flips: np.ndarray, w: np.ndarray, tetrahedra) -> np.ndarray:
     bad = indeterminate | (nr > 1e-8 * np.maximum(na, nb))
     if bad.any():
         k = int(np.argmax(bad))
+        t = tuple(map(int, tetrahedra[k]))
         if indeterminate[k]:
-            raise DegenerateCocycleError(f"ratio at {tetrahedra[k]} is indeterminate")
-        raise BranchInconsistencyError(f"rank condition fails at {tetrahedra[k]}")
+            raise DegenerateCocycleError(f"ratio at {t} is indeterminate")
+        raise BranchInconsistencyError(f"rank condition fails at {t}")
     return rho
 
 
@@ -275,7 +269,7 @@ def reconstruct_Fs(omegas, roots=None) -> list:
             raise ValueError("cochain has no primitive: not a cocycle")
     alpha = np.array([_alpha(row) for row in rs])[:, RATIO_EDGES][:, :, None]
     flips = np.where(RATIO_FLIPS, -alpha, alpha).reshape(-1, 2, 6)
-    tetra = [t for om in omegas for t in _ratio_tetrahedra(om.vertices)]
+    tetra = np.array([om.vertices for om in omegas])[:, RATIO_TETRA].reshape(-1, 4)
     rho = pair_ratios(flips, w[:, RATIO_FACES].reshape(-1, 4), tetra).reshape(-1, 9).tolist()
     # Python quotients: numpy's array division rounds some differently
     return [

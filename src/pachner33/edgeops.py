@@ -53,10 +53,6 @@ class EdgeOperatorFamily:
     matrix: np.ndarray
     cocycle: Cochain | None = field(default=None, init=False, repr=False)
 
-    @property
-    def edges(self) -> list:
-        return faces(self.simplex, 1)
-
 
 @np.errstate(all="ignore")  # a degenerate star's row, or a weight beyond the float range, is not finite
 def _raw_edge_operators(E: np.ndarray) -> tuple:

@@ -205,17 +205,14 @@ def elliptic_primitive(params: EllipticParams) -> Cochain:
     return Cochain(vertices, 1, vals)
 
 
-def elliptic_F(params: EllipticParams, simplex) -> WeightMatrix:
-    """Weight matrix with sn/(cn*dn) of half coordinate differences.
+def elliptic_F(params: EllipticParams) -> WeightMatrix:
+    """The weight matrix on the parameters' five vertices: sn/(cn*dn) of half differences.
 
     The vertex-pair value (i, j) sits at (row omitting i, column omitting j).
     """
-    simplex = tuple(sorted(simplex))
-    if len(simplex) != 5 or len(set(simplex)) != 5:
+    simplex = params.vertices
+    if len(simplex) != 5:
         raise ValueError(f"elliptic_F needs 5 distinct vertices, not {simplex}")
-    for v in simplex:
-        if v not in params.coords:
-            raise ValueError(f"vertex {v} has no coordinate")
     entries = np.zeros((5, 5), dtype=complex)
     entries[_UPPER] = [params.half_ratios[pair] for pair in faces(simplex, 1)]
     entries.T[_UPPER] = -entries[_UPPER]

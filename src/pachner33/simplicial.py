@@ -123,12 +123,6 @@ def coboundary_values(x: np.ndarray, vertices, degree: int) -> np.ndarray:
     return d
 
 
-def coboundary(c: Cochain) -> Cochain:
-    """Simplicial coboundary of any degree, its terms added left to right."""
-    d = coboundary_values(c.as_vector(), c.vertices, c.degree)
-    return Cochain(c.vertices, c.degree + 1, dict(zip(faces(c.vertices, c.degree + 1), d)))
-
-
 def is_cocycle(c: Cochain, rel_tol: float = 1e-12) -> bool:
     """Check the alternating four-term sum on every tetrahedron."""
     if c.degree != 2:

@@ -8,12 +8,13 @@ simplex 12345 the order is 2345, 1345, 1245, 1235, 1234.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import ConsistencyError, DegenerateWeightError
+from .errors import ConsistencyError, DegenerateWeightError, NumericsError
 from .grassmann import GeneratorSpace, GrassmannElement, exp_even
 from .simplicial import SIMPLEX, Cochain, faces, permutation_sign, uniform
 
@@ -203,6 +204,8 @@ def solve_F_from_ratios(simplex, ratios) -> WeightMatrix:
     a = 1.0 / (c * d3)
     b = -1.0 / d4
     d = -1.0 / d5
+    if not all(map(cmath.isfinite, (a, b, c, d, e))):
+        raise NumericsError(f"weight on {simplex} is beyond the float range")
     E = [
         0.0, 1.0, a, b, -1.0,
         -1.0, 0.0, 1.0, c, d,
@@ -213,6 +216,6 @@ def solve_F_from_ratios(simplex, ratios) -> WeightMatrix:
     wm = WeightMatrix(simplex, np.array(E, dtype=complex).reshape(5, 5))
     r = np.array(ratios, dtype=complex)
     worst = max((np.abs(canonical_ratios(wm) - r) / np.maximum(np.abs(r), 1e-300)).tolist())
-    if worst > 1e-9:
+    if not worst <= 1e-9:  # NaN fails too
         raise ConsistencyError("triangular ratio solve failed to reproduce its inputs")
     return wm

@@ -17,7 +17,7 @@ import pachner33
 from pachner33 import cli
 from pachner33.edgeops import normalize_family
 from pachner33.pachner import VERTICES as SCENE_VERTICES
-from pachner33.simplicial import Cochain, generic_cocycle, is_cocycle, roundtrip_residual
+from pachner33.simplicial import Cochain, coboundary_values, faces, generic_cocycle, is_cocycle, roundtrip_residual
 from pachner33.weights import random_weight_matrix
 
 
@@ -467,6 +467,50 @@ def test_deeply_nested_input_file_is_an_input_error(capsys, tmp_path, reader, ki
     assert rep["error"] == "ValueError"
     if depth == 100_000:
         assert rep["message"] == "JSON nested too deeply"
+
+
+def wide_range_nu(seed: int, vertices: tuple, draw: int) -> np.ndarray:
+    """Draw `draw` (0-based) of a 1-cochain on the edges in lex order whose
+    values span up to 300 decades, with rng seeded by seed."""
+    rng = np.random.default_rng(seed)
+    n = len(faces(vertices, 1))
+    for _ in range(draw + 1):
+        c = rng.choice([5, 50, 150, 300])
+        nu = 10 ** rng.uniform(-c, 0, n) * np.exp(2j * np.pi * rng.random(n))
+    return nu
+
+
+FIVE, SIX = (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)
+BEYOND = (0, 300, 200, 200, 200, 0, 100, 300, 300, 300)  # decades: an entry of F overflows, one ratio is NaN
+WIDE_RANGE_RUNS = {
+    "draw 304": ("weight-from-cocycle", FIVE, lambda: wide_range_nu(0, FIVE, 304),
+                 "DegenerateCocycleError", "ratio at (1, 3, 4, 5) is indeterminate"),
+    "draw 2308": ("weight-from-cocycle", FIVE, lambda: wide_range_nu(0, FIVE, 2308),
+                  "DegenerateCocycleError", "ratio at (1, 3, 4, 5) is indeterminate"),
+    "beyond": ("weight-from-cocycle", FIVE, lambda: 10.0 ** -np.array(BEYOND) * (1 + 0.1j * np.arange(1, 11)),
+               "NumericsError", "weight on (1, 2, 3, 4, 5) is beyond the float range"),
+    "scene 396": ("verify-pachner", SIX, lambda: wide_range_nu(1, SIX, 396),
+                  "DegenerateCocycleError", "ratio at (1, 2, 3, 4) is indeterminate"),
+    "scene 763": ("verify-pachner", SIX, lambda: wide_range_nu(1, SIX, 763),
+                  "DegenerateCocycleError", "ratio at (1, 3, 4, 5) is indeterminate"),
+}
+
+
+@pytest.mark.parametrize("case", WIDE_RANGE_RUNS)
+def test_wide_range_cocycle_exits_2_with_nothing_on_stderr(tmp_path, case):
+    """Cocycles whose values span hundreds of decades overflow inside the
+    pair ratios, or make an entry of F overflow; each is a typed error, and
+    no numpy warning reaches stderr."""
+    command, vertices, nu, error, message = WIDE_RANGE_RUNS[case]
+    omega = coboundary_values(nu(), vertices, 1)
+    vals = {",".join(map(str, f)): [z.real, z.imag] for f, z in zip(faces(vertices, 2), omega.tolist())}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"degree": 2, "values": vals}))
+    env = {**os.environ, "PYTHONPATH": str(Path(pachner33.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "pachner33.cli", command, "--cocycle", str(path)],
+                          env=env, capture_output=True, text=True)
+    rep = json.loads(proc.stdout)
+    assert (proc.returncode, rep["error"], rep["message"], proc.stderr) == (2, error, message, "")
 
 
 OVERFLOW_COORDS = {"1": [0.6, 0.3], "2": [1.1, 0.5], "3": [1.6, 0.2], "4": [2.0, 0.6], "5": [2.5, 0.4]}

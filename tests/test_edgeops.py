@@ -30,8 +30,8 @@ from pachner33.operators import (
 )
 from pachner33.simplicial import (
     Cochain,
-    coboundary,
     coboundary_matrix,
+    coboundary_values,
     faces,
     is_cocycle,
     roundtrip_residual,
@@ -72,7 +72,7 @@ def svd_edge_operator(wm):
 def oracle_weight(kind, seed):
     rng = np.random.default_rng(seed)
     if kind == "elliptic":
-        return elliptic_F(random_elliptic_params(rng, SIMPLEX), SIMPLEX)
+        return elliptic_F(random_elliptic_params(rng, SIMPLEX))
     return random_weight_matrix(rng)
 
 
@@ -417,7 +417,7 @@ def test_stacked_cocycle_errors_come_check_by_check(rng):
 
 def test_normalized_vertex_coboundaries_vanish(rng):
     fam = normalize_family(random_wm(rng))
-    signs = np.array([[vertex_coboundary_sign(v, b) for b in fam.edges] for v in SIMPLEX])
+    signs = np.array([[vertex_coboundary_sign(v, b) for b in faces(fam.simplex, 1)] for v in SIMPLEX])
     resid = signs @ fam.matrix  # row v: the operator sum of v's coboundary
     assert np.abs(resid).max() <= 1e-10 * np.abs(fam.matrix).max()
 
@@ -425,10 +425,10 @@ def test_normalized_vertex_coboundaries_vanish(rng):
 def test_family_layout(rng):
     fam = normalize_family(random_wm(rng))
     assert fam.matrix.shape == (10, 10)
-    assert fam.edges == faces(SIMPLEX, 1)
+    assert faces(fam.simplex, 1) == faces(SIMPLEX, 1)
     assert tetra_space(SIMPLEX).labels == tuple(TETRAHEDRA)
     # row j is edge j; both halves vanish exactly off the edge's star
-    for b, row in zip(fam.edges, fam.matrix):
+    for b, row in zip(faces(fam.simplex, 1), fam.matrix):
         off = [i for i, t in enumerate(TETRAHEDRA) if not set(b) <= set(t)]
         assert len(off) == 2
         assert not row[off].any() and not row[[5 + i for i in off]].any()
@@ -441,7 +441,7 @@ def test_family_spans_five_dimensions(rng):
 
 def test_opposite_edges_partial_product(rng):
     fam = normalize_family(random_wm(rng))
-    row = lambda e: fam.matrix[fam.edges.index(e)]
+    row = lambda e: fam.matrix[faces(fam.simplex, 1).index(e)]
     for i, t in enumerate(TETRAHEDRA):
         w, x, y, z = t
         for a, b in (((w, x), (y, z)), ((w, y), (x, z)), ((w, z), (x, y))):
@@ -459,8 +459,7 @@ def test_w_cocycle_basics(rng):
     # any kernel representative gives the same normalized coboundary
     K = nullspace(fam.matrix.T)
     mu = K @ (rng.normal(size=5) + 1j * rng.normal(size=5))
-    nu = Cochain(SIMPLEX, 1, {b: mu[j] for j, b in enumerate(fam.edges)})
-    w2 = coboundary(nu)
+    w2 = Cochain(SIMPLEX, 2, dict(zip(faces(SIMPLEX, 2), coboundary_values(mu, SIMPLEX, 1))))
     top = max(w2.cells(), key=lambda s: abs(w2[s]))
     w2 = w2.scaled(1.0 / w2[top])
     diff = max(abs(w2[s] - omega[s]) for s in omega.cells())
@@ -473,7 +472,7 @@ def projected_w_cocycle(fam):
     basis = column_space(SIGNS[:4].T)
     K = nullspace(fam.matrix.T)
     u, _, _ = np.linalg.svd(K - basis @ (basis.conj().T @ K))
-    omega = coboundary(Cochain(fam.simplex, 1, dict(zip(fam.edges, u[:, 0]))))
+    omega = Cochain(fam.simplex, 2, dict(zip(faces(fam.simplex, 2), coboundary_values(u[:, 0], fam.simplex, 1))))
     top = max(omega.cells(), key=lambda s: abs(omega[s]))
     return omega.scaled(1.0 / omega[top])
 
@@ -541,7 +540,7 @@ def test_column_scale_is_the_two_factor_product(monkeypatch, scale):
 def test_component_relations_at_1234(rng):
     fam = normalize_family(random_wm(rng))
     omega = extract_w_cocycle(fam)
-    comp = lambda e: fam.matrix[fam.edges.index(e)][[0, 5]]  # at (1, 2, 3, 4), generator 0
+    comp = lambda e: fam.matrix[faces(fam.simplex, 1).index(e)][[0, 5]]  # at (1, 2, 3, 4), generator 0
     denom = omega[(1, 3, 4)] - omega[(2, 3, 4)]
     lhs13 = comp((1, 3))
     rhs13 = -(omega[(1, 2, 4)] * comp((1, 2)) + omega[(2, 3, 4)] * comp((3, 4))) / denom
@@ -555,7 +554,7 @@ def test_component_relations_at_1234(rng):
 def test_norm_relation_at_1234(rng):
     fam = normalize_family(random_wm(rng))
     omega = extract_w_cocycle(fam)
-    d12, d34 = fam.matrix[fam.edges.index((1, 2))], fam.matrix[fam.edges.index((3, 4))]
+    d12, d34 = fam.matrix[faces(fam.simplex, 1).index((1, 2))], fam.matrix[faces(fam.simplex, 1).index((3, 4))]
     # at (1, 2, 3, 4), generator 0
     t1 = omega[(1, 2, 3)] * omega[(1, 2, 4)] * pairing_at(d12, d12, 0)
     t2 = omega[(1, 3, 4)] * omega[(2, 3, 4)] * pairing_at(d34, d34, 0)

@@ -4,6 +4,7 @@ integrated identity between the two sides."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import re
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pachner33.acceptance import elliptic_scene_cocycle
+from pachner33.cli import DEFAULT_TOLERANCE
 from pachner33.elliptic import elliptic_cocycle, random_elliptic_params
 from pachner33 import pachner
 from pachner33.errors import ConsistencyError, DegenerateWeightError, Pachner33Error
@@ -50,11 +52,17 @@ from pachner33.pachner import (
     side_weight,
     verify_33,
 )
-from pachner33.simplicial import Cochain, faces, generic_cocycle, random_cocycle
+from pachner33.simplicial import Cochain, faces, generic_cocycle, permutation_sign, random_cocycle
 from pachner33.weights import WeightMatrix, gauged_entries, gaussian_weight, opposite_tetrahedra
 
 BOUNDARY_SPACE = GeneratorSpace(BOUNDARY_TETRAHEDRA)
-SIDES = {"lhs": (LHS_SIMPLICES, INNER_LHS), "rhs": (RHS_SIMPLICES, INNER_RHS)}  # simplices, inner tetrahedra
+# each side's simplices and inner tetrahedra, written out rather than read off
+# pachner: the inner order is the order of integration, which fixes the
+# sign of each side and so of const
+SIDES = {
+    "lhs": (LHS_SIMPLICES, ((1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6))),
+    "rhs": (RHS_SIMPLICES, ((1, 4, 5, 6), (2, 4, 5, 6), (3, 4, 5, 6))),
+}
 
 
 def scanned_owners() -> dict:
@@ -479,6 +487,29 @@ def test_verify_scaling_covariance(rng):
         assert abs(rep2.const) > 1e-10
         assert rep2.annihilator_dimension == 9
 
+
+
+@functools.cache
+def _identity_worst(seed: int) -> float:
+    return verify_33(reconcile(generic_cocycle(np.random.default_rng(seed), VERTICES))).worst
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 9), st.permutations(VERTICES))
+def test_relabelled_scene_verifies(seed, image):
+    """A permutation sigma of the labels maps omega to omega'(sigma f) =
+    sign(sigma on f) omega(f), again a cocycle on 1-6, whose scene is the 3-3
+    move of another partition of the same six simplices: it verifies, its
+    worst figure within 100x that of the identity labelling."""
+    sigma = dict(zip(VERTICES, image))
+    om = generic_cocycle(np.random.default_rng(seed), VERTICES)
+    moved = {}
+    for f in om.cells():
+        g = tuple(sigma[v] for v in f)
+        moved[tuple(sorted(g))] = permutation_sign(g) * om[f]
+    rep = verify_33(reconcile(Cochain(VERTICES, 2, moved)))
+    assert all(rep.verdict(DEFAULT_TOLERANCE)), rep
+    assert rep.worst <= 100 * _identity_worst(seed), (rep.worst, _identity_worst(seed))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
